@@ -221,11 +221,12 @@ def _scale_to_load(
 #: through ``scale_load``, which copies).
 _SHARED_WORKLOADS: Dict[tuple, Workload] = {}
 
-#: Memo capacity.  Materialized workloads can be large (100k-job traces), so
-#: a long-lived process (the serve daemon, a worker draining a mixed queue)
-#: must not accumulate every workload it ever touched; eviction is FIFO,
-#: which matches how suites walk their contexts in order.
-_SHARED_WORKLOADS_MAX = 16
+#: Memo capacity, in jobs held across all entries (two 100k-job traces).  A
+#: long-lived process (the serve daemon, a worker draining a mixed queue)
+#: must not accumulate every workload it ever touched, but a count of
+#: entries would be cycled by a suite of many small workloads walked case
+#: by case.  Eviction is FIFO; the newest entry is always kept.
+_SHARED_WORKLOADS_MAX_JOBS = 200_000
 
 
 def resolve_workload_shared(scenario: Scenario) -> Workload:
@@ -242,9 +243,10 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
     workload = _SHARED_WORKLOADS.get(key)
     if workload is None:
         workload = resolve_workload(scenario.with_(load=None))
-        while len(_SHARED_WORKLOADS) >= _SHARED_WORKLOADS_MAX:
-            _SHARED_WORKLOADS.pop(next(iter(_SHARED_WORKLOADS)))
         _SHARED_WORKLOADS[key] = workload
+        held = sum(len(w) for w in _SHARED_WORKLOADS.values())
+        while held > _SHARED_WORKLOADS_MAX_JOBS and len(_SHARED_WORKLOADS) > 1:
+            held -= len(_SHARED_WORKLOADS.pop(next(iter(_SHARED_WORKLOADS))))
     return workload
 
 

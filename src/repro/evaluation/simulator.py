@@ -21,7 +21,7 @@ Features required by the paper's extensions are built in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -50,7 +50,6 @@ class _Running:
     expected_end: float
     completion_handle: object
     restarts: int = 0
-    first_submit: float = 0.0
 
 
 class MachineSimulation:
@@ -82,7 +81,12 @@ class MachineSimulation:
         #: as the contextvar scope during :meth:`run` so schedulers' module-
         #: level ``count()`` calls land here.
         self._telemetry = Telemetry()
+        self._passes = self._telemetry.counter("sched_passes")
+        self._max_depth = self._telemetry.gauge("max_queue_depth")
+        self._started = self._telemetry.counter("jobs_started")
+        #: the wait queue (arrival order, handed to policies uncopied) and its ids
         self._queue: List[JobRequest] = []
+        self._queued_ids: set = set()
         self._running: Dict[int, _Running] = {}
         self._results: List[JobResult] = []
         self._outage_kills = 0
@@ -130,28 +134,16 @@ class MachineSimulation:
                 self._waiting_on.setdefault(job.preceding_job, []).append((request, think))
             else:
                 self.sim.schedule_at(
-                    request.submit_time,
-                    self._on_arrival,
-                    request,
-                    priority=_PRIORITY_ARRIVAL,
-                    label=f"arrival:{request.job_id}",
+                    request.submit_time, self._on_arrival, request, priority=_PRIORITY_ARRIVAL
                 )
         for record in self.outages:
             node_ids = self._outage_nodes(record)
             self.sim.schedule_at(
-                record.start_time,
-                self._on_outage_start,
-                record,
-                node_ids,
+                record.start_time, self._on_outage_start, record, node_ids,
                 priority=_PRIORITY_OUTAGE,
-                label="outage-start",
             )
             self.sim.schedule_at(
-                record.end_time,
-                self._on_outage_end,
-                node_ids,
-                priority=_PRIORITY_OUTAGE,
-                label="outage-end",
+                record.end_time, self._on_outage_end, node_ids, priority=_PRIORITY_OUTAGE
             )
 
     def _outage_nodes(self, record) -> List[int]:
@@ -167,6 +159,7 @@ class MachineSimulation:
     # ------------------------------------------------------------------
     def _on_arrival(self, request: JobRequest) -> None:
         self._queue.append(request)
+        self._queued_ids.add(request.job_id)
         self._submit_times.setdefault(request.job_id, self.sim.now)
         self._schedule_pass()
 
@@ -175,6 +168,10 @@ class MachineSimulation:
         if running is None:  # completion of a job killed by an outage
             return
         self.machine.release(job_id)
+        self._finish(job_id, running, killed=False)
+        self._schedule_pass()
+
+    def _finish(self, job_id: int, running: _Running, killed: bool) -> None:
         self._results.append(
             JobResult(
                 job=running.request.job,
@@ -182,25 +179,18 @@ class MachineSimulation:
                 start_time=running.start_time,
                 end_time=self.sim.now,
                 processors=running.request.processors,
-                killed=False,
+                killed=killed,
                 restarts=running.restarts,
             )
         )
         self._release_dependents(job_id)
-        self._schedule_pass()
 
     def _release_dependents(self, job_id: int) -> None:
         if job_id in self._released:
             return
         self._released.add(job_id)
         for request, think in self._waiting_on.pop(job_id, []):
-            self.sim.schedule(
-                max(0, think),
-                self._on_arrival,
-                request,
-                priority=_PRIORITY_ARRIVAL,
-                label=f"dependent-arrival:{request.job_id}",
-            )
+            self.sim.schedule(max(0, think), self._on_arrival, request, priority=_PRIORITY_ARRIVAL)
 
     def _on_outage_start(self, record, node_ids: List[int]) -> None:
         victims = self.machine.fail_nodes(node_ids)
@@ -222,20 +212,10 @@ class MachineSimulation:
                     submit_time=int(self.sim.now),
                 )
                 self._queue.append(restarted)
+                self._queued_ids.add(restarted.job_id)
                 self._restart_counts[request.job_id] = running.restarts + 1
             else:
-                self._results.append(
-                    JobResult(
-                        job=running.request.job,
-                        submit_time=self._submit_times[job_id],
-                        start_time=running.start_time,
-                        end_time=self.sim.now,
-                        processors=running.request.processors,
-                        killed=True,
-                        restarts=running.restarts,
-                    )
-                )
-                self._release_dependents(job_id)
+                self._finish(job_id, running, killed=True)
         self._schedule_pass()
 
     def _on_outage_end(self, node_ids: List[int]) -> None:
@@ -246,7 +226,12 @@ class MachineSimulation:
     # scheduling
     # ------------------------------------------------------------------
     def _capacity_fn(self):
-        """Announced-capacity function for outage-aware policies."""
+        """Announced-capacity function for outage-aware policies.
+
+        Records that ended by ``now`` are dropped first.  That is exact:
+        every caller asks about windows starting at or after ``now``, which
+        such a record can neither overlap nor add a boundary to.
+        """
         now = self.sim.now
         while (
             self._announce_index < len(self._by_announce)
@@ -255,57 +240,50 @@ class MachineSimulation:
             self._announced.append(self._by_announce[self._announce_index])
             self._announce_index += 1
         announced = self._announced
+        if announced:
+            announced = self._announced = [r for r in announced if r.end_time > now]
         machine_size = self.machine.size
 
         def min_capacity(start: float, end: float) -> int:
-            if not announced:
-                return machine_size
+            # Capacity only drops where an overlapping record starts, so the
+            # window's minimum is found at its start or at one of those starts.
+            window = (int(start), int(max(end, start + 1)))
             boundaries = {start}
-            for record in announced:
-                if record.overlaps(int(start), int(max(end, start + 1))):
-                    boundaries.add(max(start, record.start_time))
-            minimum = machine_size
-            for t in boundaries:
-                down = sum(
-                    r.nodes_affected
-                    for r in announced
-                    if r.start_time <= t < r.end_time
-                )
-                minimum = min(minimum, max(0, machine_size - down))
-            return minimum
+            boundaries.update(max(start, r.start_time) for r in announced if r.overlaps(*window))
+            down = max(
+                sum(r.nodes_affected for r in announced if r.start_time <= t < r.end_time)
+                for t in boundaries
+            )
+            return max(0, machine_size - down)
 
         return min_capacity
 
-    def _state(self) -> SchedulerState:
-        running_infos = [
-            RunningJobInfo(
-                request=r.request,
-                start_time=r.start_time,
-                expected_end=max(r.expected_end, self.sim.now),
-            )
+    def _running_infos(self) -> List[RunningJobInfo]:
+        now = self.sim.now
+        return [
+            RunningJobInfo(r.request, r.start_time, max(r.expected_end, now))
             for r in self._running.values()
         ]
-        return SchedulerState(
-            now=self.sim.now,
-            total_processors=self.machine.size,
-            free_processors=self.machine.free_count(),
-            queue=list(self._queue),
-            running=running_infos,
-            min_capacity=self._capacity_fn(),
-        )
 
     def _schedule_pass(self) -> None:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
-        self._telemetry.counter("sched_passes").inc()
-        self._telemetry.gauge("max_queue_depth").set_max(len(self._queue))
-        state = self._state()
+        self._passes.inc()
+        self._max_depth.set_max(len(queue))
+        free = self.machine.free_count()
+        state = SchedulerState(
+            now=self.sim.now,
+            total_processors=self.machine.size,
+            free_processors=free,
+            queue=queue,
+            running=self._running_infos,
+            min_capacity=self._capacity_fn(),
+        )
         selected = self.scheduler.select_jobs(state)
         if not selected:
             return
-        selected_ids = set()
-        total_requested = 0
-        queued_ids = {r.job_id for r in self._queue}
+        queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0
         for request in selected:
             if request.job_id not in queued_ids or request.job_id in selected_ids:
                 raise RuntimeError(
@@ -314,24 +292,26 @@ class MachineSimulation:
                 )
             selected_ids.add(request.job_id)
             total_requested += request.processors
-        if total_requested > state.free_processors:
+        if total_requested > free:
             raise RuntimeError(
                 f"scheduler {self.scheduler.name!r} over-committed the machine: "
-                f"selected {total_requested} processors with {state.free_processors} free"
+                f"selected {total_requested} processors with {free} free"
             )
         for request in selected:
             self._start_job(request)
-        self._queue = [r for r in self._queue if r.job_id not in selected_ids]
+        # FCFS-like picks are the queue's leading entries: drop them in place
+        # (ids are distinct when the id set is as long as the queue).
+        if len(queued_ids) == len(queue) and all(s is q for s, q in zip(selected, queue)):
+            del queue[: len(selected)]
+        else:
+            self._queue = [r for r in queue if r.job_id not in selected_ids]
+        queued_ids -= selected_ids
 
     def _start_job(self, request: JobRequest) -> None:
-        self._telemetry.counter("jobs_started").inc()
+        self._started.inc()
         self.machine.allocate(request.job_id, request.processors, start_time=self.sim.now)
         handle = self.sim.schedule(
-            request.runtime,
-            self._on_completion,
-            request.job_id,
-            priority=_PRIORITY_COMPLETION,
-            label=f"completion:{request.job_id}",
+            request.runtime, self._on_completion, request.job_id, priority=_PRIORITY_COMPLETION
         )
         self._running[request.job_id] = _Running(
             request=request,
@@ -339,7 +319,6 @@ class MachineSimulation:
             expected_end=self.sim.now + request.estimate,
             completion_handle=handle,
             restarts=self._restart_counts.get(request.job_id, 0),
-            first_submit=self._submit_times.get(request.job_id, self.sim.now),
         )
 
     # ------------------------------------------------------------------

@@ -1,39 +1,30 @@
-"""Nodes, partitions, allocations, and the :class:`Machine` allocator.
+"""Partitions, allocations, and the :class:`Machine` allocator.
 
 The model is deliberately at the granularity the SWF records: a job asks for
 a number of processors (nodes) and, optionally, memory per processor; the
 machine either has that many free, non-failed nodes in one partition or it
-does not.  Node identity matters only for outage handling (a failure takes
-down *specific* nodes, killing whatever ran there), so the allocator tracks
-individual nodes but exposes count-based convenience methods.
+does not.  Nodes are plain integer ids ``0 .. size-1``; partitions are
+contiguous id ranges.  Node identity matters only for outage handling (a
+failure takes down *specific* nodes, killing whatever ran there), so the
+allocator keeps exactly what that needs and nothing per node:
+
+* a sorted list of free (up and unallocated) ids — ``free_count`` is its
+  length, ``allocate`` takes its lowest ids;
+* the set of down ids;
+* the allocations, keyed by job id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Node", "Partition", "Allocation", "Machine", "AllocationError"]
+__all__ = ["Partition", "Allocation", "Machine", "AllocationError"]
 
 
 class AllocationError(RuntimeError):
     """Raised when an allocation or release request cannot be honoured."""
-
-
-@dataclass
-class Node:
-    """One node of the machine."""
-
-    node_id: int
-    memory_kb: int = 0
-    partition: int = 1
-    up: bool = True
-    busy_job: Optional[int] = None
-
-    @property
-    def is_free(self) -> bool:
-        """True when the node is up and not allocated to any job."""
-        return self.up and self.busy_job is None
 
 
 @dataclass(frozen=True)
@@ -96,28 +87,20 @@ class Machine:
         if sum(partition_sizes) != size:
             raise ValueError("partition sizes must sum to the machine size")
 
-        self._nodes: Dict[int, Node] = {}
         self._partitions: List[Partition] = []
         next_id = 0
         for number, psize in enumerate(partition_sizes, start=1):
             ids = tuple(range(next_id, next_id + psize))
-            for node_id in ids:
-                self._nodes[node_id] = Node(
-                    node_id=node_id, memory_kb=memory_per_node_kb, partition=number
-                )
             self._partitions.append(Partition(number=number, node_ids=ids))
             next_id += psize
 
+        self._free: List[int] = list(range(size))
+        self._down: Set[int] = set()
         self._allocations: Dict[int, Allocation] = {}
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> List[Node]:
-        """All nodes (shared references; mutate only through Machine methods)."""
-        return [self._nodes[i] for i in sorted(self._nodes)]
-
     @property
     def partitions(self) -> List[Partition]:
         return list(self._partitions)
@@ -127,28 +110,39 @@ class Machine:
         """Current allocations, keyed by job id."""
         return dict(self._allocations)
 
-    def node(self, node_id: int) -> Node:
-        return self._nodes[node_id]
+    def _id_range(self, partition: Optional[int]) -> Tuple[int, int]:
+        """[first, one past the last) node id of ``partition`` (None: all)."""
+        if partition is None:
+            return 0, self.size
+        if not 1 <= partition <= len(self._partitions):
+            return 0, 0
+        ids = self._partitions[partition - 1].node_ids
+        return ids[0], ids[-1] + 1
+
+    def _free_span(self, partition: Optional[int]) -> Tuple[int, int]:
+        """Index range of ``partition``'s ids within the free list."""
+        lo, hi = self._id_range(partition)
+        return bisect_left(self._free, lo), bisect_left(self._free, hi)
 
     def free_count(self, partition: Optional[int] = None) -> int:
         """Number of free (up and unallocated) nodes, optionally per partition."""
-        return len(self._free_node_ids(partition))
+        if partition is None:
+            return len(self._free)
+        i, j = self._free_span(partition)
+        return j - i
 
     def up_count(self, partition: Optional[int] = None) -> int:
         """Number of up nodes (free or busy), optionally per partition."""
-        return sum(
-            1
-            for n in self._nodes.values()
-            if n.up and (partition is None or n.partition == partition)
-        )
+        lo, hi = self._id_range(partition)
+        return hi - lo - sum(1 for n in self._down if lo <= n < hi)
 
     def busy_count(self) -> int:
         """Number of nodes currently allocated to jobs."""
-        return sum(1 for n in self._nodes.values() if n.busy_job is not None)
+        return sum(len(a.node_ids) for a in self._allocations.values())
 
     def down_count(self) -> int:
         """Number of failed / drained nodes."""
-        return sum(1 for n in self._nodes.values() if not n.up)
+        return len(self._down)
 
     def utilized_fraction(self) -> float:
         """Busy nodes as a fraction of the nominal machine size."""
@@ -168,13 +162,6 @@ class Machine:
                 return False
         return self.free_count(partition) >= processors
 
-    def _free_node_ids(self, partition: Optional[int] = None) -> List[int]:
-        return [
-            node_id
-            for node_id, node in sorted(self._nodes.items())
-            if node.is_free and (partition is None or node.partition == partition)
-        ]
-
     # ------------------------------------------------------------------
     # allocation / release
     # ------------------------------------------------------------------
@@ -186,7 +173,7 @@ class Machine:
         memory_per_node_kb: int = 0,
         partition: Optional[int] = None,
     ) -> Allocation:
-        """Allocate ``processors`` free nodes to ``job_id``.
+        """Allocate the ``processors`` lowest free node ids to ``job_id``.
 
         Raises :class:`AllocationError` when the request cannot be satisfied
         or the job already holds an allocation.
@@ -201,32 +188,45 @@ class Machine:
                     f"job {job_id} requests {memory_per_node_kb} kB per node but nodes "
                     f"have only {self.memory_per_node_kb} kB"
                 )
-        free = self._free_node_ids(partition)
-        if len(free) < processors:
+        i, j = self._free_span(partition)
+        if j - i < processors:
             raise AllocationError(
-                f"job {job_id} requests {processors} nodes but only {len(free)} are free"
+                f"job {job_id} requests {processors} nodes but only {j - i} are free"
             )
-        chosen = tuple(free[:processors])
-        for node_id in chosen:
-            self._nodes[node_id].busy_job = job_id
+        chosen = tuple(self._free[i : i + processors])
+        del self._free[i : i + processors]
         allocation = Allocation(job_id=job_id, node_ids=chosen, start_time=start_time)
         self._allocations[job_id] = allocation
         return allocation
 
     def release(self, job_id: int) -> Allocation:
-        """Release the allocation held by ``job_id`` and return it."""
+        """Release the allocation held by ``job_id`` and return it.
+
+        Its nodes return to the free list, except those that failed while
+        the job held them: they stay down until :meth:`restore_nodes`.
+        """
         allocation = self._allocations.pop(job_id, None)
         if allocation is None:
             raise AllocationError(f"job {job_id} holds no allocation")
-        for node_id in allocation.node_ids:
-            node = self._nodes[node_id]
-            if node.busy_job == job_id:
-                node.busy_job = None
+        down = self._down
+        if down:
+            self._free.extend(n for n in allocation.node_ids if n not in down)
+        else:
+            self._free.extend(allocation.node_ids)
+        self._free.sort()
         return allocation
 
     # ------------------------------------------------------------------
     # failures and repairs (outage support)
     # ------------------------------------------------------------------
+    def _check_ids(self, node_ids: Iterable[int]) -> Set[int]:
+        ids = set()
+        for node_id in node_ids:
+            if node_id not in range(self.size):
+                raise AllocationError(f"node {node_id} does not exist")
+            ids.add(int(node_id))
+        return ids
+
     def fail_nodes(self, node_ids: Iterable[int]) -> List[int]:
         """Mark nodes as down; returns the ids of jobs that were running on them.
 
@@ -234,15 +234,14 @@ class Machine:
         driver — decides whether to kill and resubmit them); the failed nodes
         are excluded from future allocations until :meth:`restore_nodes`.
         """
-        victims: Set[int] = set()
-        for node_id in node_ids:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise AllocationError(f"node {node_id} does not exist")
-            node.up = False
-            if node.busy_job is not None:
-                victims.add(node.busy_job)
-        return sorted(victims)
+        failed = self._check_ids(node_ids)
+        self._down |= failed
+        self._free = [n for n in self._free if n not in failed]
+        return sorted(
+            job_id
+            for job_id, allocation in self._allocations.items()
+            if not failed.isdisjoint(allocation.node_ids)
+        )
 
     def fail_any(self, count: int) -> Tuple[List[int], List[int]]:
         """Fail ``count`` nodes, preferring free ones (returns (node_ids, victim_jobs)).
@@ -251,24 +250,19 @@ class Machine:
         on an idle node; if not enough free nodes exist, busy nodes fail too
         and their jobs are reported as victims.
         """
-        free = [n for n in self._free_node_ids() if self._nodes[n].up]
-        busy = [
-            node_id
-            for node_id, node in sorted(self._nodes.items())
-            if node.up and node.busy_job is not None
-        ]
-        chosen = (free + busy)[:count]
-        victims = self.fail_nodes(chosen)
-        return chosen, victims
+        held = self._allocations.values()
+        busy = sorted(n for a in held for n in a.node_ids if n not in self._down)
+        chosen = (self._free + busy)[:count]
+        return chosen, self.fail_nodes(chosen)
 
     def restore_nodes(self, node_ids: Iterable[int]) -> None:
         """Bring failed nodes back into service."""
-        for node_id in node_ids:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise AllocationError(f"node {node_id} does not exist")
-            node.up = True
+        restored = self._check_ids(node_ids) & self._down
+        self._down -= restored
+        held = {n for a in self._allocations.values() for n in a.node_ids}
+        self._free.extend(restored - held)
+        self._free.sort()
 
     def down_node_ids(self) -> List[int]:
         """Ids of all currently-failed nodes."""
-        return [node_id for node_id, node in sorted(self._nodes.items()) if not node.up]
+        return sorted(self._down)

@@ -64,6 +64,8 @@ class TelemetryError(ValueError):
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     """Canonical, order-independent series key for a label set."""
+    if not labels:  # the common unlabelled case: nothing to sort
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -207,10 +209,11 @@ class Telemetry:
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
 
-    def _get(self, name: str, kind: type, factory) -> _Family:
+    def _get(self, name: str, kind: type, *args) -> _Family:
+        """The family ``name``, created as ``kind(name, *args)`` on first use."""
         family = self._families.get(name)
         if family is None:
-            family = self._families[name] = factory()
+            family = self._families[name] = kind(name, *args)
         elif not isinstance(family, kind):
             raise TelemetryError(
                 f"metric {name!r} is a {family.kind}, not a {kind.kind}"  # type: ignore[attr-defined]
@@ -218,10 +221,10 @@ class Telemetry:
         return family
 
     def counter(self, name: str, help_text: str = "") -> CounterFamily:
-        return self._get(name, CounterFamily, lambda: CounterFamily(name, help_text))  # type: ignore[return-value]
+        return self._get(name, CounterFamily, help_text)  # type: ignore[return-value]
 
     def gauge(self, name: str, help_text: str = "") -> GaugeFamily:
-        return self._get(name, GaugeFamily, lambda: GaugeFamily(name, help_text))  # type: ignore[return-value]
+        return self._get(name, GaugeFamily, help_text)  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -229,9 +232,7 @@ class Telemetry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         help_text: str = "",
     ) -> HistogramFamily:
-        family = self._get(
-            name, HistogramFamily, lambda: HistogramFamily(name, buckets, help_text)
-        )
+        family = self._get(name, HistogramFamily, buckets, help_text)
         if tuple(float(b) for b in buckets) != family.buckets:  # type: ignore[attr-defined]
             raise TelemetryError(
                 f"histogram {name!r} was registered with different buckets"

@@ -1,11 +1,12 @@
 """Scheduler interface and the data structures shared by all policies.
 
 The evaluation driver (:mod:`repro.evaluation.simulator`) is event-driven: at
-every job arrival, job completion, or outage event it builds a
-:class:`SchedulerState` snapshot and asks the policy which queued jobs to
-start *now*.  Policies never see actual runtimes — only the user estimate
-(field 9 of the SWF, falling back to the actual runtime when no estimate is
-recorded), exactly the information a production scheduler has.
+every job arrival, job completion, or outage event it hands the policy a
+:class:`SchedulerState` view of its queue and running set and asks which
+queued jobs to start *now*.  Policies never see actual runtimes — only the
+user estimate (field 9 of the SWF, falling back to the actual runtime when
+no estimate is recorded), exactly the information a production scheduler
+has.
 
 The :class:`AvailabilityProfile` helper maintains the piecewise-constant
 "free processors over future time" function that backfilling and advance
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
@@ -100,31 +101,46 @@ class RunningJobInfo:
         return self.request.processors
 
 
-@dataclass
 class SchedulerState:
-    """Snapshot handed to a policy at each scheduling point."""
+    """What a policy sees at one scheduling point.
 
-    now: float
-    total_processors: int
-    free_processors: int
-    queue: List[JobRequest]
-    running: List[RunningJobInfo]
-    #: min available capacity over a future window, considering *announced*
-    #: outages only; defaults to the constant total capacity.
-    min_capacity: Callable[[float, float], int] = None  # type: ignore[assignment]
-    _completions: Optional[List[Tuple[float, int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ``queue`` is the driver's own wait queue in arrival order, not a copy:
+    policies must treat it and ``running`` as read-only.  ``running`` may
+    be a list or a zero-argument callable that builds it on first access,
+    so policies that never read it (FCFS) never pay for it.
+    ``min_capacity(start, end)`` is the minimum capacity over a future
+    window given *announced* outages; it defaults to the total capacity.
+    """
 
-    def __post_init__(self) -> None:
-        if self.min_capacity is None:
-            total = self.total_processors
-            self.min_capacity = lambda start, end: total
+    def __init__(
+        self,
+        now: float,
+        total_processors: int,
+        free_processors: int,
+        queue: List[JobRequest],
+        running: Union[List[RunningJobInfo], Callable[[], List[RunningJobInfo]]],
+        min_capacity: Optional[Callable[[float, float], int]] = None,
+    ) -> None:
+        self.now = now
+        self.total_processors = total_processors
+        self.free_processors = free_processors
+        self.queue = queue
+        self._running = running
+        self.min_capacity = min_capacity or (lambda start, end: total_processors)
+        self._completions: Optional[List[Tuple[float, int]]] = None
+
+    @property
+    def running(self) -> List[RunningJobInfo]:
+        """The running jobs, built on first access when given as a callable."""
+        running = self._running
+        if callable(running):
+            running = self._running = running()
+        return running
 
     def expected_completions(self) -> List[Tuple[float, int]]:
         """(expected end, processors) for running jobs, sorted by end time.
 
-        Memoized on the snapshot: backfilling consults this once per
+        Memoized on the state: backfilling consults this once per
         blocked-head decision, and the running set cannot change within
         one scheduling pass.
         """

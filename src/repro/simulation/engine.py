@@ -1,7 +1,8 @@
 """A small deterministic discrete-event simulation engine.
 
-The engine maintains a priority queue of :class:`Event` objects ordered by
-``(time, priority, sequence)``.  The sequence number guarantees a stable,
+The engine maintains a binary heap of ``(time, priority, sequence, event)``
+tuples: :class:`Event` objects run in ``(time, priority, sequence)`` order,
+compared as plain tuples.  The sequence number guarantees a stable,
 deterministic order for events scheduled at the same instant with the same
 priority, which is essential for reproducible scheduler evaluations: two runs
 of the same workload with the same seed must produce bit-identical schedules.
@@ -42,11 +43,12 @@ class SimulationError(RuntimeError):
     """
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A single scheduled occurrence inside the simulation.
 
-    Events compare by ``(time, priority, sequence)`` so that
+    The heap holds ``(time, priority, sequence, event)`` tuples, so events
+    run in that order without ever comparing two :class:`Event` objects:
 
     * earlier events run first,
     * among simultaneous events, lower ``priority`` runs first,
@@ -56,11 +58,11 @@ class Event:
     time: float
     priority: int
     sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
+    callback: Callable[..., Any]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    cancelled: bool = False
+    label: str = ""
 
 
 class EventHandle:
@@ -108,6 +110,7 @@ class Simulator:
     >>> _ = sim.schedule(10.0, fired.append, 'a')
     >>> _ = sim.schedule(5.0, fired.append, 'b')
     >>> sim.run()
+    2
     >>> fired
     ['b', 'a']
     >>> sim.now
@@ -116,7 +119,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        #: heap of (time, priority, sequence, event) entries
+        self._queue: list[tuple] = []
         self._counter = itertools.count()
         self._running = False
         self._stopped = False
@@ -139,7 +143,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including lazily-cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def peak_queue(self) -> int:
@@ -183,18 +187,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        event = Event(
-            time=float(time),
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self._peak_queue:
-            self._peak_queue = len(self._queue)
+        time, sequence, queue = float(time), next(self._counter), self._queue
+        event = Event(time, priority, sequence, callback, args, kwargs, label=label)
+        heapq.heappush(queue, (time, priority, sequence, event))
+        if len(queue) > self._peak_queue:
+            self._peak_queue = len(queue)
         return EventHandle(event)
 
     # ------------------------------------------------------------------
@@ -206,10 +203,10 @@ class Simulator:
         Returns the executed event, or ``None`` if the queue is empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._processed += 1
             event.callback(*event.args, **event.kwargs)
             return event
@@ -217,11 +214,10 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation.
@@ -245,19 +241,21 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while True:
-                if self._stopped:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while queue and not self._stopped and (max_events is None or executed < max_events):
+                time, _, _, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
                     self._now = max(self._now, float(until))
                     break
-                self.step()
+                heappop(queue)
+                self._now = time
+                self._processed += 1
+                event.callback(*event.args, **event.kwargs)
                 executed += 1
         finally:
             self._running = False

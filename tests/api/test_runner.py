@@ -344,3 +344,42 @@ class TestTracePrewarm:
         parallel = run_many(scenarios, workers=2)
         for a, b in zip(serial, parallel):
             assert _job_triples(a.result) == _job_triples(b.result)
+
+
+class TestSharedWorkloadMemo:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Fresh memo; resolve_workload replaced by a counting stub of 100-job workloads."""
+        from repro.api import runner as api_runner
+
+        calls = []
+
+        def stub(scenario):
+            calls.append(scenario.seed)
+            return make_workload([make_job(i) for i in range(1, 101)])
+
+        monkeypatch.setattr(api_runner, "_SHARED_WORKLOADS", {})
+        monkeypatch.setattr(api_runner, "resolve_workload", stub)
+        return api_runner, calls
+
+    def test_case_major_suite_resolves_each_workload_once(self, counted):
+        api_runner, calls = counted
+        # 8 cases (policy x load) over the same 50 seeds, walked case by case.
+        for policy in ("fcfs", "easy", "conservative", "sjf"):
+            for load in (0.6, 0.9):
+                for seed in range(50):
+                    api_runner.resolve_workload_shared(
+                        Scenario(workload="lublin99", jobs=100, machine_size=64,
+                                 seed=seed, load=load, policy=policy)
+                    )
+        assert sorted(calls) == list(range(50))
+
+    def test_memo_is_bounded_by_jobs_held(self, counted, monkeypatch):
+        api_runner, calls = counted
+        monkeypatch.setattr(api_runner, "_SHARED_WORKLOADS_MAX_JOBS", 250)
+        for seed in range(4):
+            api_runner.resolve_workload_shared(Scenario(workload="lublin99", seed=seed))
+        assert [key[3] for key in api_runner._SHARED_WORKLOADS] == [2, 3]
+        monkeypatch.setattr(api_runner, "_SHARED_WORKLOADS_MAX_JOBS", 10)
+        api_runner.resolve_workload_shared(Scenario(workload="lublin99", seed=9))
+        assert [key[3] for key in api_runner._SHARED_WORKLOADS] == [9]

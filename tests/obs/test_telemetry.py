@@ -52,6 +52,19 @@ class TestCounters:
         with pytest.raises(TelemetryError):
             t.histogram("x")
 
+    def test_unlabelled_and_labelled_series_stay_apart(self):
+        t = Telemetry()
+        family = t.counter("passes", help_text="first help wins")
+        assert t.counter("passes", help_text="ignored") is family
+        assert family.help == "first help wins"
+        family.inc()
+        family.inc(2, kind="b", policy="a")
+        family.inc(kind="b", policy="a")
+        assert family.label_keys() == [(), (("kind", "b"), ("policy", "a"))]
+        assert family.value() == 1
+        assert family.value(policy="a", kind="b") == 3
+        assert t.as_counters() == {"passes": 1}
+
 
 class TestGauges:
     def test_set_inc_dec(self):

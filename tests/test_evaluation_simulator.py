@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.outage import OutageLog, OutageRecord, OutageType
+from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
-from repro.schedulers import EasyBackfillScheduler, FCFSScheduler
+from repro.schedulers import (
+    ConservativeBackfillScheduler,
+    EasyBackfillScheduler,
+    FCFSScheduler,
+    ShortestJobFirstScheduler,
+)
 from repro.schedulers.base import JobRequest, Scheduler
+from repro.schedulers.moldable import MoldableScheduler
+from repro.workloads import Downey97Model, Lublin99Model
 from tests.conftest import make_job, make_workload
 
 
@@ -211,3 +218,161 @@ class TestOutages:
         result = simulate(workload, FCFSScheduler(), machine_size=16, outages=outages)
         assert result.available_node_seconds is not None
         assert result.available_node_seconds < 16 * result.makespan + 1
+
+
+class _Audit(Scheduler):
+    """Delegates to ``inner``, recording each pass's queue ids and picks."""
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.outage_aware = inner.outage_aware
+        self.passes = []
+
+    def select_jobs(self, state):
+        queued = [r.job_id for r in state.queue]
+        selected = self.inner.select_jobs(state)
+        self.passes.append((queued, [r.job_id for r in selected]))
+        return selected
+
+
+def _assert_started_jobs_removed(passes):
+    """Between passes the queue only loses the picks; arrivals append at the end."""
+    for (queued, picked), (next_queued, _) in zip(passes, passes[1:]):
+        remaining = [job_id for job_id in queued if job_id not in picked]
+        assert next_queued[: len(remaining)] == remaining
+
+
+class TestQueueUpkeep:
+    def test_non_prefix_selection_removes_exactly_the_started_jobs(self, lublin_workload):
+        audit = _Audit(ShortestJobFirstScheduler())
+        result = simulate(lublin_workload, audit, machine_size=64)
+        assert any(
+            picked and picked != queued[: len(picked)] for queued, picked in audit.passes
+        ), "SJF never picked out of arrival order; the test exercises nothing"
+        _assert_started_jobs_removed(audit.passes)
+        assert len(result.jobs) == len(lublin_workload.summary_jobs())
+
+    def test_resized_requests_remove_their_queued_originals(self):
+        workload, descriptions = Downey97Model(machine_size=64).generate_moldable(150, seed=3)
+        audit = _Audit(MoldableScheduler(descriptions))
+        result = simulate(workload, audit, machine_size=64)
+        _assert_started_jobs_removed(audit.passes)
+        assert sorted(j.job_id for j in result.jobs) == sorted(
+            j.job_number for j in workload.summary_jobs()
+        )
+
+    def test_running_set_is_built_only_when_a_policy_reads_it(self, lublin_workload, monkeypatch):
+        calls = []
+        original = MachineSimulation._running_infos
+
+        def counting(sim):
+            calls.append(sim.sim.now)
+            return original(sim)
+
+        monkeypatch.setattr(MachineSimulation, "_running_infos", counting)
+        simulate(lublin_workload, FCFSScheduler(), machine_size=64)
+        assert calls == []
+        simulate(lublin_workload, EasyBackfillScheduler(), machine_size=64)
+        assert calls
+
+
+def _misbehaving(pick):
+    """A policy that waits for all three jobs to queue, then picks badly."""
+
+    class Misbehaving(Scheduler):
+        name = "misbehaving"
+
+        def select_jobs(self, state):
+            return pick(state.queue) if len(state.queue) == 3 else []
+
+    return Misbehaving()
+
+
+class TestSelectionChecks:
+    JOBS = [make_job(i, submit=0, runtime=100, processors=8) for i in (1, 2, 3)]
+
+    def _ghost(self):
+        return JobRequest(job=make_job(99, processors=1), processors=1, runtime=1, estimate=1, submit_time=0)
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            pytest.param(lambda q: [q[0], q[0]], id="duplicate-head"),
+            pytest.param(lambda q: [q[1], q[1]], id="duplicate-non-prefix"),
+            pytest.param(lambda q: [q[0], q[1], q[2], q[0]], id="duplicate-after-whole-queue"),
+            pytest.param(lambda q: [q[0], q[1], q[2], q[2]], id="longer-than-queue"),
+        ],
+    )
+    def test_duplicate_selection_raises(self, pick):
+        with pytest.raises(RuntimeError, match="not in the wait queue"):
+            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_not_in_queue_selection_raises(self, position):
+        ghost = self._ghost()
+
+        def pick(queue):
+            chosen = list(queue)
+            chosen.insert(position, ghost)
+            return chosen
+
+        with pytest.raises(RuntimeError, match="not in the wait queue"):
+            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            pytest.param(lambda q: list(q), id="prefix"),
+            pytest.param(lambda q: list(reversed(q)), id="non-prefix"),
+        ],
+    )
+    def test_over_commit_raises(self, pick):
+        with pytest.raises(RuntimeError, match="over-committed"):
+            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=16)
+
+
+def _reference_min_capacity(records, size, start, end):
+    """Minimum capacity over [start, end) from every announced record, unpruned."""
+    boundaries = {start}
+    for record in records:
+        if record.overlaps(int(start), int(max(end, start + 1))):
+            boundaries.add(max(start, record.start_time))
+    minimum = size
+    for t in boundaries:
+        down = sum(r.nodes_affected for r in records if r.start_time <= t < r.end_time)
+        minimum = min(minimum, max(0, size - down))
+    return minimum
+
+
+class TestAnnouncedCapacity:
+    def test_pruned_capacity_answers_like_the_full_announced_log(self):
+        size = 64
+        workload = Lublin99Model(machine_size=size).generate_with_load(300, 0.85, seed=7)
+        outages = generate_outages(size, int(workload.span()) + 1, seed=11)
+        calls = []
+
+        class Recording(ConservativeBackfillScheduler):
+            def select_jobs(self, state):
+                inner = state.min_capacity
+
+                def min_capacity(start, end):
+                    answer = inner(start, end)
+                    calls.append((state.now, start, end, answer))
+                    return answer
+
+                state.min_capacity = min_capacity
+                return super().select_jobs(state)
+
+        recorded = simulate(workload, Recording(outage_aware=True), machine_size=size, outages=outages)
+        plain = simulate(
+            workload, ConservativeBackfillScheduler(outage_aware=True), machine_size=size, outages=outages
+        )
+        assert calls and recorded.outage_kills > 0
+        assert [(j.job_id, j.start_time, j.end_time) for j in recorded.jobs] == [
+            (j.job_id, j.start_time, j.end_time) for j in plain.jobs
+        ]
+        for now, start, end, answer in calls:
+            assert start >= now
+            announced = [r for r in outages if r.announced_time <= now]
+            assert answer == _reference_min_capacity(announced, size, start, end)

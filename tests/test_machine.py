@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Machine
 from repro.machine.cluster import AllocationError
@@ -143,3 +145,77 @@ class TestFailures:
         machine.release(1)
         assert machine.down_count() == 1
         assert machine.free_count() == 1
+
+
+class NaiveMachine:
+    """Reference model: one owner slot and one up flag per node."""
+
+    def __init__(self, size: int) -> None:
+        self.owner = [None] * size
+        self.up = [True] * size
+
+    def free(self):
+        return [i for i, (o, up) in enumerate(zip(self.owner, self.up)) if up and o is None]
+
+    def allocate(self, job_id, processors):
+        chosen = tuple(self.free()[:processors])
+        for node in chosen:
+            self.owner[node] = job_id
+        return chosen
+
+    def release(self, job_id):
+        self.owner = [None if o == job_id else o for o in self.owner]
+
+    def fail(self, node_ids):
+        for node in node_ids:
+            self.up[node] = False
+        return sorted({self.owner[n] for n in node_ids if self.owner[n] is not None})
+
+    def restore(self, node_ids):
+        for node in node_ids:
+            self.up[node] = True
+
+    def counts(self):
+        busy = sum(o is not None for o in self.owner)
+        down = self.up.count(False)
+        return len(self.free()), busy, down, len(self.up) - down
+
+
+class TestAgainstNaiveModel:
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_operation_sequences_match(self, size, data):
+        machine, naive = Machine(size=size), NaiveMachine(size)
+        holding, next_job = [], 1
+        nodes = st.lists(st.integers(min_value=0, max_value=size - 1), max_size=size)
+        ops = st.sampled_from(["allocate", "release", "release", "fail", "restore"])
+        for op in data.draw(st.lists(ops, max_size=40)):
+            if op == "allocate":
+                processors = data.draw(st.integers(min_value=1, max_value=size))
+                if processors <= machine.free_count():
+                    allocation = machine.allocate(next_job, processors)
+                    assert allocation.node_ids == naive.allocate(next_job, processors)
+                    holding.append(next_job)
+                    next_job += 1
+                else:
+                    with pytest.raises(AllocationError):
+                        machine.allocate(next_job, processors)
+            elif op == "release" and holding:
+                job_id = holding.pop(data.draw(st.integers(0, len(holding) - 1)))
+                machine.release(job_id)
+                naive.release(job_id)
+            elif op == "fail":
+                failed = data.draw(nodes)
+                assert machine.fail_nodes(failed) == naive.fail(failed)
+            elif op == "restore":
+                restored = data.draw(nodes)
+                machine.restore_nodes(restored)
+                naive.restore(restored)
+            counts = (
+                machine.free_count(),
+                machine.busy_count(),
+                machine.down_count(),
+                machine.up_count(),
+            )
+            assert counts == naive.counts()
+            assert machine.down_node_ids() == [i for i, up in enumerate(naive.up) if not up]
