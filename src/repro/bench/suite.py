@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_METRICS",
     "BenchmarkCase",
     "BenchmarkSuite",
+    "generated_outage_log",
     "suite_registry",
     "register_suite",
     "get_suite",
@@ -112,16 +113,24 @@ class BenchmarkCase:
         """Materialize the generated outage log for the replication at ``seed``."""
         if self.outages is None:
             return None
-        from repro.core.outage import OutageModel, generate_outages
+        return generated_outage_log(int(self.scenario.machine_size), self.store_extra(seed)["outages"])
 
-        return generate_outages(
-            int(self.scenario.machine_size),
-            int(self.outages.get("horizon_days", 30.0) * 24 * 3600),
-            model=OutageModel(
-                mtbf_seconds=self.outages.get("mtbf_days", 7.0) * 24 * 3600
-            ),
-            seed=seed,
-        )
+
+def generated_outage_log(machine_size: int, params: Dict[str, Any]):
+    """The outage log a case's ``store_extra(seed)["outages"]`` parameters describe.
+
+    Seeded by the replication seed recorded in ``params``, so anything
+    holding only the stored parameters (a distributed worker) rebuilds
+    exactly the log the serial runner used.
+    """
+    from repro.core.outage import OutageModel, generate_outages
+
+    return generate_outages(
+        machine_size,
+        int(float(params.get("horizon_days", 30.0)) * 24 * 3600),
+        model=OutageModel(mtbf_seconds=float(params.get("mtbf_days", 7.0)) * 24 * 3600),
+        seed=int(params["seed"]),
+    )
 
 
 @dataclass(frozen=True)

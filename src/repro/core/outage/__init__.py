@@ -3,9 +3,11 @@
 * :class:`OutageRecord` / :class:`OutageType` — the six proposed fields,
 * :class:`OutageLog` with :func:`parse_outage_log` / :func:`write_outage_log`
   — a text format keyed to the workload trace,
-* :func:`generate_outages` — synthetic failure + maintenance process,
-* :class:`AvailabilityTimeline` — the capacity function schedulers and
-  utilization metrics consume.
+* :func:`generate_outages` — synthetic failure + maintenance process.
+
+Schedulers and utilization metrics see an outage log as capacity over time
+through :class:`repro.schedulers.freespace.FreeSpace`, the same step
+function that backs the free-processor profiles.
 """
 
 from repro.core.outage.records import OutageRecord, OutageType
@@ -18,7 +20,6 @@ from repro.core.outage.log import (
     write_outage_log_text,
 )
 from repro.core.outage.generator import OutageModel, generate_outages
-from repro.core.outage.availability import AvailabilityTimeline
 
 __all__ = [
     "OutageRecord",
@@ -31,5 +32,4 @@ __all__ = [
     "write_outage_log_text",
     "OutageModel",
     "generate_outages",
-    "AvailabilityTimeline",
 ]

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.api.runner import resolve_workload_shared, run
 from repro.bench.runner import _policy_mode
 from repro.bench.store import ResultStore, StoredResult
+from repro.bench.suite import generated_outage_log
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Heartbeat, LeaseBroker
 from repro.dist.queue import WorkQueue, WorkUnit
 from repro.obs.telemetry import Telemetry, count, telemetry_scope
@@ -97,15 +98,17 @@ def _execute(unit: WorkUnit, store: ResultStore) -> StoredResult:
     Mirrors ``run_suite``'s miss path: grid-mode policies materialize their
     own (re-seeded per site) workloads, everything else gets the shared
     unscaled workload override; generated outage logs are rebuilt from the
-    unit's recorded parameters (seeded by the replication seed, like
-    ``BenchmarkCase.outage_log``); the stored entry carries the same
+    unit's recorded parameters by the ``generated_outage_log`` that
+    ``BenchmarkCase.outage_log`` calls; the stored entry carries the same
     suite/case labels and the same summed phase timings.
     """
     scenario = unit.scenario
     workload = None
     if _policy_mode(scenario.policy) != "grid":
         workload = resolve_workload_shared(scenario)
-    result = run(scenario, workload=workload, outages=_unit_outages(unit))
+    params = unit.extra.get("outages")
+    outages = generated_outage_log(int(scenario.machine_size), params) if params else None
+    result = run(scenario, workload=workload, outages=outages)
     entry = StoredResult(
         key=unit.key,
         scenario=scenario,
@@ -117,23 +120,6 @@ def _execute(unit: WorkUnit, store: ResultStore) -> StoredResult:
     )
     store.put(entry)
     return entry
-
-
-def _unit_outages(unit: WorkUnit):
-    """Regenerate the unit's outage log from its recorded parameters."""
-    params = unit.extra.get("outages")
-    if not params:
-        return None
-    from repro.core.outage import OutageModel, generate_outages
-
-    return generate_outages(
-        int(unit.scenario.machine_size),
-        int(float(params.get("horizon_days", 30.0)) * 24 * 3600),
-        model=OutageModel(
-            mtbf_seconds=float(params.get("mtbf_days", 7.0)) * 24 * 3600
-        ),
-        seed=int(params["seed"]),
-    )
 
 
 def _rotate(keys, worker_id: str):

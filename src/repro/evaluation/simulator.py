@@ -31,6 +31,7 @@ from repro.evaluation.results import JobResult, SimulationResult
 from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
+from repro.schedulers.freespace import FreeSpace
 from repro.simulation.engine import Simulator
 
 __all__ = ["MachineSimulation", "simulate"]
@@ -96,12 +97,12 @@ class MachineSimulation:
         self._waiting_on: Dict[int, List[Tuple[JobRequest, int]]] = {}
         self._released: set = set()
         self._restart_counts: Dict[int, int] = {}
-        # Announced-outage cache for _capacity_fn: simulation time only moves
-        # forward, so records are consumed from an announce-time-sorted list
-        # exactly once instead of rescanning the whole log every pass.
+        # Announced outages as a capacity calendar: each record is reserved
+        # on it once its announce time has passed, consumed from an
+        # announce-time-sorted list exactly once (time only moves forward).
         self._by_announce = sorted(self.outages, key=lambda r: r.announced_time)
-        self._announced: List = []
         self._announce_index = 0
+        self._calendar = FreeSpace(self.machine.size, 0)
 
     # ------------------------------------------------------------------
     # setup
@@ -225,38 +226,24 @@ class MachineSimulation:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _capacity_fn(self):
-        """Announced-capacity function for outage-aware policies.
+    def _announce(self, now: float) -> None:
+        """Advance the announced-capacity calendar to ``now``."""
+        calendar = self._calendar
+        calendar.advance(now)
+        records, index = self._by_announce, self._announce_index
+        while index < len(records) and records[index].announced_time <= now:
+            record = records[index]
+            calendar.reserve(record.start_time, record.end_time, record.nodes_affected)
+            index += 1
+        self._announce_index = index
 
-        Records that ended by ``now`` are dropped first.  That is exact:
-        every caller asks about windows starting at or after ``now``, which
-        such a record can neither overlap nor add a boundary to.
+    def _announced_capacity(self, start: float, end: float) -> int:
+        """Minimum capacity over [start, end) given the outages announced so far.
+
+        Every caller asks about windows starting at or after ``now``, which
+        is where the calendar begins.
         """
-        now = self.sim.now
-        while (
-            self._announce_index < len(self._by_announce)
-            and self._by_announce[self._announce_index].announced_time <= now
-        ):
-            self._announced.append(self._by_announce[self._announce_index])
-            self._announce_index += 1
-        announced = self._announced
-        if announced:
-            announced = self._announced = [r for r in announced if r.end_time > now]
-        machine_size = self.machine.size
-
-        def min_capacity(start: float, end: float) -> int:
-            # Capacity only drops where an overlapping record starts, so the
-            # window's minimum is found at its start or at one of those starts.
-            window = (int(start), int(max(end, start + 1)))
-            boundaries = {start}
-            boundaries.update(max(start, r.start_time) for r in announced if r.overlaps(*window))
-            down = max(
-                sum(r.nodes_affected for r in announced if r.start_time <= t < r.end_time)
-                for t in boundaries
-            )
-            return max(0, machine_size - down)
-
-        return min_capacity
+        return max(0, self._calendar.min_free(start, end))
 
     def _running_infos(self) -> List[RunningJobInfo]:
         now = self.sim.now
@@ -271,14 +258,19 @@ class MachineSimulation:
             return
         self._passes.inc()
         self._max_depth.set_max(len(queue))
+        now = self.sim.now
+        if self._by_announce:
+            self._announce(now)
         free = self.machine.free_count()
         state = SchedulerState(
-            now=self.sim.now,
+            now=now,
             total_processors=self.machine.size,
             free_processors=free,
             queue=queue,
             running=self._running_infos,
-            min_capacity=self._capacity_fn(),
+            # Bound per pass, not stored: a stored bound method would make
+            # the simulation a reference cycle that outlives its run.
+            min_capacity=self._announced_capacity,
         )
         selected = self.scheduler.select_jobs(state)
         if not selected:
@@ -345,13 +337,25 @@ class MachineSimulation:
             counters={k: int(v) for k, v in sorted(counters.items())},
         )
         if len(self.outages) > 0:
-            from repro.core.outage.availability import AvailabilityTimeline
-
-            timeline = AvailabilityTimeline(self.machine.size, self.outages)
-            result.available_node_seconds = float(
-                timeline.available_node_seconds(0, int(result.makespan) + 1)
+            result.available_node_seconds = _available_node_seconds(
+                self.machine.size, self.outages, int(result.makespan) + 1
             )
         return result
+
+
+def _available_node_seconds(machine_size: int, outages: OutageLog, end: int) -> float:
+    """Integral of up capacity over [0, end) in node-seconds.
+
+    The denominator utilization must use when outages took part of the
+    machine away.  Overlapping outages stack, and capacity never drops
+    below zero.
+    """
+    calendar = FreeSpace(machine_size, 0)
+    for record in outages:
+        calendar.reserve(record.start_time, record.end_time, record.nodes_affected)
+    return float(
+        sum(max(0, free) * (min(stop, end) - start) for start, stop, free in calendar.slots() if start < end)
+    )
 
 
 def simulate(

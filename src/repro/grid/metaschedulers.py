@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.grid.prediction import WaitPredictor, ProfilePredictor
 from repro.grid.site import MetaComponent, MetaJob
-from repro.schedulers.base import AvailabilityProfile, JobRequest, RunningJobInfo
+from repro.schedulers.base import JobRequest, RunningJobInfo
+from repro.schedulers.freespace import FreeSpace
 
 __all__ = ["SiteView", "MetaScheduler", "LeastLoadedMetaScheduler", "EarliestStartMetaScheduler"]
 
@@ -47,14 +48,11 @@ class SiteView:
     running: List[RunningJobInfo]
     reservations: List[Tuple[float, float, int]]
 
-    def guaranteed_profile(self) -> AvailabilityProfile:
+    def guaranteed_profile(self) -> FreeSpace:
         """Future free-processor profile from running-job estimates and reservations."""
-        profile = AvailabilityProfile.from_running(
-            self.total_processors, self.now, self.running
-        )
+        profile = FreeSpace.from_running(self.total_processors, self.now, self.running)
         for start, end, processors in self.reservations:
-            if end > self.now:
-                profile.remove(max(start, self.now), end, processors)
+            profile.reserve(start, end, processors)
         return profile
 
     def earliest_guaranteed_start(self, processors: int, estimate: int) -> float:
@@ -71,7 +69,7 @@ class SiteView:
             size = min(request.processors, self.total_processors)
             duration = max(request.estimate, 1)
             anchor = profile.earliest_start(size, duration)
-            profile.remove(anchor, anchor + duration, size)
+            profile.reserve(anchor, anchor + duration, size)
         return profile.earliest_start(processors, max(estimate, 1))
 
 

@@ -27,7 +27,8 @@ from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.schedulers.base import AvailabilityProfile, JobRequest, RunningJobInfo
+from repro.schedulers.base import JobRequest, RunningJobInfo
+from repro.schedulers.freespace import FreeSpace
 
 __all__ = [
     "WaitPredictor",
@@ -127,11 +128,11 @@ class ProfilePredictor(WaitPredictor):
     name = "profile"
 
     def predict_wait(self, processors, estimate, now, total_processors, free_processors, running, queued) -> float:
-        profile = AvailabilityProfile.from_running(total_processors, now, running)
+        profile = FreeSpace.from_running(total_processors, now, running)
         for request in queued:
             duration = max(request.estimate, 1)
             anchor = profile.earliest_start(min(request.processors, total_processors), duration)
-            profile.remove(anchor, anchor + duration, min(request.processors, total_processors))
+            profile.reserve(anchor, anchor + duration, min(request.processors, total_processors))
         start = profile.earliest_start(min(processors, total_processors), max(estimate, 1))
         return max(0.0, start - now)
 

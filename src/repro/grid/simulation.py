@@ -20,7 +20,10 @@ followed directly:
 The per-site scheduling logic reuses the standard policies from
 :mod:`repro.schedulers`; reservation awareness reuses the same capacity hook
 that outage-aware policies use (a reservation is, to the local scheduler,
-indistinguishable from an announced outage of the reserved processors).
+indistinguishable from an announced outage of the reserved processors): the
+site's reservation calendar is reserved on a
+:class:`~repro.schedulers.freespace.FreeSpace` and answered by its
+``min_free``, just like the driver's announced outages.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
 from repro.machine.cluster import Machine
 from repro.schedulers.base import JobRequest, RunningJobInfo, SchedulerState
+from repro.schedulers.freespace import FreeSpace
 from repro.simulation.engine import Simulator
 
 __all__ = ["MetaJobResult", "GridResult", "GridSimulation"]
@@ -164,27 +168,12 @@ class _SiteState:
     def free(self) -> int:
         return self.machine.free_count()
 
-    def reserved_capacity_fn(self, size: int) -> Callable[[float, float], int]:
-        reservations = list(self.reservations)
-
-        def min_capacity(start: float, end: float) -> int:
-            if not reservations:
-                return size
-            boundaries = {start}
-            for r_start, r_end, _procs, _mid in reservations:
-                if r_start < end and start < r_end:
-                    boundaries.add(max(start, r_start))
-            minimum = size
-            for t in boundaries:
-                reserved = sum(
-                    procs
-                    for r_start, r_end, procs, _mid in reservations
-                    if r_start <= t < r_end
-                )
-                minimum = min(minimum, max(0, size - reserved))
-            return minimum
-
-        return min_capacity
+    def reserved_capacity(self, now: float) -> Callable[[float, float], int]:
+        """Minimum capacity over a window, with the reservation calendar held back."""
+        calendar = FreeSpace(self.site.machine_size, now)
+        for start, end, processors, _meta_id in self.reservations:
+            calendar.reserve(start, end, processors)
+        return lambda start, end: max(0, calendar.min_free(start, end))
 
     def scheduler_state(self, now: float) -> SchedulerState:
         running_infos = [
@@ -201,7 +190,7 @@ class _SiteState:
             free_processors=self.free(),
             queue=[e.request for e in self.queue],
             running=running_infos,
-            min_capacity=self.reserved_capacity_fn(self.site.machine_size),
+            min_capacity=self.reserved_capacity(now),
         )
 
     def view(self, now: float) -> SiteView:

@@ -12,7 +12,6 @@ because it time-slices rather than space-shares.
 """
 
 from repro.schedulers.base import (
-    AvailabilityProfile,
     JobRequest,
     RunningJobInfo,
     Scheduler,
@@ -33,7 +32,6 @@ from repro.schedulers.gang import GangPolicy, GangSimulation, simulate_gang
 from repro.schedulers.moldable import MoldableScheduler
 
 __all__ = [
-    "AvailabilityProfile",
     "JobRequest",
     "RunningJobInfo",
     "Scheduler",

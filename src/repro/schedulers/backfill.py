@@ -31,13 +31,7 @@ from typing import List, Optional
 
 from repro.api.registry import register_scheduler
 from repro.obs.telemetry import count
-from repro.schedulers.base import (
-    AvailabilityProfile,
-    JobRequest,
-    RunningJobInfo,
-    Scheduler,
-    SchedulerState,
-)
+from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpaceTracker
 
 __all__ = ["EasyBackfillScheduler", "ConservativeBackfillScheduler"]

@@ -8,31 +8,25 @@ user estimate (field 9 of the SWF, falling back to the actual runtime when
 no estimate is recorded), exactly the information a production scheduler
 has.
 
-The :class:`AvailabilityProfile` helper maintains the piecewise-constant
-"free processors over future time" function that backfilling and advance
-reservations reason about.  It is a thin compatibility shim over the
-slot-set :class:`repro.schedulers.freespace.FreeSpace` core — same public
-API and bit-for-bit identical answers, with bisect lookups and slot walks
-instead of per-breakpoint scans.
+The piecewise-constant "free processors over future time" function that
+backfilling and advance reservations reason about is
+:class:`repro.schedulers.freespace.FreeSpace`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
-from repro.schedulers.freespace import FreeSpace
 
 __all__ = [
     "JobRequest",
     "RunningJobInfo",
     "SchedulerState",
     "Scheduler",
-    "AvailabilityProfile",
 ]
 
 
@@ -195,53 +189,3 @@ class Scheduler(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-class AvailabilityProfile(FreeSpace):
-    """Piecewise-constant future free-processor profile.
-
-    Built from the currently-running jobs' expected end times (and, for
-    advance reservations, from reserved windows), then queried/updated as
-    candidate jobs are placed.  This is the core data structure of
-    conservative backfilling: every queued job gets the earliest anchor point
-    at which it fits, and placing it updates the profile so later jobs cannot
-    push it back.
-
-    Since the slot-set refactor this is a compatibility shim over
-    :class:`repro.schedulers.freespace.FreeSpace`: the legacy method names
-    (``remove``, ``add_capacity_limit``) delegate to the slot-set core,
-    and every query returns exactly what the original breakpoint-scan
-    implementation returned (asserted against a verbatim copy of the old
-    code in ``tests/schedulers/test_freespace.py``).
-    """
-
-    @classmethod
-    def from_running(
-        cls,
-        total_processors: int,
-        now: float,
-        running: Sequence[RunningJobInfo],
-        capacity_fn: Optional[Callable[[float, float], int]] = None,
-        horizon: float = float("inf"),
-    ) -> "AvailabilityProfile":
-        """Profile implied by the running jobs' expected completion times."""
-        profile = cls(total_processors, now)
-        for info in running:
-            end = max(info.expected_end, now)
-            profile.remove(now, end, info.processors)
-        return profile
-
-    def _index_at(self, time: float) -> int:
-        """Index of the slot covering ``time`` (bisect, not a linear scan)."""
-        return bisect_right(self._times, time) - 1 if time >= self._times[0] else 0
-
-    def remove(self, start: float, end: float, processors: int) -> None:
-        """Subtract ``processors`` from the profile over [start, end)."""
-        self.reserve(start, end, processors)
-
-    def add_capacity_limit(self, capacity_fn: Callable[[float, float], int], horizon: float) -> None:
-        """Clamp the profile to an external capacity function over [now, horizon).
-
-        Used by outage-aware conservative backfilling: the free curve can
-        never exceed the announced available capacity.
-        """
-        self.clamp_capacity(capacity_fn, horizon)

@@ -1,7 +1,7 @@
-"""Slot-set free-space core: the structure every space-sharing policy queries.
+"""Slot-set free-space core: the one piecewise-constant step function.
 
 Conservative backfilling reasons about a piecewise-constant function
-"free processors over future time".  The original ``AvailabilityProfile``
+"free processors over future time".  The original breakpoint-list profile
 rebuilt that function from the running set on *every* scheduling pass and
 linear-scanned every breakpoint per query, which is quadratic-to-cubic on
 long traces.  This module replaces the representation with a slot set in
@@ -21,16 +21,20 @@ the style of OAR3's ``kamelot`` scheduler:
   jobs that started since the last pass reserve their window, jobs that
   finished (or were killed by an outage) release theirs.
 
-Every query is value-equivalent to the original breakpoint scan — the
-old ``AvailabilityProfile`` survives as a thin shim over this class, and
-the equivalence is asserted bit-for-bit in
-``tests/schedulers/test_freespace.py`` against a verbatim copy of the old
-implementation.
+Every "capacity over a window" question in the repository is answered by
+a :class:`FreeSpace`: the policies' free-processor profiles, the driver's
+announced-outage capacity (``MachineSimulation``), a grid site's
+reservation calendar, and the available node-seconds behind outage-aware
+utilization.  Every query is value-equivalent to the original breakpoint
+scan, asserted bit-for-bit in ``tests/schedulers/test_freespace.py``
+against a verbatim copy of the old implementation.
 
-The structure emits deterministic telemetry (``slots_split``,
-``slots_merged``, ``profile_patches``) derived only from simulated facts,
-so the counters ride in ``MetricsReport.counters`` bit-identically across
-serial and parallel runs.
+The tracker and the conservative policy emit deterministic telemetry
+(``slots_split``, ``slots_merged``, ``profile_patches``) derived only from
+simulated facts, so the counters ride in ``MetricsReport.counters``
+bit-identically across serial and parallel runs.  A :class:`FreeSpace`
+itself only tallies its splits and merges; capacity calendars never
+report them.
 """
 
 from __future__ import annotations
@@ -258,8 +262,9 @@ class FreeSpace:
 
         Outage-aware backfilling: the free curve can never exceed the
         announced available capacity.  Samples the function per slot, like
-        the old per-breakpoint loop — callers pass a piecewise-constant
-        ``AvailabilityTimeline`` min, so per-slot sampling is exact.
+        the old per-breakpoint loop — callers pass the windowed minimum of
+        another piecewise-constant :class:`FreeSpace` (the driver's
+        announced-outage calendar), so per-slot sampling is exact.
         """
         times, free = self._times, self._free
         n = len(times)
@@ -368,20 +373,16 @@ class FreeSpaceTracker:
 
     def _rebuild(self, state) -> FreeSpace:
         count("profile_builds")
-        fs = FreeSpace(state.total_processors, state.now)
-        known: Dict[int, Tuple[int, float]] = {}
         now = state.now
-        for info in state.running:
-            end = info.expected_end
-            if end < now:
-                end = now
-            fs.reserve(now, end, info.processors)
-            known[info.request.job_id] = (info.processors, end)
+        running = state.running
+        fs = FreeSpace.from_running(state.total_processors, now, running)
         splits, merges = fs.take_stats()
         if splits:
             count("slots_split", splits)
         if merges:
             count("slots_merged", merges)
         self._fs = fs
-        self._known = known
+        self._known = {
+            info.request.job_id: (info.processors, max(info.expected_end, now)) for info in running
+        }
         return fs

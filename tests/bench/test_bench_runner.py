@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import Scenario
@@ -16,7 +18,13 @@ from repro.bench.report import (
 from repro.bench.runner import compare_policies, mean_report, run_suite
 from repro.bench.seeds import derive_seeds
 from repro.bench.store import ResultStore
-from repro.bench.suite import BenchmarkCase, BenchmarkSuite, get_suite, suite_names
+from repro.bench.suite import (
+    BenchmarkCase,
+    BenchmarkSuite,
+    generated_outage_log,
+    get_suite,
+    suite_names,
+)
 
 
 def tiny_suite(policies=("fcfs", "easy"), jobs=40, n_seeds=3) -> BenchmarkSuite:
@@ -65,6 +73,15 @@ class TestSuiteDefinitions:
         for case in suite.cases:
             by_context.setdefault(case.context, set()).add(case.seeds)
         assert all(len(seed_sets) == 1 for seed_sets in by_context.values())
+
+    def test_outage_log_rebuilds_from_stored_params(self):
+        # A distributed worker only has the unit's stored key material.
+        case = get_suite("std-outage").cases[0]
+        seed = case.seeds[0]
+        extra = json.loads(json.dumps(case.store_extra(seed)))
+        rebuilt = generated_outage_log(case.scenario.machine_size, extra["outages"])
+        assert len(rebuilt) > 0
+        assert case.outage_log(seed) == rebuilt
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError, match="empty seed list"):

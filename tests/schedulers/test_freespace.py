@@ -31,13 +31,7 @@ from repro.api import Scenario, run
 from repro.bench.store import result_key
 from repro.obs.telemetry import count
 from repro.schedulers.backfill import ConservativeBackfillScheduler
-from repro.schedulers.base import (
-    AvailabilityProfile,
-    JobRequest,
-    RunningJobInfo,
-    Scheduler,
-    SchedulerState,
-)
+from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 from tests.schedulers.util import make_request, make_state
 
@@ -252,14 +246,6 @@ class TestFreeSpaceMatchesReference:
         assert fs.earliest_start(procs, duration) == ref.earliest_start(procs, duration)
         for t in range(0, 400, 3):
             assert fs.free_at(t) == ref.free_at(t)
-
-    def test_shim_profile_is_freespace(self):
-        # The compatibility shim must expose the old API on the new core.
-        profile = AvailabilityProfile(16, now=0.0)
-        assert isinstance(profile, FreeSpace)
-        profile.remove(10, 20, 8)
-        assert profile.free_at(15) == 8
-        assert profile.earliest_start(16, 15) == 20.0
 
     def test_slot_invariants_after_operations(self):
         fs = FreeSpace(32, now=0.0)

@@ -1,4 +1,4 @@
-"""Unit tests for the availability profile used by backfilling and predictions."""
+"""Unit tests for the free-space profile used by backfilling and predictions."""
 
 from __future__ import annotations
 
@@ -6,81 +6,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedulers.base import AvailabilityProfile
+from repro.schedulers.freespace import FreeSpace
 from tests.schedulers.util import make_request, make_state
 
 
 class TestProfileBasics:
     def test_initially_fully_free(self):
-        profile = AvailabilityProfile(32, now=0.0)
+        profile = FreeSpace(32, now=0.0)
         assert profile.free_at(0) == 32
         assert profile.free_at(10_000) == 32
 
     def test_remove_reduces_free_in_window_only(self):
-        profile = AvailabilityProfile(32, now=0.0)
-        profile.remove(10, 20, 8)
+        profile = FreeSpace(32, now=0.0)
+        profile.reserve(10, 20, 8)
         assert profile.free_at(5) == 32
         assert profile.free_at(10) == 24
         assert profile.free_at(19.9) == 24
         assert profile.free_at(20) == 32
 
     def test_overlapping_removals_stack(self):
-        profile = AvailabilityProfile(32, now=0.0)
-        profile.remove(0, 100, 8)
-        profile.remove(50, 150, 8)
+        profile = FreeSpace(32, now=0.0)
+        profile.reserve(0, 100, 8)
+        profile.reserve(50, 150, 8)
         assert profile.free_at(75) == 16
         assert profile.free_at(125) == 24
 
     def test_min_free_over_window(self):
-        profile = AvailabilityProfile(32, now=0.0)
-        profile.remove(10, 20, 30)
+        profile = FreeSpace(32, now=0.0)
+        profile.reserve(10, 20, 30)
         assert profile.min_free(0, 30) == 2
         assert profile.min_free(20, 30) == 32
 
     def test_zero_length_removal_is_noop(self):
-        profile = AvailabilityProfile(8, now=0.0)
-        profile.remove(10, 10, 4)
+        profile = FreeSpace(8, now=0.0)
+        profile.reserve(10, 10, 4)
         assert profile.free_at(10) == 8
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            AvailabilityProfile(0, now=0.0)
-        profile = AvailabilityProfile(8, now=0.0)
+            FreeSpace(0, now=0.0)
+        profile = FreeSpace(8, now=0.0)
         with pytest.raises(ValueError):
-            profile.remove(0, 10, -1)
+            profile.reserve(0, 10, -1)
 
 
 class TestEarliestStart:
     def test_immediate_start_when_free(self):
-        profile = AvailabilityProfile(32, now=0.0)
+        profile = FreeSpace(32, now=0.0)
         assert profile.earliest_start(16, 100) == 0.0
 
     def test_start_deferred_until_capacity_frees(self):
-        profile = AvailabilityProfile(32, now=0.0)
-        profile.remove(0, 100, 24)  # only 8 free until t=100
+        profile = FreeSpace(32, now=0.0)
+        profile.reserve(0, 100, 24)  # only 8 free until t=100
         assert profile.earliest_start(16, 50) == 100.0
 
     def test_start_fits_in_gap_between_busy_periods(self):
-        profile = AvailabilityProfile(32, now=0.0)
-        profile.remove(0, 100, 24)
-        profile.remove(200, 300, 24)
+        profile = FreeSpace(32, now=0.0)
+        profile.reserve(0, 100, 24)
+        profile.reserve(200, 300, 24)
         # 16 processors for 100 s fit exactly in the [100, 200) gap.
         assert profile.earliest_start(16, 100) == 100.0
         # ... but a 150 s job does not; it must wait for the second period to end.
         assert profile.earliest_start(16, 150) == 300.0
 
     def test_not_before_constraint(self):
-        profile = AvailabilityProfile(32, now=0.0)
+        profile = FreeSpace(32, now=0.0)
         assert profile.earliest_start(4, 10, not_before=500.0) == 500.0
 
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError):
-            AvailabilityProfile(8, now=0.0).earliest_start(16, 10)
+            FreeSpace(8, now=0.0).earliest_start(16, 10)
 
     def test_from_running_builds_expected_profile(self):
         running_request = make_request(1, processors=24, runtime=100, estimate=100)
         state = make_state(32, running=[(running_request, 0.0, 100.0)])
-        profile = AvailabilityProfile.from_running(32, 0.0, state.running)
+        profile = FreeSpace.from_running(32, 0.0, state.running)
         assert profile.free_at(50) == 8
         assert profile.free_at(100) == 32
 
@@ -101,9 +101,9 @@ class TestEarliestStart:
     @settings(max_examples=75, deadline=None)
     def test_earliest_start_window_really_has_capacity(self, removals, request):
         """The anchor returned by earliest_start always satisfies the request."""
-        profile = AvailabilityProfile(32, now=0.0)
+        profile = FreeSpace(32, now=0.0)
         for start, duration, processors in removals:
-            profile.remove(start, start + duration, min(processors, 32))
+            profile.reserve(start, start + duration, min(processors, 32))
         processors, duration = request
         anchor = profile.earliest_start(processors, duration)
         assert profile.min_free(anchor, anchor + duration) >= processors

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.bench.seeds import derive_seeds
 from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
+from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site, generate_meta_jobs
 from repro.schedulers import (
     ConservativeBackfillScheduler,
     EasyBackfillScheduler,
@@ -332,16 +337,16 @@ class TestSelectionChecks:
             simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=16)
 
 
-def _reference_min_capacity(records, size, start, end):
-    """Minimum capacity over [start, end) from every announced record, unpruned."""
+def _reference_min_capacity(intervals, size, start, end):
+    """Minimum capacity over [start, end) with ``amount`` held back on each (start, end, amount)."""
     boundaries = {start}
-    for record in records:
-        if record.overlaps(int(start), int(max(end, start + 1))):
-            boundaries.add(max(start, record.start_time))
+    for held_start, held_end, _amount in intervals:
+        if held_start < end and start < held_end:
+            boundaries.add(max(start, held_start))
     minimum = size
     for t in boundaries:
-        down = sum(r.nodes_affected for r in records if r.start_time <= t < r.end_time)
-        minimum = min(minimum, max(0, size - down))
+        held = sum(amount for s, e, amount in intervals if s <= t < e)
+        minimum = min(minimum, max(0, size - held))
     return minimum
 
 
@@ -374,5 +379,66 @@ class TestAnnouncedCapacity:
         ]
         for now, start, end, answer in calls:
             assert start >= now
-            announced = [r for r in outages if r.announced_time <= now]
+            announced = [
+                (r.start_time, r.end_time, r.nodes_affected) for r in outages if r.announced_time <= now
+            ]
             assert answer == _reference_min_capacity(announced, size, start, end)
+
+    def test_finished_simulation_is_freed_without_the_cycle_collector(self):
+        # Keeping per-run objects out of reference cycles keeps peak memory
+        # flat across many short simulations.
+        size = 32
+        workload = Lublin99Model(machine_size=size).generate_with_load(40, 0.8, seed=1)
+        outages = generate_outages(size, int(workload.span()) + 1, seed=2)
+        sim = MachineSimulation(
+            workload, ConservativeBackfillScheduler(outage_aware=True), machine_size=size, outages=outages
+        )
+        gc.disable()
+        try:
+            sim.run()
+            finished = weakref.ref(sim)
+            del sim
+            assert finished() is None
+        finally:
+            gc.enable()
+
+    def test_grid_site_capacity_answers_like_the_reservation_calendar(self):
+        size, calls = 64, []
+        grid = None
+
+        def recording(site_name, policy):
+            class Recording(policy):
+                def select_jobs(self, state):
+                    inner = state.min_capacity
+                    calendar = [tuple(r[:3]) for r in grid.sites[site_name].reservations]
+
+                    def min_capacity(start, end):
+                        answer = inner(start, end)
+                        calls.append((state.now, start, end, answer, calendar))
+                        return answer
+
+                    state.min_capacity = min_capacity
+                    return super().select_jobs(state)
+
+            return Recording(outage_aware=True)
+
+        site_seeds = derive_seeds(42, 3)
+        sites = [
+            Site(
+                name=f"s{i}",
+                machine_size=size,
+                scheduler=recording(f"s{i}", policy),
+                local_workload=Lublin99Model(machine_size=size).generate_with_load(120, 0.7, seed=site_seeds[i]),
+            )
+            for i, policy in enumerate(
+                [ConservativeBackfillScheduler, EasyBackfillScheduler, ConservativeBackfillScheduler]
+            )
+        ]
+        meta = generate_meta_jobs(40, coallocation_fraction=0.5, max_components=3, seed=9)
+        grid = GridSimulation(sites, meta, LeastLoadedMetaScheduler(), use_reservations=True)
+        result = grid.run()
+        assert any(r.used_reservation for r in result.meta_results)
+        assert any(answer < size for _now, _start, _end, answer, _calendar in calls)
+        for now, start, end, answer, calendar in calls:
+            assert start >= now
+            assert answer == _reference_min_capacity(calendar, size, start, end)
