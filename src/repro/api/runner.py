@@ -213,9 +213,10 @@ def _scale_to_load(
     return workload.scale_load(load / base, name=f"{workload.name}@{load:.2f}")
 
 
-#: Process-wide memo of *unscaled* materialized workloads, keyed by every
-#: input ``_resolve_spec`` reads.  For ``trace:`` specs the spec pins the
-#: content digest, so this is effectively per-digest: a worker process
+#: Process-wide memo of *unscaled* materialized workloads.  ``trace:`` specs
+#: and SWF paths are keyed by the trace's content digest — a path's bytes can
+#: change under the same spec, and the result key already tracks them — and
+#: model specs by every input ``_resolve_spec`` reads.  A worker process
 #: draining many units over one trace parses the canonical SWF once and
 #: shares the Workload object across runs (safe — ``run()`` only rescales
 #: through ``scale_load``, which copies).
@@ -235,11 +236,17 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
     Returns the workload resolved with ``load=None``, suitable as a
     ``run()``/``run_many()`` override: ``run()`` then applies the scenario's
     load scaling exactly as it would from the spec, so results are
-    bit-identical to an unshared materialization.  The suite runner and the
-    distributed worker both draw from this memo, so replications differing
-    only in policy (or in load) never re-parse their workload.
+    bit-identical to an unshared materialization.  Every unit executed
+    through :func:`repro.bench.runner.execute_unit` draws from this memo, so
+    replications differing only in policy (or in load) never re-parse their
+    workload.
     """
+    from repro.traces import trace_for_scenario
+
+    trace = trace_for_scenario(scenario)
     key = (scenario.workload, scenario.jobs, scenario.machine_size, scenario.seed)
+    if trace is not None:
+        key = ("trace", trace.digest)
     workload = _SHARED_WORKLOADS.get(key)
     if workload is None:
         workload = resolve_workload(scenario.with_(load=None))

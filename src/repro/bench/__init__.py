@@ -18,7 +18,9 @@ is that methodology as code:
   by ``sha256(scenario JSON + code version)``, so repeated and overlapping
   suite runs hit cache instead of the simulator;
 * :mod:`repro.bench.runner` — cache-consult → ``run_many`` fan-out →
-  aggregation;
+  aggregation, over :class:`WorkUnit` replications; :func:`execute_unit` is
+  the one execute-and-store path, shared by suite misses, ``repro dist``
+  workers and ``repro serve`` scenario jobs;
 * :mod:`repro.bench.report` — markdown/JSON tables with CI columns and
   significance markers for pairwise scheduler rankings.
 
@@ -56,6 +58,8 @@ __all__ = [
     "suite_names",
     "suite_registry",
     # running
+    "WorkUnit",
+    "execute_unit",
     "ReplicationOutcome",
     "CaseAggregate",
     "SuiteRunResult",
@@ -93,6 +97,8 @@ _SUITE_NAMES = {
     "suite_registry",
 }
 _RUNNER_NAMES = {
+    "WorkUnit",
+    "execute_unit",
     "ReplicationOutcome",
     "CaseAggregate",
     "SuiteRunResult",

@@ -1,11 +1,16 @@
 """The suite runner: cache consult → ``run_many`` fan-out → aggregation.
 
-Execution order is always: expand every case into per-seed replications,
-look each one up in the content-addressed store, run only the misses (in one
-``run_many`` batch, so ``--workers N`` parallelism applies across cases and
-seeds alike), write the fresh results back, then aggregate.  Because cache
-keys are content addresses, overlapping suites share entries: running
-``std-space`` warms every ``bench compare`` over the same contexts.
+Execution order is always: expand every case into per-seed :class:`WorkUnit`
+replications, look each one up in the content-addressed store, run only the
+misses (in one ``run_many`` batch, so ``--workers N`` parallelism applies
+across cases and seeds alike), write the fresh results back, then aggregate.
+Because cache keys are content addresses, overlapping suites share entries:
+running ``std-space`` warms every ``bench compare`` over the same contexts.
+
+:func:`execute_unit` is the one way a unit becomes a store entry: it derives
+the unit's inputs, simulates, and puts the entry.  ``run_suite``'s misses,
+the distributed worker and the serve daemon's scenario jobs all go through
+it, so their entries cannot differ.
 
 :func:`compare_policies` is the paper's prescribed pairwise methodology:
 both policies run the *same* seed list per context (common random numbers),
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import parse_spec, scheduler_registry
-from repro.api.runner import resolve_workload_shared, run_many
+from repro.api.runner import ScenarioResult, resolve_workload_shared, run, run_many
 from repro.api.scenario import Scenario
 from repro.bench.stats import (
     CIEstimate,
@@ -30,12 +35,19 @@ from repro.bench.stats import (
     paired_comparison,
 )
 from repro.bench.store import ResultStore, StoredResult, result_key
-from repro.bench.suite import BenchmarkCase, BenchmarkSuite, get_suite
+from repro.bench.suite import (
+    BenchmarkCase,
+    BenchmarkSuite,
+    generated_outage_log,
+    get_suite,
+)
 from repro.metrics.basic import MetricsReport
 from repro.metrics.objective import MAXIMIZE_METRICS
 from repro.obs.trace import trace_span
 
 __all__ = [
+    "WorkUnit",
+    "execute_unit",
     "ReplicationOutcome",
     "CaseAggregate",
     "SuiteRunResult",
@@ -74,6 +86,51 @@ def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
         else:
             values[f.name] = sum(column) / len(column)
     return MetricsReport(**values)
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One distinct replication to execute, self-contained and re-runnable.
+
+    Carries everything a worker on another host needs: the exact scenario
+    (seeded, named), the non-scenario key material (``extra`` — outage
+    parameters, trace digests), and the suite/case labels the store entry
+    must record so ``bench report`` groups it exactly like a serial run's.
+    The ``key`` is the store key; it doubles as the unit's file name and its
+    lease name in a distributed queue.
+    """
+
+    key: str
+    suite: str
+    case: str
+    context: str
+    #: the replication seed (a serve scenario submitted without one has None)
+    seed: Optional[int]
+    scenario: Scenario
+    extra: Dict[str, Any] = dataclasses.field(default_factory=dict)
+
+    def to_record(self) -> Dict[str, Any]:
+        return {
+            "key": self.key,
+            "suite": self.suite,
+            "case": self.case,
+            "context": self.context,
+            "seed": self.seed,
+            "scenario": self.scenario.to_dict(),
+            "extra": self.extra,
+        }
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "WorkUnit":
+        return cls(
+            key=record["key"],
+            suite=record["suite"],
+            case=record["case"],
+            context=record["context"],
+            seed=int(record["seed"]),
+            scenario=Scenario.from_dict(record["scenario"]),
+            extra=record.get("extra", {}),
+        )
 
 
 @dataclass(frozen=True)
@@ -223,41 +280,71 @@ def _trace_extra(scenario: Scenario) -> Dict[str, Any]:
     return {"trace": trace.digest, "trace_family": trace.family_digest}
 
 
-def _expand(suite: BenchmarkSuite):
-    """Flatten the suite into (case, seed, scenario, extra, key) tuples."""
-    entries = []
+def _expand(suite: BenchmarkSuite) -> List[WorkUnit]:
+    """Flatten the suite into one unit per replication, duplicate keys included."""
+    units = []
     for case in suite.cases:
+        name, context = case.name, case.context
         for seed, scenario in case.replications():
             extra = case.store_extra(seed)
             extra.update(_trace_extra(scenario))
-            entries.append((case, seed, scenario, extra, result_key(scenario, extra)))
-    return entries
+            key = result_key(scenario, extra)
+            units.append(WorkUnit(key=key, suite=suite.name, case=name, context=context,
+                                  seed=seed, scenario=scenario, extra=extra))
+    return units
 
 
-def _policy_mode(policy_spec: str) -> str:
-    """The simulator mode the policy spec dispatches to (space/gang/grid)."""
-    return getattr(scheduler_registry.get(parse_spec(policy_spec)[0]), "mode", "space")
+def _distinct(units: Sequence[WorkUnit]) -> Dict[str, WorkUnit]:
+    """The first unit per store key: a key that appears twice is one work unit."""
+    distinct: Dict[str, WorkUnit] = {}
+    for unit in units:
+        distinct.setdefault(unit.key, unit)
+    return distinct
 
 
-def _shared_workloads(ordered) -> List[Optional[Any]]:
-    """One materialized workload per distinct (spec, jobs, size, seed).
+def _unit_inputs(unit: WorkUnit) -> Tuple[Optional[Any], Optional[Any]]:
+    """The ``(workload, outages)`` overrides a unit runs with.
 
-    Replications of different policies over the same context share their
-    workload, so resolve it once — through the process-wide
-    :func:`~repro.api.runner.resolve_workload_shared` memo, which the
-    distributed worker also draws from — and hand it to ``run_many`` as an
-    element-wise override.  The override is *unscaled* (``load=None``) so
-    ``run()`` applies the scenario's load scaling exactly as it would from
-    the spec.  Grid-mode scenarios get no override: the grid runner re-seeds
-    the model per site, which an already-materialized workload would defeat.
+    The workload is the shared *unscaled* materialization, so replications
+    over one context resolve it once and ``run()`` scales it exactly as from
+    the spec; grid-mode policies get none, as the grid runner re-seeds the
+    model per site.  A generated outage log is rebuilt from the parameters
+    in ``unit.extra["outages"]``.
     """
-    overrides: List[Optional[Any]] = []
-    for _case, _seed, scenario, _extra, _key in ordered:
-        if _policy_mode(scenario.policy) == "grid":
-            overrides.append(None)
-        else:
-            overrides.append(resolve_workload_shared(scenario))
-    return overrides
+    scenario = unit.scenario
+    mode = getattr(scheduler_registry.get(parse_spec(scenario.policy)[0]), "mode", "space")
+    workload = None if mode == "grid" else resolve_workload_shared(scenario)
+    params = unit.extra.get("outages")
+    outages = generated_outage_log(int(scenario.machine_size), params) if params else None
+    return workload, outages
+
+
+def _store_unit(unit: WorkUnit, result: ScenarioResult, store: ResultStore) -> StoredResult:
+    """Put one unit's result: the only place a store entry is built."""
+    entry = StoredResult(
+        key=unit.key,
+        scenario=unit.scenario,
+        report=result.report,
+        extra=unit.extra,
+        suite=unit.suite,
+        case=unit.case,
+        # This run's own cost (its phase breakdown), not wall time around a
+        # batch or a pool round trip.
+        elapsed_seconds=sum(result.timings.values()),
+    )
+    store.put(entry)
+    return entry
+
+
+def execute_unit(unit: WorkUnit, store: ResultStore) -> StoredResult:
+    """Simulate one unit with its derived inputs and store the entry.
+
+    ``run_suite`` runs the same two halves around ``run_many`` (inputs
+    before the fan-out, the put as each result arrives); the distributed
+    worker and the serve daemon call this directly.
+    """
+    workload, outages = _unit_inputs(unit)
+    return _store_unit(unit, run(unit.scenario, workload=workload, outages=outages), store)
 
 
 def run_suite(
@@ -291,13 +378,9 @@ def run_suite(
         "store_write_seconds": 0.0,
     }
     with trace_span("bench.expand", suite=suite.name):
-        entries = _expand(suite)
-
-    # A key can appear twice when cases overlap; it is one work unit.
-    unique: Dict[str, tuple] = {}
-    for entry in entries:
-        unique.setdefault(entry[4], entry)
-    total = len(unique)
+        units = _expand(suite)
+    distinct = _distinct(units)
+    total = len(distinct)
     done = 0
 
     reports: Dict[str, MetricsReport] = {}
@@ -305,7 +388,7 @@ def run_suite(
     if store is not None and use_cache:
         lookup_started = time.perf_counter()
         with trace_span("bench.cache_lookup", keys=total):
-            for key in unique:
+            for key in distinct:
                 hit = store.get(key)
                 if hit is not None:
                     reports[key] = hit.report
@@ -315,67 +398,46 @@ def run_suite(
                         progress(done, total, True)
         timings["cache_lookup_seconds"] = time.perf_counter() - lookup_started
 
-    unique_misses: Dict[str, tuple] = {
-        key: entry for key, entry in unique.items() if key not in reports
-    }
-    if unique_misses:
-        ordered = list(unique_misses.values())
+    misses = [unit for key, unit in distinct.items() if key not in reports]
+    if misses:
 
         def _record(index: int, scenario_result) -> None:
             nonlocal done
-            case, seed, scenario, extra, key = ordered[index]
-            reports[key] = scenario_result.report
+            unit = misses[index]
+            reports[unit.key] = scenario_result.report
             done += 1
             run_timings = scenario_result.timings
             for phase in ("materialize_seconds", "simulate_seconds", "metrics_seconds"):
                 timings[phase] += run_timings.get(phase, 0.0)
             if store is not None:
                 write_started = time.perf_counter()
-                with trace_span("bench.store_write", case=case.name):
-                    store.put(
-                        StoredResult(
-                            key=key,
-                            scenario=scenario,
-                            report=scenario_result.report,
-                            extra=extra,
-                            suite=suite.name,
-                            case=case.name,
-                            # This run's own wall-clock cost (the worker-side
-                            # phase breakdown), not an average over the batch.
-                            elapsed_seconds=sum(run_timings.values()),
-                        )
-                    )
+                with trace_span("bench.store_write", case=unit.case):
+                    _store_unit(unit, scenario_result, store)
                 timings["store_write_seconds"] += time.perf_counter() - write_started
             if progress is not None:
                 progress(done, total, False)
 
-        with trace_span(
-            "bench.fan_out", misses=len(unique_misses), workers=workers or 1
-        ):
-            run_many(
-                [scenario for _c, _s, scenario, _e, _k in ordered],
-                workers=workers,
-                workloads=_shared_workloads(ordered),
-                outages=[case.outage_log(seed) for case, seed, _sc, _e, _k in ordered],
-                on_result=_record,
-            )
+        with trace_span("bench.fan_out", misses=len(misses), workers=workers or 1):
+            workloads, outages = zip(*(_unit_inputs(unit) for unit in misses))
+            run_many([unit.scenario for unit in misses], workers=workers,
+                     workloads=workloads, outages=outages, on_result=_record)
 
-    # Only the first entry per simulated key counts as a miss: a duplicate
+    # Only the first unit per simulated key counts as a miss: a duplicate
     # key later in the suite is served from this run's own result, exactly
     # like a store hit.
-    simulated_once: set = set()
+    unsimulated = {unit.key for unit in misses}
+    cases = {case.name: case for case in suite.cases}
     outcomes = []
-    for case, seed, scenario, extra, key in entries:
-        freshly_simulated = key in unique_misses and key not in simulated_once
-        if freshly_simulated:
-            simulated_once.add(key)
+    for unit in units:
+        freshly_simulated = unit.key in unsimulated
+        unsimulated.discard(unit.key)
         outcomes.append(
             ReplicationOutcome(
-                case=case,
-                seed=seed,
-                scenario=scenario,
-                key=key,
-                report=reports[key],
+                case=cases[unit.case],
+                seed=unit.seed,
+                scenario=unit.scenario,
+                key=unit.key,
+                report=reports[unit.key],
                 cached=not freshly_simulated,
             )
         )
@@ -395,8 +457,8 @@ def run_suite(
         # suite is accounted as deduplicated, so a run with store=None or
         # use_cache=False can never report phantom hits.
         cache_hits=store_hits,
-        cache_misses=len(unique_misses),
-        deduplicated=len(entries) - total,
+        cache_misses=len(misses),
+        deduplicated=len(units) - total,
         elapsed_seconds=elapsed,
         timings={k: round(v, 6) for k, v in timings.items()},
     )

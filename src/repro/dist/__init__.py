@@ -4,12 +4,13 @@
 — on one machine or several hosts sharing a filesystem — with nothing but
 directories and atomic file operations for coordination:
 
-* :mod:`repro.dist.queue` — expand a suite into per-key work units and
-  track per-suite progress against the store;
+* :mod:`repro.dist.queue` — write a suite's distinct
+  :class:`~repro.bench.runner.WorkUnit` list to disk and track per-suite
+  progress against the store;
 * :mod:`repro.dist.lease` — ``O_CREAT|O_EXCL`` claim files with TTL +
   heartbeat liveness and race-free reclaim of dead workers' leases;
-* :mod:`repro.dist.worker` — the claim → simulate → ``store.put`` loop,
-  bit-identical to the serial runner's output;
+* :mod:`repro.dist.worker` — the claim → ``execute_unit`` loop, the same
+  execute-and-store path as the serial runner's;
 * :mod:`repro.dist.gather` — completeness-gated aggregation back into a
   normal :class:`~repro.bench.runner.SuiteRunResult`.
 
@@ -18,6 +19,7 @@ rescan for missing keys: kill any worker at any point, start another, and
 the suite finishes with zero duplicated simulation.
 """
 
+from repro.bench.runner import WorkUnit
 from repro.dist.gather import QueueIncompleteError, gather
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Lease, LeaseBroker
 from repro.dist.queue import (
@@ -25,7 +27,6 @@ from repro.dist.queue import (
     EnqueueResult,
     SuiteProgress,
     WorkQueue,
-    WorkUnit,
     default_queue_root,
 )
 from repro.dist.worker import WorkerStats, run_worker

@@ -11,12 +11,13 @@ A queue is a directory (shareable over NFS, exactly like the result store):
         workers/<id>.json      per-worker progress/counter snapshots
         journal.jsonl          append-only event log (enqueue/claim/done)
 
-``enqueue`` expands a suite through the *same* :func:`repro.bench.runner.
-_expand` path a serial run uses, so a unit's store key — and therefore the
-entry any worker writes — is bit-identical to what ``run_suite`` would have
-produced.  The queue holds one unit file per distinct key: overlapping
-suites (or duplicate keys inside one suite) share units the same way they
-share store entries.
+``enqueue`` writes one file per distinct key of the
+:class:`~repro.bench.runner.WorkUnit` list a serial run expands the suite
+to, and a worker hands each unit to the same
+:func:`~repro.bench.runner.execute_unit` that ``run_suite``'s misses go
+through — so a unit's store key, and the entry any worker writes, are what
+``run_suite`` would have produced.  Overlapping suites (or duplicate keys
+inside one suite) share units the same way they share store entries.
 
 Progress has no central state.  "Done" is defined as *the key decodes from
 the shared result store* — the one fact every worker, the status probe, and
@@ -28,12 +29,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.api.scenario import Scenario
-from repro.bench.runner import _expand
+from repro.bench.runner import WorkUnit, _distinct, _expand
 from repro.bench.store import ResultStore
 from repro.bench.suite import BenchmarkSuite, get_suite
 from repro.obs.journal import JobJournal
@@ -41,7 +41,6 @@ from repro.util import atomic_write
 
 __all__ = [
     "QUEUE_ENV_VAR",
-    "WorkUnit",
     "EnqueueResult",
     "SuiteProgress",
     "WorkQueue",
@@ -58,50 +57,6 @@ def default_queue_root() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-dist"
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One distinct replication to execute, self-contained and re-runnable.
-
-    Carries everything a worker on another host needs: the exact scenario
-    (seeded, named), the non-scenario key material (``extra`` — outage
-    parameters, trace digests), and the suite/case labels the store entry
-    must record so ``bench report`` groups it exactly like a serial run's.
-    The ``key`` is the store key; it doubles as the unit's file name and its
-    lease name.
-    """
-
-    key: str
-    suite: str
-    case: str
-    context: str
-    seed: int
-    scenario: Scenario
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "suite": self.suite,
-            "case": self.case,
-            "context": self.context,
-            "seed": self.seed,
-            "scenario": self.scenario.to_dict(),
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "WorkUnit":
-        return cls(
-            key=record["key"],
-            suite=record["suite"],
-            case=record["case"],
-            context=record["context"],
-            seed=int(record["seed"]),
-            scenario=Scenario.from_dict(record["scenario"]),
-            extra=record.get("extra", {}),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,29 +161,18 @@ class WorkQueue:
         a worker recognizes them as done without simulating.
         """
         suite = get_suite(suite) if isinstance(suite, str) else suite
-        entries = _expand(suite)
-        unique: Dict[str, tuple] = {}
-        for entry in entries:
-            unique.setdefault(entry[4], entry)
+        units = _expand(suite)
+        distinct = _distinct(units)
 
         self.units_dir.mkdir(parents=True, exist_ok=True)
         enqueued = already_queued = already_stored = 0
-        for key, (case, seed, scenario, extra, _key) in unique.items():
+        for key, unit in distinct.items():
             if store is not None and key in store:
                 already_stored += 1
             unit_path = self.units_dir / f"{key}.json"
             if unit_path.is_file():
                 already_queued += 1
                 continue
-            unit = WorkUnit(
-                key=key,
-                suite=suite.name,
-                case=case.name,
-                context=case.context,
-                seed=seed,
-                scenario=scenario,
-                extra=extra,
-            )
             atomic_write(
                 unit_path,
                 json.dumps(unit.to_record(), sort_keys=True).encode("utf-8"),
@@ -238,8 +182,8 @@ class WorkQueue:
         manifest = {
             "suite": suite.name,
             "metrics": list(suite.metrics),
-            "replications": len(entries),
-            "keys": sorted(unique),
+            "replications": len(units),
+            "keys": sorted(distinct),
         }
         self.suites_dir.mkdir(parents=True, exist_ok=True)
         atomic_write(
@@ -248,8 +192,8 @@ class WorkQueue:
         )
         result = EnqueueResult(
             suite=suite.name,
-            replications=len(entries),
-            units=len(unique),
+            replications=len(units),
+            units=len(distinct),
             enqueued=enqueued,
             already_stored=already_stored,
             already_queued=already_queued,
@@ -331,15 +275,15 @@ class WorkQueue:
             if manifest is None:
                 continue
             keys = manifest["keys"]
-            done = sum(1 for key in keys if key in store)
-            held = {key: expired for key, expired in leases.items() if key in set(keys)}
+            wanted = set(keys)
+            held = [expired for key, expired in leases.items() if key in wanted]
             progress.append(
                 SuiteProgress(
                     suite=name,
                     total=len(keys),
-                    done=done,
-                    leased=sum(1 for expired in held.values() if not expired),
-                    expired=sum(1 for expired in held.values() if expired),
+                    done=sum(1 for key in keys if key in store),
+                    leased=held.count(False),
+                    expired=held.count(True),
                 )
             )
         return progress

@@ -1,20 +1,20 @@
-"""The distributed worker: claim → simulate → ``ResultStore.put`` → repeat.
+"""The distributed worker: claim → ``execute_unit`` → release → repeat.
 
 A worker is intentionally almost stateless.  Its entire contract with the
 rest of the fleet is:
 
 * a unit is **done** iff its key decodes from the shared result store;
 * a unit is **claimed** iff a live lease file exists for its key;
-* everything a worker writes (the store entry) goes through the exact same
-  construction a serial :func:`repro.bench.runner.run_suite` uses, so a
+* a worker executes a unit with :func:`repro.bench.runner.execute_unit`,
+  the one execute-and-store path a serial ``run_suite`` also takes, so a
   distributed suite is bit-identical to a serial one.
 
 The loop: scan for pending keys (enqueued, not in store), try to claim each
 under a lease, re-check the store after winning the claim (someone may have
-finished it between scan and claim), simulate with a heartbeat refreshing
-the lease, publish through ``store.put``, release.  When every pending key
-is leased by someone else the worker naps and rescans; when nothing is
-pending it exits.  SIGKILL at *any* point loses at most the unit being
+finished it between scan and claim), run ``execute_unit`` (simulate, then
+``store.put``) with a heartbeat refreshing the lease, release.  When every
+pending key is leased by someone else the worker naps and rescans; when
+nothing is pending it exits.  SIGKILL at *any* point loses at most the unit being
 simulated — its lease expires, a later scan reclaims it, and the store is
 never left with a torn entry (``put`` is atomic).
 
@@ -31,12 +31,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.api.runner import resolve_workload_shared, run
-from repro.bench.runner import _policy_mode
-from repro.bench.store import ResultStore, StoredResult
-from repro.bench.suite import generated_outage_log
+from repro.bench.runner import WorkUnit, execute_unit
+from repro.bench.store import ResultStore
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Heartbeat, LeaseBroker
-from repro.dist.queue import WorkQueue, WorkUnit
+from repro.dist.queue import WorkQueue
 from repro.obs.telemetry import Telemetry, count, telemetry_scope
 
 __all__ = ["WorkerStats", "run_worker"]
@@ -90,36 +88,6 @@ class WorkerStats:
             f"{self.reclaimed} leases reclaimed "
             f"in {self.simulate_seconds:.2f}s simulation"
         )
-
-
-def _execute(unit: WorkUnit, store: ResultStore) -> StoredResult:
-    """Run one unit exactly as the serial suite runner would, and store it.
-
-    Mirrors ``run_suite``'s miss path: grid-mode policies materialize their
-    own (re-seeded per site) workloads, everything else gets the shared
-    unscaled workload override; generated outage logs are rebuilt from the
-    unit's recorded parameters by the ``generated_outage_log`` that
-    ``BenchmarkCase.outage_log`` calls; the stored entry carries the same
-    suite/case labels and the same summed phase timings.
-    """
-    scenario = unit.scenario
-    workload = None
-    if _policy_mode(scenario.policy) != "grid":
-        workload = resolve_workload_shared(scenario)
-    params = unit.extra.get("outages")
-    outages = generated_outage_log(int(scenario.machine_size), params) if params else None
-    result = run(scenario, workload=workload, outages=outages)
-    entry = StoredResult(
-        key=unit.key,
-        scenario=scenario,
-        report=result.report,
-        extra=unit.extra,
-        suite=unit.suite,
-        case=unit.case,
-        elapsed_seconds=sum(result.timings.values()),
-    )
-    store.put(entry)
-    return entry
 
 
 def _rotate(keys, worker_id: str):
@@ -245,7 +213,7 @@ def _drain(
                 )
                 started = time.perf_counter()
                 with Heartbeat(lease):
-                    entry = _execute(unit, store)
+                    entry = execute_unit(unit, store)
                 elapsed = time.perf_counter() - started
                 stats.simulated += 1
                 stats.simulate_seconds += elapsed

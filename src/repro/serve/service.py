@@ -11,8 +11,10 @@ users asking the same question therefore *cannot* cause two computations:
   (**request coalescing** — the second HTTP response carries the same id);
 * cases a previous run already answered are served straight from the
   content-addressed :class:`~repro.bench.store.ResultStore`, and only the
-  misses fan out through ``run_many`` (exactly :func:`repro.bench.runner.
-  run_suite`, whose per-unit ``progress`` callback feeds live job status);
+  misses run — a suite through :func:`repro.bench.runner.run_suite`, whose
+  per-unit ``progress`` callback feeds live job status, a scenario as one
+  :class:`~repro.bench.runner.WorkUnit` through :func:`repro.bench.runner.
+  execute_unit`, the execute-and-store path every suite miss also takes;
 * completed payloads are immutable — the digest names the bytes — which is
   what makes the HTTP layer's ``ETag``/304 handling trivially correct.
 
@@ -38,8 +40,15 @@ from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.api.registry import RegistryError, parse_spec, scheduler_registry
 from repro.api.scenario import Scenario
-from repro.bench.runner import _expand, _trace_extra, run_suite
-from repro.bench.store import ResultStore, StoredResult, code_version, result_key
+from repro.bench.runner import (
+    WorkUnit,
+    _distinct,
+    _expand,
+    _trace_extra,
+    execute_unit,
+    run_suite,
+)
+from repro.bench.store import ResultStore, code_version, result_key
 from repro.obs.journal import JobJournal, replay as replay_journal
 from repro.bench.suite import BenchmarkSuite, get_suite
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
@@ -147,7 +156,7 @@ def resolve_submission(payload: Any) -> Evaluation:
             raise SubmissionError("'suite' must be a suite name string")
         try:
             suite = get_suite(name)
-            keys = sorted({entry[4] for entry in _expand(suite)})
+            keys = sorted(_distinct(_expand(suite)))
         except (RegistryError, KeyError, ValueError) as exc:
             raise SubmissionError(str(exc)) from exc
         digest = canonical_hash(
@@ -621,22 +630,19 @@ class EvaluationService:
         """
         from repro.bench.report import suite_json
 
+        keys = sorted(_distinct(_expand(evaluation.suite)))
+        # Snapshot before enqueueing: a unit the fleet stores for this job,
+        # however soon after the enqueue, is never reported as pre-existing.
+        preexisting = {key for key in keys if key in self.store}
         enqueued = self.dist_queue.enqueue_suite(evaluation.suite, store=self.store)
-        manifest = self.dist_queue.manifest(evaluation.suite.name)
-        keys = manifest["keys"] if manifest else sorted(
-            {entry[4] for entry in _expand(evaluation.suite)}
-        )
-        total = len(keys)
-        done: Dict[str, bool] = {}  # key -> was it a pre-existing store entry
-        first_pass = True
+        done: set = set()
         while True:
             for key in keys:
                 if key not in done and key in self.store:
-                    done[key] = first_pass
-                    progress(len(done), total, first_pass)
-            if len(done) >= total:
+                    done.add(key)
+                    progress(len(done), len(keys), key in preexisting)
+            if len(done) >= len(keys):
                 break
-            first_pass = False
             time.sleep(self.dist_poll_interval)
         result = run_suite(
             evaluation.suite, store=self.store, use_cache=True
@@ -651,27 +657,16 @@ class EvaluationService:
         return payload
 
     def _execute_scenario(self, evaluation: Evaluation, progress) -> Dict[str, Any]:
-        from repro.api.runner import run
-
         scenario = evaluation.scenario
         hit = self.store.get(evaluation.digest) if self.use_cache else None
         if hit is not None:
             report = hit.report
             progress(1, 1, True)
         else:
-            started = time.perf_counter()
-            report = run(scenario).report
-            self.store.put(
-                StoredResult(
-                    key=evaluation.digest,
-                    scenario=scenario,
-                    report=report,
-                    extra=evaluation.extra,
-                    suite="serve",
-                    case=scenario.label,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            )
+            unit = WorkUnit(key=evaluation.digest, suite="serve", case=scenario.label,
+                            context=scenario.label, seed=scenario.seed, scenario=scenario,
+                            extra=evaluation.extra)
+            report = execute_unit(unit, self.store).report
             progress(1, 1, False)
         return {
             "scenario": scenario.to_dict(),

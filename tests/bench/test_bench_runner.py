@@ -173,6 +173,33 @@ class TestRunSuite:
         for outcome in result.replications[:2]:
             assert run_scenario(outcome.scenario).report == outcome.report
 
+    def test_swf_regenerated_in_place_stores_the_new_content(self, tmp_path):
+        # The result key follows an SWF file's content digest, so the shared
+        # workload memo must too: a miss under the regenerated file's new key
+        # has to simulate the new bytes, not the workload memoized from the
+        # old file under the same path.
+        from repro.api import run as run_scenario
+        from repro.core.swf import write_swf
+        from repro.data.archives import synthetic_archive
+
+        path = tmp_path / "trace.swf"
+        case = BenchmarkCase(
+            context="file", scenario=Scenario(workload=str(path), policy="easy"), seeds=(1,)
+        )
+        suite = BenchmarkSuite(name="regenerated", description="", cases=(case,),
+                               metrics=("mean_wait",))
+        store = ResultStore(tmp_path / "store")
+        write_swf(synthetic_archive("ctc-sp2", jobs=60, seed=1), path)
+        (old,) = run_suite(suite, store=store).replications
+        write_swf(synthetic_archive("ctc-sp2", jobs=60, seed=2), path)
+        (new,) = run_suite(suite, store=store).replications
+
+        assert new.key != old.key and not new.cached
+        fresh = run_scenario(new.scenario).report
+        assert fresh != old.report
+        assert new.report == fresh
+        assert store.get(new.key).report == fresh
+
     def test_duplicate_keys_simulated_once(self):
         # Two cases with identical scenarios (labels differ) share one key:
         # the second is served from the first's simulation, not re-run.

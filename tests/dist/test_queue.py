@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.api import Scenario
-from repro.bench.runner import _expand, run_suite
+from repro.bench.runner import _distinct, _expand, run_suite
 from repro.bench.store import ResultStore
 from repro.bench.suite import BenchmarkCase, BenchmarkSuite
 from repro.dist import WorkQueue, WorkUnit
@@ -32,11 +32,14 @@ class TestEnqueue:
         suite = twin_suite()
         queue = WorkQueue(tmp_path / "queue")
         result = queue.enqueue_suite(suite)
-        expanded_keys = {entry[4] for entry in _expand(suite)}
-        assert result.replications == 6
-        assert result.units == 3
+        units = _expand(suite)
+        assert all(isinstance(unit, WorkUnit) for unit in units)
+        distinct = _distinct(units)
+        assert result.replications == len(units) == 6
+        assert result.units == len(distinct) == 3
         assert result.enqueued == 3
-        assert set(queue.unit_keys()) == expanded_keys
+        # Each unit file decodes to exactly the unit the serial run expands.
+        assert queue.units() == [distinct[key] for key in sorted(distinct)]
 
     def test_enqueue_is_idempotent(self, tmp_path):
         suite = twin_suite()

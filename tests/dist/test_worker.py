@@ -54,6 +54,48 @@ def small_suite(name: str = "dist-small", seeds=(1, 2, 3)) -> BenchmarkSuite:
     )
 
 
+def outage_suite() -> BenchmarkSuite:
+    """Generated outages: the worker rebuilds the log from ``extra``."""
+    scenario = Scenario(workload="uniform", jobs=40, machine_size=32, load=0.7,
+                        policy="easy")
+    case = BenchmarkCase(context="u+outages", scenario=scenario, seeds=(1, 2),
+                         outages={"mtbf_days": 0.5, "horizon_days": 10.0})
+    return BenchmarkSuite(name="dist-outages", description="", cases=(case,),
+                          metrics=("mean_wait",))
+
+
+def trace_suite() -> BenchmarkSuite:
+    """A ``trace:`` workload: the shared workload is keyed by content digest."""
+    scenario = Scenario(workload="trace:ctc-sp2,jobs=60,load=0.8", jobs=60)
+    return BenchmarkSuite(
+        name="dist-trace", description="",
+        cases=tuple(
+            BenchmarkCase(context="ctc", scenario=scenario.with_(policy=policy),
+                          seeds=(1, 2))
+            for policy in ("fcfs", "easy")
+        ),
+        metrics=("mean_wait",),
+    )
+
+
+def grid_suite() -> BenchmarkSuite:
+    """A ``grid:`` policy: no shared workload override at all."""
+    scenario = Scenario(workload="lublin99", jobs=40, machine_size=32,
+                        policy="grid:sites=2,meta_jobs=5")
+    case = BenchmarkCase(context="grid", scenario=scenario, seeds=(1, 2))
+    return BenchmarkSuite(name="dist-grid", description="", cases=(case,),
+                          metrics=("mean_wait",))
+
+
+#: One suite per branch of ``execute_unit``'s input derivation.
+PARITY_SUITES = {
+    "plain": small_suite,
+    "outages": outage_suite,
+    "trace": trace_suite,
+    "grid": grid_suite,
+}
+
+
 def store_keys(root: Path):
     return sorted(path.stem for path in Path(root).glob("*/*.json"))
 
@@ -75,8 +117,12 @@ class TestWorkerEndToEnd:
         assert record["events_processed"] == stats.events_processed
         assert record["counters"]["dist.claim"] == enq.units
 
-    def test_distributed_store_is_bit_identical_to_serial(self, tmp_path):
-        suite = small_suite()
+    @pytest.mark.parametrize("kind", sorted(PARITY_SUITES))
+    def test_distributed_store_is_bit_identical_to_serial(
+        self, kind, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+        suite = PARITY_SUITES[kind]()
         dist_store = ResultStore(tmp_path / "dist-store")
         serial_store = ResultStore(tmp_path / "serial-store")
         queue = WorkQueue(tmp_path / "queue")
@@ -91,6 +137,39 @@ class TestWorkerEndToEnd:
             assert ours.extra == theirs.extra
             assert ours.suite == theirs.suite and ours.case == theirs.case
             assert ours.report.as_dict() == theirs.report.as_dict()
+
+    @pytest.mark.parametrize(
+        "workload", ["uniform", "trace:ctc-sp2,jobs=60,load=0.8"]
+    )
+    def test_serve_scenario_job_stores_the_serial_report(
+        self, workload, tmp_path, monkeypatch
+    ):
+        from repro.serve.service import EvaluationService, resolve_submission
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+        scenario = Scenario(workload=workload, jobs=60, machine_size=32, load=0.7,
+                            policy="easy")
+        suite = BenchmarkSuite(
+            name="serve-parity", description="",
+            cases=(BenchmarkCase(context="c", scenario=scenario, seeds=(7,)),),
+            metrics=("mean_wait",),
+        )
+        serial_store = ResultStore(tmp_path / "serial-store")
+        (replication,) = run_suite(suite, store=serial_store).replications
+
+        serve_store = ResultStore(tmp_path / "serve-store")
+        service = EvaluationService(store=serve_store)
+        evaluation = resolve_submission({"scenario": replication.scenario.to_dict()})
+        assert evaluation.digest == replication.key
+        service._execute_scenario(evaluation, lambda done, total, cached: None)
+
+        ours = serve_store.get(replication.key)
+        theirs = serial_store.get(replication.key)
+        # Only the labels differ: a serve job is filed under suite "serve".
+        assert (ours.suite, ours.case) == ("serve", replication.scenario.label)
+        assert ours.scenario == theirs.scenario
+        assert ours.extra == theirs.extra
+        assert ours.report.as_dict() == theirs.report.as_dict()
 
     def test_worker_skips_already_stored_units(self, tmp_path):
         suite = small_suite()
