@@ -57,6 +57,7 @@ from repro.api.runner import resolve_workload, run, run_many
 from repro.api.scenario import Scenario
 from repro.core.outage import OutageModel, generate_outages, write_outage_log
 from repro.core.swf import (
+    SWFParseError,
     convert_accounting_csv,
     parse_swf,
     summarize,
@@ -459,8 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # command implementations
 # ----------------------------------------------------------------------
+def _read_trace(path: str):
+    """Parse an SWF file, or report its first malformed line and return None."""
+    try:
+        return parse_swf(path)
+    except SWFParseError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_validate(args) -> int:
-    workload = parse_swf(args.trace)
+    workload = _read_trace(args.trace)
+    if workload is None:
+        return 1
     report = validate(workload)
     print(f"{args.trace}: {len(workload)} jobs, {report.summary()}")
     for issue in report.issues[: args.max_issues]:
@@ -471,7 +483,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    workload = parse_swf(args.trace)
+    workload = _read_trace(args.trace)
+    if workload is None:
+        return 1
     stats = summarize(workload, machine_size=args.machine_size)
     print(format_table([stats.as_dict()]))
     return 0

@@ -1,11 +1,13 @@
 """Array-backed column view of a job list.
 
 Workload-level computations (span, offered load, load scaling, slice and
-filter transforms) used to walk ``SWFJob`` objects attribute by attribute
-— at 100k+ jobs the per-object overhead dominates.  :class:`JobColumns`
-extracts the hot fields once into compact ``array('q')`` (int64) columns;
-numpy views over those buffers (zero-copy) let everything downstream
-vectorize.
+filter transforms) would otherwise walk ``SWFJob`` records attribute by
+attribute — at 100k+ jobs the per-record overhead dominates.
+:class:`JobColumns` extracts the hot fields once into compact
+``array('q')`` (int64) columns; numpy views over those buffers (zero-copy)
+let everything downstream vectorize.  Transforms that rebuild jobs from the
+results go back through ``SWFJob._from_trusted_fields``, which wraps the
+already-valid values in a record without re-checking them.
 
 Columns are a *view*: they are derived from the job list on demand and
 cached on the :class:`~repro.core.swf.workload.Workload` (invalidated on
@@ -16,7 +18,7 @@ about the SWF object model or on-disk format changes.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +81,7 @@ class JobColumns:
         return view
 
     def summary_mask(self) -> np.ndarray:
-        """True for whole-job lines — mirrors :attr:`SWFJob.is_summary_line`.
+        """True for whole-job lines — the rule of :attr:`SWFJob.is_summary_line`.
 
         Partial-execution lines carry status 2/3/4; every other value
         (including out-of-range codes, which ``completion_status`` maps to
@@ -95,13 +97,3 @@ class JobColumns:
         known = (procs != MISSING) & (run != MISSING)
         return np.where(known, procs * run, 0)
 
-
-def trusted_jobs_from_fields(rows: Sequence[Sequence[int]]) -> List[SWFJob]:
-    """Build jobs from pre-validated 18-field rows, skipping re-coercion.
-
-    The caller guarantees every value is a plain Python ``int`` (the
-    transform fast paths derive them from existing jobs' fields or from
-    ``.tolist()`` on int64 arrays) — so the frozen-dataclass coercion loop
-    in ``SWFJob.__post_init__`` would only re-verify what is already true.
-    """
-    return [SWFJob._from_trusted_fields(row) for row in rows]

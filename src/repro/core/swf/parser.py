@@ -7,9 +7,15 @@ The format is line-oriented:
 * every other non-empty line is a job: whitespace-separated integers, one
   per field, in the standard order, with ``-1`` for unknown values.
 
-The parser is strict by default (non-integer tokens or a wrong field count
-raise :class:`SWFParseError` with the offending line number) but can be run
-in ``lenient`` mode, in which malformed job lines are collected and skipped —
+Each job line is validated exactly once, here — 18 fields, each an integer
+token (or a finite float token, truncated toward zero), and a job number of
+at least 1 — and the checked values go straight into an
+:class:`~repro.core.swf.records.SWFJob` through its trusted constructor, so
+no field is coerced twice on the ingest path every trace replay takes.
+
+The parser is strict by default (a malformed job line raises
+:class:`SWFParseError` with the offending line number) but can be run in
+``lenient`` mode, in which malformed job lines are collected and skipped —
 useful when ingesting historical archive files with known quirks.
 """
 
@@ -25,7 +31,7 @@ from repro.core.swf.header import HeaderEntry, SWFHeader
 from repro.core.swf.records import SWFJob
 from repro.core.swf.workload import Workload
 
-__all__ = ["SWFParseError", "ParseReport", "parse_swf", "parse_swf_text", "iter_swf_lines"]
+__all__ = ["SWFParseError", "ParseReport", "parse_swf", "parse_swf_text"]
 
 
 class SWFParseError(ValueError):
@@ -66,41 +72,36 @@ def _split_header_comment(text: str) -> Optional[HeaderEntry]:
     return HeaderEntry(label=label, value=value.strip())
 
 
-def _parse_job_line(text: str, line_number: int) -> SWFJob:
-    tokens = text.split()
+def _parse_token(token: str, line_number: int) -> int:
+    """One field value: an integer token, or a finite float token truncated toward zero."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    # The standard mandates integers; some archive files carry floats (e.g.
+    # fractional seconds).  Accept a float token only when it is finite,
+    # truncating toward zero, to stay practical while keeping garbage out.
+    try:
+        return int(float(token))
+    except ValueError as exc:
+        raise SWFParseError(f"non-numeric field value {token!r}", line_number) from exc
+    except OverflowError as exc:
+        raise SWFParseError(f"non-finite field value {token!r}", line_number) from exc
+
+
+def _parse_job_line(tokens: List[str], line_number: int) -> SWFJob:
+    """Validate one job line's tokens into a record; the only checks the record gets."""
     if len(tokens) != FIELD_COUNT:
         raise SWFParseError(
             f"expected {FIELD_COUNT} fields, found {len(tokens)}", line_number
         )
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            # The standard mandates integers; some archive files carry floats
-            # (e.g. fractional seconds).  Accept a float token only when it is
-            # numeric, truncating toward zero, to stay practical while keeping
-            # garbage out.
-            try:
-                values.append(int(float(token)))
-            except ValueError as exc:
-                raise SWFParseError(f"non-numeric field value {token!r}", line_number) from exc
     try:
-        return SWFJob.from_fields(values)
-    except (TypeError, ValueError) as exc:
-        raise SWFParseError(str(exc), line_number) from exc
-
-
-def iter_swf_lines(stream: TextIO):
-    """Yield ``(line_number, kind, text)`` with ``kind`` in {'comment', 'blank', 'job'}."""
-    for line_number, raw in enumerate(stream, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            yield line_number, "blank", stripped
-        elif stripped.startswith(";"):
-            yield line_number, "comment", stripped
-        else:
-            yield line_number, "job", stripped
+        values = list(map(int, tokens))
+    except ValueError:
+        values = [_parse_token(token, line_number) for token in tokens]
+    if values[0] < 1:
+        raise SWFParseError(f"job_number must be >= 1, got {values[0]}", line_number)
+    return SWFJob._from_trusted_fields(values)
 
 
 def parse_swf_stream(
@@ -108,25 +109,30 @@ def parse_swf_stream(
     name: str = "workload",
     strict: bool = True,
 ) -> Tuple[Workload, ParseReport]:
-    """Parse an open text stream into a :class:`Workload` plus a :class:`ParseReport`."""
+    """Parse an open text stream into a :class:`Workload` plus a :class:`ParseReport`.
+
+    Each line is split once: no tokens is a blank line, a first token
+    starting with ``;`` a comment, anything else a job line.
+    """
     header = SWFHeader()
     jobs: List[SWFJob] = []
     report = ParseReport()
     seen_job = False
-    for line_number, kind, text in iter_swf_lines(stream):
-        if kind == "blank":
+    for line_number, raw in enumerate(stream, start=1):
+        tokens = raw.split()
+        if not tokens:
             report.blank_lines += 1
             continue
-        if kind == "comment":
+        if tokens[0][0] == ";":
             report.comment_lines += 1
             if not seen_job:
-                entry = _split_header_comment(text)
+                entry = _split_header_comment(raw.strip())
                 if entry is not None:
                     header.add(entry.label, entry.value)
             continue
         seen_job = True
         try:
-            jobs.append(_parse_job_line(text, line_number))
+            jobs.append(_parse_job_line(tokens, line_number))
             report.job_lines += 1
         except SWFParseError as exc:
             if strict:

@@ -4,6 +4,16 @@ A job is stored with every one of the 18 standard fields.  Times are kept as
 integers (seconds), per the standard's "all data is in integers" rule; the
 parser rejects non-integer tokens and the writer emits plain integers.
 
+The record is an immutable tuple of the 18 fields in file order (a
+``namedtuple`` subclass without a per-instance ``__dict__``): attribute reads
+are C-level tuple lookups, equality and hashing are those of the field tuple,
+and a job costs one small allocation.  There are two ways in.  The public
+constructor (``SWFJob(...)``, :meth:`SWFJob.from_fields`,
+:meth:`SWFJob.replace`, unpickling) coerces and checks every field;
+:meth:`SWFJob._from_trusted_fields` wraps 18 values that the caller has
+already validated — the parser, which checks each line once, and the
+transforms that derive fields from existing jobs.
+
 Besides the raw fields the class provides the derived quantities every
 evaluation needs (start time, end time, response time, slowdown, bounded
 slowdown) and convenience predicates (``is_interactive``, ``has_dependency``,
@@ -12,7 +22,7 @@ slowdown) and convenience predicates (``is_interactive``, ``has_dependency``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from typing import Iterable, Optional
 
 from repro.core.swf.fields import (
@@ -39,8 +49,10 @@ def _coerce_int(name: str, value) -> int:
     raise TypeError(f"field {name!r} must be an integer, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SWFJob:
+_SWFFields = namedtuple("_SWFFields", FIELD_NAMES, defaults=(MISSING,) * (FIELD_COUNT - 1))
+
+
+class SWFJob(_SWFFields):
     """A single job line in the Standard Workload Format (18 integer fields).
 
     All fields default to :data:`~repro.core.swf.fields.MISSING` (``-1``)
@@ -50,30 +62,14 @@ class SWFJob:
     parallelism").
     """
 
-    job_number: int
-    submit_time: int = MISSING
-    wait_time: int = MISSING
-    run_time: int = MISSING
-    allocated_processors: int = MISSING
-    average_cpu_time: int = MISSING
-    used_memory: int = MISSING
-    requested_processors: int = MISSING
-    requested_time: int = MISSING
-    requested_memory: int = MISSING
-    status: int = MISSING
-    user_id: int = MISSING
-    group_id: int = MISSING
-    executable_id: int = MISSING
-    queue_number: int = MISSING
-    partition_number: int = MISSING
-    preceding_job: int = MISSING
-    think_time: int = MISSING
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in FIELD_NAMES:
-            object.__setattr__(self, name, _coerce_int(name, getattr(self, name)))
-        if self.job_number < 1:
-            raise ValueError(f"job_number must be >= 1, got {self.job_number}")
+    def __new__(cls, *args, **kwargs) -> "SWFJob":
+        bound = _SWFFields.__new__(cls, *args, **kwargs)
+        job = tuple.__new__(cls, map(_coerce_int, FIELD_NAMES, bound))
+        if job.job_number < 1:
+            raise ValueError(f"job_number must be >= 1, got {job.job_number}")
+        return job
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -81,33 +77,31 @@ class SWFJob:
     @classmethod
     def from_fields(cls, values: Iterable[int]) -> "SWFJob":
         """Build a job from the 18 field values in file order."""
-        values = list(values)
+        values = tuple(values)
         if len(values) != FIELD_COUNT:
             raise ValueError(
                 f"an SWF job line has exactly {FIELD_COUNT} fields, got {len(values)}"
             )
-        return cls(**dict(zip(FIELD_NAMES, values)))
+        return cls(*values)
 
     @classmethod
     def _from_trusted_fields(cls, values: Iterable[int]) -> "SWFJob":
         """Build a job from 18 *pre-validated* field values in file order.
 
-        Bypasses ``__init__``/``__post_init__`` — the caller must guarantee
-        plain Python ints and a positive job number.  This is the hot-path
-        constructor for columnar transforms, which derive every value from
-        fields of already-validated jobs.
+        Skips every check — the caller must guarantee exactly 18 plain
+        Python ints and a positive job number.  This is the hot-path
+        constructor for the parser and for columnar transforms, which derive
+        every value from fields of already-validated jobs.
         """
-        job = object.__new__(cls)
-        job.__dict__.update(zip(FIELD_NAMES, values))
-        return job
+        return tuple.__new__(cls, values)
 
     def to_fields(self) -> list:
         """Return the 18 field values in file order."""
-        return [getattr(self, name) for name in FIELD_NAMES]
+        return list(self)
 
     def replace(self, **changes) -> "SWFJob":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+        """Return a copy with the given fields replaced (and re-validated)."""
+        return type(self)(**{**self._asdict(), **changes})
 
     # ------------------------------------------------------------------
     # derived times
@@ -172,8 +166,14 @@ class SWFJob:
 
     @property
     def is_summary_line(self) -> bool:
-        """True for whole-job lines (status -1/0/1), false for partial bursts."""
-        return self.completion_status.is_summary
+        """True for whole-job lines (status -1/0/1), false for partial bursts.
+
+        Partial-execution lines carry status 2/3/4; every other value
+        (including out-of-range codes, which ``completion_status`` maps to
+        UNKNOWN) counts as a summary line — the rule of
+        :meth:`~repro.core.swf.columns.JobColumns.summary_mask`.
+        """
+        return not 2 <= self.status <= 4
 
     @property
     def is_completed(self) -> bool:

@@ -75,6 +75,31 @@ class TestParsing:
         assert report.skipped_count == 1
         assert report.job_lines == 3
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("nan", "non-numeric field value 'nan'"),
+            ("inf", "non-finite field value 'inf'"),
+            ("-inf", "non-finite field value '-inf'"),
+            ("1e400", "non-finite field value '1e400'"),
+        ],
+    )
+    def test_bad_token_names_its_line_in_strict_mode(self, token, message):
+        text = SAMPLE + "4 0 0 " + token + " " + " ".join(["-1"] * 14) + "\n"
+        with pytest.raises(SWFParseError, match=f"^line 9: {message}$") as exc:
+            parse_swf_text(text)
+        assert exc.value.line_number == 9
+
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-inf", "1e400"])
+    def test_bad_token_line_is_skipped_in_lenient_mode(self, token):
+        import io
+
+        text = SAMPLE + "4 0 0 " + token + " " + " ".join(["-1"] * 14) + "\n"
+        workload, report = parse_swf_stream(io.StringIO(text), strict=False)
+        assert [job.job_number for job in workload] == [1, 2, 3]
+        assert report.job_lines == 3
+        assert [line for line, _ in report.skipped] == [9]
+
     def test_header_comments_after_jobs_not_treated_as_header(self):
         text = "1 " + " ".join(["-1"] * 17) + "\n; MaxNodes: 9999\n"
         workload = parse_swf_text(text)

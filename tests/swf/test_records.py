@@ -2,10 +2,35 @@
 
 from __future__ import annotations
 
+import copy
+import io
+import pickle
+
 import pytest
 
-from repro.core.swf import FIELD_COUNT, FIELD_NAMES, MISSING, CompletionStatus, SWFJob
+from repro.core.swf import (
+    FIELD_COUNT,
+    FIELD_NAMES,
+    MISSING,
+    CompletionStatus,
+    SWFJob,
+    SWFParseError,
+    Workload,
+    format_job_line,
+)
+from repro.core.swf.parser import parse_swf_stream
 from tests.conftest import make_job
+
+REFERENCE = make_job(7, submit=100, wait=5, runtime=250, processors=16, preceding_job=3, think_time=9)
+#: Two job lines, the second a copy of REFERENCE numbered 0.
+NUMBERED_ZERO = (
+    format_job_line(REFERENCE) + "\n" + " ".join(map(str, [0] + REFERENCE.to_fields()[1:])) + "\n"
+)
+
+
+def _parsed(job: SWFJob) -> SWFJob:
+    workload, _ = parse_swf_stream(io.StringIO(format_job_line(job) + "\n"))
+    return workload[0]
 
 
 class TestConstruction:
@@ -54,6 +79,71 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             job.run_time = 5  # type: ignore[misc]
         assert len({job, make_job(1)}) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda job: SWFJob(**dict(zip(FIELD_NAMES, job.to_fields()))),
+            lambda job: SWFJob(*job.to_fields()),
+            lambda job: SWFJob.from_fields(job.to_fields()),
+            lambda job: SWFJob._from_trusted_fields(job.to_fields()),
+            _parsed,
+        ],
+        ids=["kwargs", "positional", "from_fields", "trusted", "parsed"],
+    )
+    def test_every_constructor_builds_the_same_record(self, build):
+        job = build(REFERENCE)
+        assert type(job) is SWFJob
+        assert job == REFERENCE
+        assert hash(job) == hash(REFERENCE)
+        assert job.to_fields() == REFERENCE.to_fields()
+
+    @pytest.mark.parametrize("name", ["job_number", "think_time", "not_a_field"])
+    def test_attributes_cannot_be_assigned(self, name):
+        fields = REFERENCE.to_fields()
+        with pytest.raises(AttributeError):
+            setattr(REFERENCE, name, 5)
+        assert REFERENCE.to_fields() == fields
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            ({"job_number": 0}, ValueError),
+            ({"run_time": 1.5}, ValueError),
+            ({"status": True}, TypeError),
+            ({"user_id": "alice"}, TypeError),
+            ({"not_a_field": 1}, TypeError),
+        ],
+    )
+    def test_replace_revalidates(self, changes, error):
+        with pytest.raises(error):
+            REFERENCE.replace(**changes)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda job: pickle.loads(pickle.dumps(job)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_round_trip(self, round_trip):
+        job = round_trip(REFERENCE)
+        assert type(job) is SWFJob
+        assert job == REFERENCE and hash(job) == hash(REFERENCE)
+
+    def test_repr_names_every_field(self):
+        text = repr(REFERENCE)
+        assert text.startswith("SWFJob(job_number=7, submit_time=100,")
+        assert all(f"{name}=" in text for name in FIELD_NAMES)
+
+    def test_parsed_job_number_must_be_positive(self):
+        with pytest.raises(SWFParseError, match="^line 2: job_number must be >= 1, got 0$") as exc:
+            parse_swf_stream(io.StringIO(NUMBERED_ZERO), strict=True)
+        assert exc.value.line_number == 2
+
+    def test_parsed_job_number_zero_is_skipped_when_lenient(self):
+        workload, report = parse_swf_stream(io.StringIO(NUMBERED_ZERO), strict=False)
+        assert workload.jobs == [REFERENCE]
+        assert report.job_lines == 1
+        assert [line for line, _ in report.skipped] == [2]
 
 
 class TestDerivedTimes:
@@ -114,6 +204,13 @@ class TestPredicates:
         assert make_job(1, status=1).is_summary_line
         assert not make_job(1, status=2).is_summary_line
         assert CompletionStatus.PARTIAL_LAST_KILLED.is_terminal_partial
+
+    @pytest.mark.parametrize("status", range(-5, 11))
+    def test_summary_rule_agrees_with_enum_and_columns(self, status):
+        job = make_job(1, status=status)
+        columns = Workload([job]).columns()
+        assert job.is_summary_line == job.completion_status.is_summary
+        assert job.is_summary_line == bool(columns.summary_mask()[0])
 
     def test_interactive_queue_convention(self):
         assert make_job(1, queue_number=0).is_interactive

@@ -51,6 +51,19 @@ class TestValidateAndStats:
         assert main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    @pytest.mark.parametrize("bad_token", ["abc", "inf"])
+    def test_malformed_line_is_reported_not_raised(self, tmp_path, capsys, command, bad_token):
+        path = tmp_path / "malformed.swf"
+        path.write_text(
+            "1 0 -1 10 1" + " -1" * 13 + "\n"
+            "2 5 -1 " + bad_token + " 1" + " -1" * 13 + "\n"
+        )
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: line 2: ")
+        assert repr(bad_token) in err
+
     def test_stats_prints_table(self, trace_path, capsys):
         assert main(["stats", str(trace_path)]) == 0
         out = capsys.readouterr().out

@@ -49,6 +49,14 @@ class TestMaterialization:
         # ... and the overwritten entry is good again.
         assert cache.get(trace.digest) == rebuilt
 
+    @pytest.mark.parametrize("bad_token", ["inf", "1e400"])
+    def test_unparseable_entry_is_a_miss(self, cache, bad_token):
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        cache.path_for(trace.digest).write_text("1 0 0 " + bad_token + " 4" + " -1" * 13 + "\n")
+        assert cache.get(trace.digest) is None
+        assert trace.materialize(cache=cache) == trace.build()
+
     def test_use_cache_false_leaves_cache_untouched(self, cache):
         trace = trace_from_spec(SPEC)
         trace.materialize(cache=cache, use_cache=False)
