@@ -946,6 +946,12 @@ def _cmd_profile(args) -> int:
     if args.raw and not args.output:
         print("--raw needs --output (a path for the pstats dump)", file=sys.stderr)
         return 2
+    # numpy loads these on first attribute access; import them before the
+    # clock starts, so a first run in the process profiles the simulation
+    # rather than the importer.
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
     try:
         if args.target in suite_names():
             from repro.bench.runner import run_suite

@@ -117,15 +117,6 @@ class CompletionStatus(IntEnum):
         )
 
     @property
-    def is_partial(self) -> bool:
-        """True for per-burst partial-execution lines (codes 2, 3, 4)."""
-        return self in (
-            CompletionStatus.PARTIAL_TO_BE_CONTINUED,
-            CompletionStatus.PARTIAL_LAST_COMPLETED,
-            CompletionStatus.PARTIAL_LAST_KILLED,
-        )
-
-    @property
     def is_terminal_partial(self) -> bool:
         """True for the final burst of a checkpointed job (codes 3, 4)."""
         return self in (

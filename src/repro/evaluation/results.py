@@ -145,10 +145,6 @@ class SimulationResult:
         """Jobs that terminated normally (not killed)."""
         return [j for j in self.jobs if not j.killed]
 
-    def killed_jobs(self) -> List[JobResult]:
-        """Jobs that were killed by an outage and never completed."""
-        return [j for j in self.jobs if j.killed]
-
     @property
     def makespan(self) -> float:
         """Seconds from the first submittal to the last completion."""

@@ -30,7 +30,7 @@ from repro.core.swf.workload import Workload
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
-from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
+from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpace
 from repro.simulation.engine import Simulator
 
@@ -103,6 +103,8 @@ class MachineSimulation:
         self._by_announce = sorted(self.outages, key=lambda r: r.announced_time)
         self._announce_index = 0
         self._calendar = FreeSpace(self.machine.size, 0)
+        #: the running-set delta, kept only for policies that read it
+        self._delta = RunningDelta() if scheduler.uses_delta else None
 
     # ------------------------------------------------------------------
     # setup
@@ -169,6 +171,8 @@ class MachineSimulation:
         if running is None:  # completion of a job killed by an outage
             return
         self.machine.release(job_id)
+        if self._delta is not None:
+            self._delta.ended.append((running.request.processors, running.expected_end))
         self._finish(job_id, running, killed=False)
         self._schedule_pass()
 
@@ -201,6 +205,8 @@ class MachineSimulation:
                 continue
             running.completion_handle.cancel()
             self.machine.release(job_id)
+            if self._delta is not None:
+                self._delta.ended.append((running.request.processors, running.expected_end))
             self._outage_kills += 1
             if self.restart_failed_jobs and running.restarts < self.max_restarts:
                 request = running.request
@@ -237,14 +243,6 @@ class MachineSimulation:
             index += 1
         self._announce_index = index
 
-    def _announced_capacity(self, start: float, end: float) -> int:
-        """Minimum capacity over [start, end) given the outages announced so far.
-
-        Every caller asks about windows starting at or after ``now``, which
-        is where the calendar begins.
-        """
-        return max(0, self._calendar.min_free(start, end))
-
     def _running_infos(self) -> List[RunningJobInfo]:
         now = self.sim.now
         return [
@@ -262,17 +260,21 @@ class MachineSimulation:
         if self._by_announce:
             self._announce(now)
         free = self.machine.free_count()
+        delta = self._delta
         state = SchedulerState(
             now=now,
             total_processors=self.machine.size,
             free_processors=free,
             queue=queue,
-            running=self._running_infos,
             # Bound per pass, not stored: a stored bound method would make
             # the simulation a reference cycle that outlives its run.
-            min_capacity=self._announced_capacity,
+            running=self._running_infos,
+            calendar=self._calendar,
+            delta=delta,
         )
         selected = self.scheduler.select_jobs(state)
+        if delta is not None:
+            delta.turn(selected)
         if not selected:
             return
         queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0

@@ -66,10 +66,7 @@ class SiteView:
             return float("inf")
         profile = self.guaranteed_profile()
         for request in self.queued:
-            size = min(request.processors, self.total_processors)
-            duration = max(request.estimate, 1)
-            anchor = profile.earliest_start(size, duration)
-            profile.reserve(anchor, anchor + duration, size)
+            profile.place(min(request.processors, self.total_processors), max(request.estimate, 1))
         return profile.earliest_start(processors, max(estimate, 1))
 
 

@@ -130,9 +130,7 @@ class ProfilePredictor(WaitPredictor):
     def predict_wait(self, processors, estimate, now, total_processors, free_processors, running, queued) -> float:
         profile = FreeSpace.from_running(total_processors, now, running)
         for request in queued:
-            duration = max(request.estimate, 1)
-            anchor = profile.earliest_start(min(request.processors, total_processors), duration)
-            profile.reserve(anchor, anchor + duration, min(request.processors, total_processors))
+            profile.place(min(request.processors, total_processors), max(request.estimate, 1))
         start = profile.earliest_start(min(processors, total_processors), max(estimate, 1))
         return max(0.0, start - now)
 

@@ -38,7 +38,7 @@ from repro.grid.metaschedulers import MetaScheduler, SiteView
 from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
 from repro.machine.cluster import Machine
-from repro.schedulers.base import JobRequest, RunningJobInfo, SchedulerState
+from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, SchedulerState
 from repro.schedulers.freespace import FreeSpace
 from repro.simulation.engine import Simulator
 
@@ -164,16 +164,22 @@ class _SiteState:
         self.reservations: List[List[float]] = []
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
+        #: running-set changes since the site's previous scheduling pass
+        self.delta = RunningDelta()
 
     def free(self) -> int:
         return self.machine.free_count()
 
-    def reserved_capacity(self, now: float) -> Callable[[float, float], int]:
-        """Minimum capacity over a window, with the reservation calendar held back."""
+    def ended(self, running: "_SiteRunning") -> None:
+        """Record a job leaving the running set in the delta."""
+        self.delta.ended.append((running.entry.request.processors, running.expected_end))
+
+    def reserved_calendar(self, now: float) -> FreeSpace:
+        """Capacity over future time with the reservation calendar held back."""
         calendar = FreeSpace(self.site.machine_size, now)
         for start, end, processors, _meta_id in self.reservations:
             calendar.reserve(start, end, processors)
-        return lambda start, end: max(0, calendar.min_free(start, end))
+        return calendar
 
     def scheduler_state(self, now: float) -> SchedulerState:
         running_infos = [
@@ -190,7 +196,8 @@ class _SiteState:
             free_processors=self.free(),
             queue=[e.request for e in self.queue],
             running=running_infos,
-            min_capacity=self.reserved_capacity(now),
+            calendar=self.reserved_calendar(now),
+            delta=self.delta,
         )
 
     def view(self, now: float) -> SiteView:
@@ -290,6 +297,7 @@ class GridSimulation:
         if running is None:
             return
         state.machine.release(job_id)
+        state.ended(running)
         state.local_results.append(
             JobResult(
                 job=running.entry.request.job,
@@ -438,6 +446,7 @@ class GridSimulation:
             running = state.running.pop(job_key, None)
             if running is not None:
                 state.machine.release(job_key)
+                state.ended(running)
             component_start = meta_state.component_starts[site_name]
             wasted += component.processors * max(0.0, start - component_start)
             touched_sites.append(site_name)
@@ -478,6 +487,7 @@ class GridSimulation:
             return
         scheduler_state = state.scheduler_state(self.sim.now)
         selected = state.site.scheduler.select_jobs(scheduler_state)
+        state.delta.turn(selected)
         if not selected:
             return
         entries_by_id = {e.request.job_id: e for e in state.queue}

@@ -17,14 +17,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.schedulers.freespace import FreeSpace
+
 __all__ = [
     "JobRequest",
     "RunningJobInfo",
+    "RunningDelta",
     "SchedulerState",
     "Scheduler",
 ]
@@ -95,6 +99,31 @@ class RunningJobInfo:
         return self.request.processors
 
 
+class RunningDelta:
+    """How the running set changed since the previous scheduling pass.
+
+    A driver keeps one per simulation and hands the same object to every
+    pass.  ``started`` is the selection the driver accepted at the
+    previous pass (so those jobs started at that pass's time); ``ended``
+    holds ``(processors, expected_end)`` for every job that completed or
+    was killed since.  ``epoch`` counts the passes closed with
+    :meth:`turn`, so a reader can tell whether it saw every pass.
+    """
+
+    __slots__ = ("epoch", "started", "ended")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        self.started: Sequence[JobRequest] = ()
+        self.ended: List[Tuple[int, float]] = []
+
+    def turn(self, started: Sequence[JobRequest]) -> None:
+        """Close a pass that started ``started``; the next delta begins."""
+        self.epoch += 1
+        self.started = started
+        self.ended = []
+
+
 class SchedulerState:
     """What a policy sees at one scheduling point.
 
@@ -102,8 +131,22 @@ class SchedulerState:
     policies must treat it and ``running`` as read-only.  ``running`` may
     be a list or a zero-argument callable that builds it on first access,
     so policies that never read it (FCFS) never pay for it.
+
+    ``calendar`` is the announced capacity as a read-only
+    :class:`~repro.schedulers.freespace.FreeSpace` starting at or before
+    ``now`` (the driver's announced-outage calendar, or a grid site's
+    reservation calendar), or ``None`` for a hand-built state.
     ``min_capacity(start, end)`` is the minimum capacity over a future
-    window given *announced* outages; it defaults to the total capacity.
+    window given *announced* outages: the calendar's
+    :meth:`~repro.schedulers.freespace.FreeSpace.capacity` unless given,
+    else the total capacity.  It stays assignable, so a caller can wrap
+    it.
+
+    ``delta`` is the driver's :class:`RunningDelta`: the running-set
+    changes since the previous pass, the same object at every pass of one
+    simulation.  It is ``None`` in a hand-built state, and
+    ``MachineSimulation`` keeps one only for policies that declare
+    :attr:`Scheduler.uses_delta`.
     """
 
     def __init__(
@@ -114,13 +157,22 @@ class SchedulerState:
         queue: List[JobRequest],
         running: Union[List[RunningJobInfo], Callable[[], List[RunningJobInfo]]],
         min_capacity: Optional[Callable[[float, float], int]] = None,
+        calendar: Optional["FreeSpace"] = None,
+        delta: Optional[RunningDelta] = None,
     ) -> None:
         self.now = now
         self.total_processors = total_processors
         self.free_processors = free_processors
         self.queue = queue
         self._running = running
-        self.min_capacity = min_capacity or (lambda start, end: total_processors)
+        if min_capacity is None:
+            if calendar is not None:
+                min_capacity = calendar.capacity
+            else:
+                min_capacity = lambda start, end: total_processors  # noqa: E731
+        self.min_capacity = min_capacity
+        self.calendar = calendar
+        self.delta = delta
         self._completions: Optional[List[Tuple[float, int]]] = None
 
     @property
@@ -162,6 +214,10 @@ class Scheduler(ABC):
     mode: str = "space"
     #: if True, the policy consults announced outages via ``state.min_capacity``
     outage_aware: bool = False
+    #: if True, the driver records the running-set delta and hands it over
+    #: as ``state.delta``; policies that never read it leave that work out
+    #: of the driver's hot path
+    uses_delta: bool = False
 
     @abstractmethod
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:

@@ -13,21 +13,35 @@ the style of OAR3's ``kamelot`` scheduler:
   two slots, adjacent slots with equal free counts merge away, and
   :meth:`FreeSpace.earliest_start` walks slots — jumping past the *end* of
   any slot that cannot host the request instead of retrying every
-  breakpoint in between.
+  breakpoint in between.  :meth:`FreeSpace.place` is that walk and the
+  reservation of its result in one pass over the slots.
 
 * :class:`FreeSpaceTracker` — maintains one :class:`FreeSpace` across
-  scheduling events.  Instead of rebuilding from the running set each
-  pass, it advances the slot origin to ``now`` and patches only the diff:
-  jobs that started since the last pass reserve their window, jobs that
-  finished (or were killed by an outage) release theirs.
+  scheduling passes from the driver's running-set delta
+  (:class:`~repro.schedulers.base.RunningDelta`).  The contract: the
+  driver hands every pass the same delta object; ``started`` holds the
+  requests it started at the previous pass (at that pass's time, which
+  is the tracker's origin), ``ended`` the ``(processors, expected_end)``
+  of every job that completed or was killed since, and ``epoch`` counts
+  the passes the driver closed.  When the delta is the one the tracker
+  last synced with and exactly one pass was closed since, the tracker
+  advances the slot origin to ``now``, reserves ``[now, expected_end)``
+  for each start and releases ``[now, expected_end)`` for each end.  Any
+  other state — no delta (a hand-built state), another driver's delta
+  (one policy instance reused across simulations or shared between
+  them), a skipped pass — is rebuilt from ``state.running``, so a stale
+  profile is never patched.
 
 Every "capacity over a window" question in the repository is answered by
 a :class:`FreeSpace`: the policies' free-processor profiles, the driver's
-announced-outage capacity (``MachineSimulation``), a grid site's
+announced-outage calendar (``MachineSimulation``), a grid site's
 reservation calendar, and the available node-seconds behind outage-aware
-utilization.  Every query is value-equivalent to the original breakpoint
-scan, asserted bit-for-bit in ``tests/schedulers/test_freespace.py``
-against a verbatim copy of the old implementation.
+utilization.  A calendar clamps a profile through
+:meth:`FreeSpace.clamp_capacity`, which visits only the profile slots
+that overlap one of the calendar's dips below full capacity.  Every query
+is value-equivalent to the original breakpoint scan, asserted bit-for-bit
+in ``tests/schedulers/test_freespace.py`` against a verbatim copy of the
+old implementation.
 
 The tracker and the conservative policy emit deterministic telemetry
 (``slots_split``, ``slots_merged``, ``profile_patches``) derived only from
@@ -39,12 +53,12 @@ report them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.telemetry import count
 
-__all__ = ["FreeSpace", "FreeSpaceTracker"]
+__all__ = ["FreeSpace", "FreeSpaceTracker", "report_slot_stats"]
 
 
 class FreeSpace:
@@ -165,41 +179,45 @@ class FreeSpace:
         return minimum
 
     def earliest_start(self, processors: int, duration: float, not_before: Optional[float] = None) -> float:
-        """Earliest time >= ``not_before`` with ``processors`` free for ``duration``.
+        """Earliest time >= ``not_before`` with ``processors`` free for ``duration``."""
+        anchor = self.now if not_before is None else max(not_before, self.now)
+        return self._walk(processors, duration, anchor)[0]
 
-        Walks slots left to right.  When a slot inside the candidate window
-        cannot host the request, every anchor before that slot's *end* is
-        infeasible too (its window would still contain the slot), so the
-        walk jumps straight there — each slot is visited at most once per
-        call instead of once per candidate breakpoint.
+    def _walk(self, processors: int, duration: float, anchor: float) -> Tuple[float, int, int]:
+        """(anchor, its slot, first slot at or past its end) of the earliest fit.
+
+        Walks slots left to right from ``anchor``.  When a slot inside the
+        candidate window cannot host the request, every anchor before that
+        slot's *end* is infeasible too (its window would still contain the
+        slot), so the walk jumps straight there — each slot is visited at
+        most once per call instead of once per candidate breakpoint.
         """
         if processors > self.total:
             raise ValueError(
                 f"a request for {processors} processors can never fit a "
                 f"{self.total}-processor machine"
             )
-        anchor = self.now if not_before is None else max(not_before, self.now)
         times, free = self._times, self._free
         n = len(times)
         index = bisect_right(times, anchor) - 1
         while True:
+            scan = index + 1
             if free[index] < processors:
                 blocker = index
             else:
                 blocker = -1
                 end = anchor + duration
-                scan = index + 1
                 while scan < n and times[scan] < end:
                     if free[scan] < processors:
                         blocker = scan
                         break
                     scan += 1
             if blocker < 0:
-                return anchor
+                return anchor, index, scan
             if blocker + 1 >= n:
                 # Matches the old breakpoint scan's fallback: past the last
                 # boundary the machine is (in practice) fully free again.
-                return max(times[-1], anchor)
+                return max(times[-1], anchor), n - 1, n
             index = blocker + 1
             anchor = times[index]
 
@@ -212,9 +230,23 @@ class FreeSpace:
             out.append((start, end, free[i]))
         return out
 
-    def segments(self) -> List[Tuple[float, int]]:
-        """(time, free) slot boundaries, for inspection and tests."""
-        return list(zip(self._times, self._free))
+    def capacity(self, start: float, end: float) -> int:
+        """:meth:`min_free` over [start, end) floored at zero.
+
+        A calendar of announced outages or reservations answers "how many
+        processors can be up over this window" with it; overlapping holds
+        can push the calendar itself below zero.
+        """
+        return max(0, self.min_free(start, end))
+
+    def steps(self) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+        """(boundaries after now, free per slot): the function without its origin.
+
+        Two slot sets answer every query from some time on identically
+        exactly when their ``steps()`` are equal and neither has a boundary
+        before it.
+        """
+        return tuple(self._times[1:]), tuple(self._free)
 
     # ------------------------------------------------------------------
     # updates
@@ -239,6 +271,41 @@ class FreeSpace:
         self._merge_boundary(i1)
         self._merge_boundary(i0)
 
+    def place(self, processors: int, duration: float) -> float:
+        """Reserve at the earliest anchor from now; return the anchor.
+
+        Equal, slot for slot, to ``earliest_start(processors, duration)``
+        followed by ``reserve(anchor, anchor + duration, processors)``, but
+        one walk: every anchor the walk tries is a slot start, so the
+        reservation begins on a boundary, and the slot where the window
+        scan stopped is where its end goes.
+        """
+        anchor, index, scan = self._walk(processors, duration, self.now)
+        end = anchor + duration
+        if end <= anchor or processors <= 0:
+            if processors < 0:
+                raise ValueError("processors must be non-negative")
+            return anchor
+        times, free = self._times, self._free
+        n = len(times)
+        if scan == n or times[scan] != end:
+            times.insert(scan, end)
+            free.insert(scan, free[scan - 1])
+            self.splits += 1
+            n += 1
+        for i in range(index, scan):
+            free[i] -= processors
+        # _merge_boundary(scan) and _merge_boundary(index), inlined.
+        if scan < n and free[scan - 1] == free[scan]:
+            del times[scan]
+            del free[scan]
+            self.merges += 1
+        if index and free[index - 1] == free[index]:
+            del times[index]
+            del free[index]
+            self.merges += 1
+        return anchor
+
     def release(self, start: float, end: float, processors: int) -> None:
         """Give back ``processors`` over [start, end) — the inverse of reserve."""
         if processors < 0:
@@ -257,132 +324,162 @@ class FreeSpace:
         self._merge_boundary(i1)
         self._merge_boundary(i0)
 
-    def clamp_capacity(self, capacity_fn: Callable[[float, float], int], horizon: float) -> None:
-        """Clamp free counts to an external capacity function over [now, horizon).
+    def clamp_capacity(
+        self, capacity: Union["FreeSpace", Callable[[float, float], int]], horizon: float
+    ) -> None:
+        """Clamp free counts to an announced capacity over [now, horizon).
 
         Outage-aware backfilling: the free curve can never exceed the
-        announced available capacity.  Samples the function per slot, like
-        the old per-breakpoint loop — callers pass the windowed minimum of
-        another piecewise-constant :class:`FreeSpace` (the driver's
-        announced-outage calendar), so per-slot sampling is exact.
+        announced available capacity.  Slot ``i``, its window cut at
+        ``horizon``, is clamped to the window's minimum capacity less the
+        processors busy in it, the per-slot minimum of the old
+        per-breakpoint loop.  ``capacity`` is a calendar :class:`FreeSpace`
+        (the driver's announced outages, a grid site's reservations) or a
+        ``(start, end) -> int`` function.  A window that misses every dip
+        of a calendar below ``total`` keeps its slot as it is, so only the
+        slots overlapping a dip are visited; a function is sampled for
+        every slot.
         """
         times, free = self._times, self._free
         n = len(times)
+        if isinstance(capacity, FreeSpace):
+            indices = self._under_dips(capacity, horizon)
+            capacity_fn = capacity.capacity
+        else:
+            indices = range(bisect_left(times, horizon))
+            capacity_fn = capacity
         total = self.total
-        for i in range(n):
-            t = times[i]
-            if t >= horizon:
-                break
+        changed = []
+        for i in indices:
             next_t = times[i + 1] if i + 1 < n else horizon
-            cap = capacity_fn(t, min(next_t, horizon))
-            busy = total - free[i]
-            limited = cap - busy
+            limited = capacity_fn(times[i], min(next_t, horizon)) - (total - free[i])
             if limited < 0:
                 limited = 0
             if limited < free[i]:
                 free[i] = limited
-        # Clamping can flatten neighbouring slots to equal values; sweep
-        # once so later walks skip them.  (Merging never changes any query
-        # result — equal adjacent slots answer identically.)
-        i = 1
-        while i < len(self._times):
-            if self._free[i - 1] == self._free[i]:
-                del self._times[i]
-                del self._free[i]
-                self.merges += 1
-            else:
-                i += 1
+                changed.append(i)
+        # Clamping can flatten a changed slot to a neighbour's level; only
+        # those boundaries can merge.  Right to left keeps indices valid.
+        for i in reversed(changed):
+            self._merge_boundary(i + 1)
+            self._merge_boundary(i)
+
+    def _under_dips(self, calendar: "FreeSpace", horizon: float) -> List[int]:
+        """Indices of the slots before ``horizon`` whose window meets a calendar dip.
+
+        A dip is a calendar slot offering fewer than ``total`` processors.
+        The calendar's first slot reaches back indefinitely, as its
+        ``min_free`` clamps a window's start to the calendar's origin.
+        """
+        times = self._times
+        limit = bisect_left(times, horizon)
+        cal_times, cal_free = calendar._times, calendar._free
+        cal_n = len(cal_times)
+        total = self.total
+        indices: List[int] = []
+        first = 0
+        for j in range(cal_n):
+            if cal_free[j] >= total:
+                continue
+            if j and cal_times[j] >= horizon:
+                break
+            if j:
+                first = max(first, bisect_right(times, cal_times[j]) - 1)
+            stop = bisect_left(times, cal_times[j + 1]) if j + 1 < cal_n else limit
+            stop = min(stop, limit)
+            if first < stop:
+                indices.extend(range(first, stop))
+                first = stop
+        return indices
 
 
 class FreeSpaceTracker:
-    """Maintain a :class:`FreeSpace` incrementally across scheduling passes.
+    """Maintain a :class:`FreeSpace` across scheduling passes from the driver's delta.
 
-    The simulator hands each pass a fresh running-set snapshot.  Rather
-    than rebuilding the profile from it (O(running x slots) per pass), the
-    tracker advances the previous slot set to ``state.now`` and patches
-    the *diff*: newly started jobs reserve ``[now, expected_end)``,
-    vanished jobs (completed, or killed by an outage) release the
-    remainder of theirs.  The result is, slot for slot, the structure
-    ``FreeSpace.from_running`` would have built — an invariant asserted
-    by the property tests.
+    Rebuilding the profile from the running set costs O(running x slots)
+    per pass, and so does re-diffing the running set by job id.  The
+    tracker instead patches the driver's
+    :class:`~repro.schedulers.base.RunningDelta` (see the module
+    docstring for the contract): each start reserves ``[now,
+    expected_end)``, each completion or kill releases the same window, and
+    a start and an end of the same window cancel.
+    The result is, slot for slot, the structure ``FreeSpace.from_running``
+    would build: both hold the same function, and a slot set with no two
+    equal neighbours is unique.  The property tests assert it.
 
-    Time must be monotone within one tracked simulation (the simulator
-    guarantees this); a pass with an earlier ``now`` or a different
-    machine size triggers a full rebuild, which also covers reusing one
-    scheduler instance across simulations.
+    A state without a delta, or with one that does not continue the last
+    sync (another driver's, or a pass missed), is rebuilt from
+    ``state.running``; that covers hand-built states and one scheduler
+    instance reused across simulations.
+
+    The tracker counts ``profile_builds`` and ``profile_patches``; the
+    tracked slot set's splits and merges wait for its owner's
+    :func:`report_slot_stats`.
     """
 
-    __slots__ = ("_fs", "_known")
+    __slots__ = ("_fs", "_delta", "_epoch", "steady")
 
     def __init__(self) -> None:
-        self._fs: Optional[FreeSpace] = None
-        #: job_id -> (processors, expected_end) as of the last sync
-        self._known: Dict[int, Tuple[int, float]] = {}
+        self.reset()
 
     def reset(self) -> None:
-        self._fs = None
-        self._known = {}
+        self._fs: Optional[FreeSpace] = None
+        self._delta = None
+        self._epoch = 0
+        #: whether the last sync patched an empty delta, i.e. the running
+        #: set did not change since the previous pass
+        self.steady = False
 
     def sync(self, state) -> FreeSpace:
         """Bring the tracked slot set up to date with ``state``; return it."""
-        now = state.now
-        fs = self._fs
-        if fs is None or now < fs.now or fs.total != state.total_processors:
+        delta = state.delta
+        if delta is None or delta is not self._delta or delta.epoch != self._epoch + 1:
             return self._rebuild(state)
+        self._epoch = delta.epoch
+        fs = self._fs
+        # The starts happened at the previous pass: the slot origin.
+        started_at = fs.now
+        now = state.now
         fs.advance(now)
-        known = self._known
-        current: Dict[int, Tuple[int, float]] = {}
+        started, ended = delta.started, delta.ended
+        self.steady = not started and not ended
+        if self.steady:
+            return fs
+        windows = [(request.processors, started_at + request.estimate) for request in started]
         patches = 0
-        for info in state.running:
-            end = info.expected_end
-            if end < now:
-                end = now
-            current[info.request.job_id] = (info.processors, end)
-        for job_id, (procs, end) in known.items():
-            if job_id not in current and end > now:
-                fs.release(now, end, procs)
+        for window in ended:
+            if window in windows:
+                # Started and ended since the last sync: the two cancel.
+                windows.remove(window)
+            elif window[1] > now:
+                fs.release(now, window[1], window[0])
                 patches += 1
-        for job_id, entry in current.items():
-            old = known.get(job_id)
-            if old is None:
-                procs, end = entry
-                if end > now:
-                    fs.reserve(now, end, procs)
-                    patches += 1
-            elif old != entry:
-                # Same id, different window: an outage killed and
-                # resubmitted the job between passes, or its clamped end
-                # moved.  Swap the remaining contribution.
-                old_procs, old_end = old
-                procs, end = entry
-                if old_end > now:
-                    fs.release(now, old_end, old_procs)
-                    patches += 1
-                if end > now:
-                    fs.reserve(now, end, procs)
-                    patches += 1
-        self._known = current
+        for processors, end in windows:
+            if end > now:
+                fs.reserve(now, end, processors)
+                patches += 1
         if patches:
             count("profile_patches", patches)
-        splits, merges = fs.take_stats()
-        if splits:
-            count("slots_split", splits)
-        if merges:
-            count("slots_merged", merges)
         return fs
 
     def _rebuild(self, state) -> FreeSpace:
         count("profile_builds")
-        now = state.now
-        running = state.running
-        fs = FreeSpace.from_running(state.total_processors, now, running)
-        splits, merges = fs.take_stats()
-        if splits:
-            count("slots_split", splits)
-        if merges:
-            count("slots_merged", merges)
+        fs = FreeSpace.from_running(state.total_processors, state.now, state.running)
         self._fs = fs
-        self._known = {
-            info.request.job_id: (info.processors, max(info.expected_end, now)) for info in running
-        }
+        self._delta = state.delta
+        self._epoch = state.delta.epoch if state.delta is not None else 0
+        self.steady = False
         return fs
+
+
+def report_slot_stats(*spaces: FreeSpace) -> None:
+    """Count the splits and merges ``spaces`` made since their last report."""
+    splits = merges = 0
+    for fs in spaces:
+        fs_splits, fs_merges = fs.take_stats()
+        splits += fs_splits
+        merges += fs_merges
+    if splits:
+        count("slots_split", splits)
+    if merges:
+        count("slots_merged", merges)

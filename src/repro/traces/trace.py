@@ -39,7 +39,6 @@ from repro.traces.transforms import (
     FieldFilter,
     Head,
     Resample,
-    RescaleMachine,
     ScaleRate,
     ScaleToLoad,
     TimeSlice,
@@ -128,10 +127,6 @@ class Trace:
     def sample(self, jobs: int, seed: int = 0) -> "Trace":
         """Bootstrap-resample ``jobs`` jobs with replacement (``sample=``)."""
         return self.with_transform(Resample(jobs=int(jobs), seed=int(seed)))
-
-    def rescale_machine(self, nodes: int) -> "Trace":
-        """Rescale job sizes onto an ``nodes``-node machine (``nodes=``)."""
-        return self.with_transform(RescaleMachine(nodes=int(nodes)))
 
     def head(self, jobs: int) -> "Trace":
         """Keep the first ``jobs`` jobs (``head=``)."""

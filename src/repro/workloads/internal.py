@@ -85,11 +85,6 @@ class InternalStructure:
         """Fine-grained = barrier every second or faster (needs coscheduling)."""
         return self.barriers > 0 and self.granularity_seconds <= 1.0
 
-    @property
-    def synchronization_fraction(self) -> float:
-        """Fraction of the runtime spent between barriers (1.0 when barriers exist)."""
-        return 1.0 if self.barriers > 0 else 0.0
-
 
 def synchronization_stretch(
     structure: InternalStructure,

@@ -31,7 +31,7 @@ from repro.api import Scenario, run
 from repro.bench.store import result_key
 from repro.obs.telemetry import count
 from repro.schedulers.backfill import ConservativeBackfillScheduler
-from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
+from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 from tests.schedulers.util import make_request, make_state
 
@@ -458,3 +458,184 @@ class TestOutageClampEquivalence:
         new_jobs = [(j.job_id, j.start_time, j.end_time) for j in new.result]
         old_jobs = [(j.job_id, j.start_time, j.end_time) for j in old.result]
         assert new_jobs == old_jobs
+
+
+# ----------------------------------------------------------------------
+# one-walk place, and the clamp over a calendar's dips
+# ----------------------------------------------------------------------
+reservations = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=400),  # start
+        st.integers(min_value=1, max_value=200),  # duration
+        st.integers(min_value=0, max_value=40),  # processors: may overbook
+    ),
+    max_size=15,
+)
+
+
+def _free_space(total: int, now: int, reserved) -> FreeSpace:
+    fs = FreeSpace(total, float(now))
+    for start, duration, processors in reserved:
+        fs.reserve(start, start + duration, processors)
+    fs.take_stats()
+    return fs
+
+
+class TestPlaceMatchesEarliestStartThenReserve:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reserved=reservations,
+        now=st.integers(min_value=0, max_value=50),
+        requests=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=32),  # processors
+                st.sampled_from([0, 1, 7, 60, 500]),  # duration
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_slot_for_slot(self, reserved, now, requests):
+        placed = _free_space(32, now, reserved)
+        walked = placed.copy()
+        for processors, duration in requests:
+            anchor = walked.earliest_start(processors, duration)
+            walked.reserve(anchor, anchor + duration, processors)
+            assert placed.place(processors, duration) == anchor
+            assert placed.slots() == walked.slots()
+            assert placed.take_stats() == walked.take_stats()
+
+    def test_fallback_past_the_last_boundary(self):
+        # A dip after the last boundary clamps the open-ended tail to zero:
+        # nothing fits, and both anchor on the last boundary.
+        fs = _free_space(8, 0, [(0, 50, 2)])
+        calendar = FreeSpace(8, 0.0)
+        calendar.reserve(100, 200, 8)
+        fs.clamp_capacity(calendar, 1e9)
+        assert fs.slots() == [(0.0, 50.0, 6), (50.0, float("inf"), 0)]
+        walked = fs.copy()
+        anchor = walked.earliest_start(4, 100)
+        walked.reserve(anchor, anchor + 100, 4)
+        assert fs.place(4, 100) == anchor == 50.0
+        assert fs.slots() == walked.slots()
+
+    def test_rejects_requests_wider_than_the_machine(self):
+        with pytest.raises(ValueError):
+            FreeSpace(8, 0.0).place(9, 10)
+
+
+outage_windows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=600),  # start
+        st.integers(min_value=1, max_value=300),  # duration
+        st.integers(min_value=1, max_value=32),  # nodes: overlaps go below zero
+    ),
+    max_size=6,
+)
+
+
+class TestCalendarClampMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reserved=reservations,
+        outages=outage_windows,
+        now=st.integers(min_value=0, max_value=100),
+        horizon=st.sampled_from([30, 175, 333, 10**7]),
+    )
+    def test_slot_for_slot(self, reserved, outages, now, horizon):
+        total = 32
+        calendar = FreeSpace(total, float(now))
+        for start, duration, nodes in outages:
+            calendar.reserve(start, start + duration, nodes)
+        fs = _free_space(total, now, reserved)
+        sampled = fs.copy()
+        # The reference on the same breakpoints, so per-slot windows agree.
+        ref = ReferenceProfile(total, float(now))
+        ref._times = [start for start, _end, _free in fs.slots()]
+        ref._free = [free for _start, _end, free in fs.slots()]
+
+        fs.clamp_capacity(calendar, now + horizon)
+        sampled.clamp_capacity(calendar.capacity, now + horizon)
+        ref.add_capacity_limit(calendar.capacity, now + horizon)
+
+        assert fs.slots() == sampled.slots()
+        for t in sorted({now, *ref._times, *(t + 0.5 for t in ref._times)}):
+            assert fs.free_at(t) == ref.free_at(t)
+        for t in range(now, now + 1000, 11):
+            assert fs.free_at(t) == ref.free_at(t)
+
+    def test_horizon_cuts_a_slot(self):
+        # The slot [0, 100) is clamped by the dip at 40 only if its window,
+        # cut at the horizon, reaches it.
+        calendar = FreeSpace(16, 0.0)
+        calendar.reserve(40, 60, 16)
+        for horizon, expected in ((30.0, 16), (50.0, 0)):
+            fs = _free_space(16, 0, [(100, 50, 4)])
+            fs.clamp_capacity(calendar, horizon)
+            assert fs.free_at(0) == expected
+            assert fs.free_at(120) == 12
+
+
+class TestTrackerPatchesTheDriversDelta:
+    """The delta path builds, slot for slot, what a rebuild would."""
+
+    @staticmethod
+    def _state(total, now, running, delta):
+        infos = [
+            RunningJobInfo(request=req, start_time=start, expected_end=max(end, now))
+            for req, start, end in running.values()
+        ]
+        return SchedulerState(
+            now=now,
+            total_processors=total,
+            free_processors=total - sum(i.processors for i in infos),
+            queue=[],
+            running=infos,
+            delta=delta,
+        )
+
+    def test_randomized_passes(self):
+        total = 64
+        rng = random.Random(2024)
+        steady = 0
+        for _trial in range(20):
+            tracker, delta = FreeSpaceTracker(), RunningDelta()
+            now, running, next_id = 0.0, {}, 1
+            for _pass in range(40):
+                now += rng.choice([0, 0, 3, 20, 80])
+                for job_id in list(running):
+                    req, start, end = running[job_id]
+                    # completions at, before (early) or after (overrun) the estimate
+                    if (end <= now and rng.random() < 0.7) or rng.random() < 0.1:
+                        delta.ended.append((req.processors, end))
+                        del running[job_id]
+                state = self._state(total, now, running, delta)
+                tracked = tracker.sync(state)
+                assert tracked.slots() == FreeSpace.from_running(total, now, state.running).slots()
+                steady += tracker.steady
+                used = sum(req.processors for req, _s, _e in running.values())
+                selected = []
+                while rng.random() < 0.5:
+                    req = make_request(next_id, rng.randrange(1, 17), runtime=rng.choice([0, 5, 50, 200]))
+                    if used + req.processors > total:
+                        break
+                    used += req.processors
+                    running[next_id] = (req, now, now + req.estimate)
+                    selected.append(req)
+                    next_id += 1
+                delta.turn(selected)
+        assert steady > 0
+
+    def test_a_delta_that_does_not_continue_the_last_sync_rebuilds(self):
+        req = make_request(1, 8, runtime=100)
+        running = {1: (req, 0.0, 100.0)}
+        tracker, delta = FreeSpaceTracker(), RunningDelta()
+        tracker.sync(self._state(32, 0.0, {}, delta))
+        delta.turn([req])
+        delta.turn([])  # a pass the tracker never saw
+        tracked = tracker.sync(self._state(32, 10.0, running, delta))
+        assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
+        assert not tracker.steady
+        # Another driver's delta: rebuilt from its state, not patched.
+        other = self._state(32, 20.0, {}, RunningDelta())
+        assert tracker.sync(other).slots() == [(20.0, float("inf"), 32)]
