@@ -103,8 +103,8 @@ class MachineSimulation:
         self._by_announce = sorted(self.outages, key=lambda r: r.announced_time)
         self._announce_index = 0
         self._calendar = FreeSpace(self.machine.size, 0)
-        #: the running-set delta, kept only for policies that read it
-        self._delta = RunningDelta() if scheduler.uses_delta else None
+        #: running-set changes since the previous scheduling pass
+        self._delta = RunningDelta()
 
     # ------------------------------------------------------------------
     # setup
@@ -171,8 +171,7 @@ class MachineSimulation:
         if running is None:  # completion of a job killed by an outage
             return
         self.machine.release(job_id)
-        if self._delta is not None:
-            self._delta.ended.append((running.request.processors, running.expected_end))
+        self._delta.ended.append((running.request.processors, running.expected_end))
         self._finish(job_id, running, killed=False)
         self._schedule_pass()
 
@@ -205,8 +204,7 @@ class MachineSimulation:
                 continue
             running.completion_handle.cancel()
             self.machine.release(job_id)
-            if self._delta is not None:
-                self._delta.ended.append((running.request.processors, running.expected_end))
+            self._delta.ended.append((running.request.processors, running.expected_end))
             self._outage_kills += 1
             if self.restart_failed_jobs and running.restarts < self.max_restarts:
                 request = running.request
@@ -260,7 +258,6 @@ class MachineSimulation:
         if self._by_announce:
             self._announce(now)
         free = self.machine.free_count()
-        delta = self._delta
         state = SchedulerState(
             now=now,
             total_processors=self.machine.size,
@@ -270,11 +267,10 @@ class MachineSimulation:
             # the simulation a reference cycle that outlives its run.
             running=self._running_infos,
             calendar=self._calendar,
-            delta=delta,
+            delta=self._delta,
         )
         selected = self.scheduler.select_jobs(state)
-        if delta is not None:
-            delta.turn(selected)
+        self._delta.turn(selected)
         if not selected:
             return
         queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0

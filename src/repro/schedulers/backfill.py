@@ -20,10 +20,7 @@ and user estimates).
   the :class:`~repro.schedulers.freespace.FreeSpace` slot set that a
   :class:`~repro.schedulers.freespace.FreeSpaceTracker` patches from the
   driver's running-set delta (a per-pass copy takes the tentative
-  reservations, so the tracked structure only holds running jobs).  A pass
-  whose only news is arrivals keeps the previous pass's plan and anchors
-  just the new jobs; :class:`ConservativeBackfillScheduler` says why that
-  plan is the one a re-plan would build.
+  reservations, so the tracked structure only holds running jobs).
 
 Both use the user estimate, not the actual runtime, to compute reservations —
 as in production systems, over-estimates create backfill opportunities.
@@ -32,14 +29,12 @@ as in production systems, over-estimates create backfill opportunities.
 from __future__ import annotations
 
 from heapq import merge
-from itertools import islice
-from operator import is_
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.api.registry import register_scheduler
 from repro.obs.telemetry import count
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
-from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker, report_slot_stats
+from repro.schedulers.freespace import FreeSpaceTracker, report_slot_stats
 
 __all__ = ["EasyBackfillScheduler", "ConservativeBackfillScheduler"]
 
@@ -143,107 +138,39 @@ class EasyBackfillScheduler(Scheduler):
         return shadow_time, extra
 
 
-class _Plan:
-    """A pass that started nothing: its final profile and what it was built from."""
-
-    __slots__ = ("profile", "queue", "first_anchor", "horizon_end", "calendar")
-
-    def __init__(self, profile, queue, first_anchor, horizon_end, calendar) -> None:
-        self.profile: FreeSpace = profile
-        #: the queue it anchored, in order
-        self.queue: List[JobRequest] = queue
-        #: the earliest anchor in it
-        self.first_anchor: float = first_anchor
-        #: end of the window the announced capacity clamped
-        self.horizon_end: float = horizon_end
-        #: ``FreeSpace.steps()`` of the clamping calendar, or None
-        self.calendar: Optional[Tuple] = calendar
-
-
 @register_scheduler("conservative", "conservative-backfill")
 class ConservativeBackfillScheduler(Scheduler):
     """Conservative backfilling: every queued job holds a reservation.
 
     Each pass syncs the tracked slot set with the driver's running-set
     delta, takes an O(slots) copy, clamps it to the announced capacity
-    when outage-aware, and places the queue in order: each job takes the
-    earliest anchor that fits around the running jobs and the jobs queued
-    before it, and starts if that anchor is now.  That is a from-scratch
-    re-plan at every pass, which is what compresses reservations when a
-    job ends early.
-
-    **Keeping the plan.**  A pass that starts nothing keeps its final
-    profile and the earliest of its anchors.  The next pass appends only
-    the new arrivals to that profile, advanced to ``now``, when all of
-    these hold:
-
-    1. the previous pass started nothing and the delta is empty, so the
-       running set is unchanged and the tracked profile is the previous
-       one cut at ``now``;
-    2. the old queue is an identity-equal prefix of the new one;
-    3. every kept anchor is strictly later than ``now``;
-    4. outage-aware only: the calendar's ``steps()`` are unchanged (no
-       announcement was added), none of its boundaries lies in
-       ``(prev_now, now]`` and none beyond ``prev_now + horizon``.
-
-    Why every kept anchor is still the one a re-plan would find: by 1 and
-    4 the clamped profile a re-plan starts from is the previous clamped
-    profile cut at ``now``.  The clamp takes, per slot, the calendar's
-    minimum over the slot's window; cutting the first window at ``now``
-    leaves its minimum alone because the calendar is constant on
-    ``[prev_now, now]``, and moving the horizon out adds only windows where
-    the calendar is at full capacity.  By induction over the queue (2), the
-    re-plan places job ``k`` on the previous profile after jobs ``1..k-1``,
-    cut at ``now``.  ``place`` returns the earliest feasible anchor, or the
-    last boundary when none is feasible; an anchor later than ``now`` (3)
-    is both of those on the cut profile too, since the cut changes no
-    window that starts at or after ``now`` and keeps every boundary after
-    it.  So job ``k`` gets the same anchor and reserves the same window,
-    none of the old jobs starts (their anchors are not ``now``), and the
-    new arrivals see exactly the profile a re-plan would give them, with
-    every earlier job held back.  Any other pass re-plans from scratch.
+    calendar when outage-aware, and places the queue in order: each job
+    takes the earliest anchor that fits around the running jobs and the
+    jobs queued before it, and starts if that anchor is now.  That is a
+    from-scratch re-plan at every pass, which is what compresses
+    reservations when a job ends early.
     """
 
     name = "conservative-backfill"
-    uses_delta = True
 
     def __init__(self, outage_aware: bool = False, horizon: float = 365 * 24 * 3600.0) -> None:
         self.outage_aware = outage_aware
         #: how far ahead the availability profile is clamped by announced outages
         self.horizon = horizon
         self._tracker = FreeSpaceTracker()
-        self._plan: Optional[_Plan] = None
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        tracker = self._tracker
-        base = tracker.sync(state)
+        base = self._tracker.sync(state)
         now = state.now
-        queue = state.queue
-        plan, self._plan = self._plan, None
-        calendar = state.calendar if self.outage_aware else None
-        steps = calendar.steps() if calendar is not None else None
-        if plan is not None and tracker.steady and self._extends(plan, state, steps):
-            count("plans_kept")
-            profile = plan.profile
-            profile.advance(now)
-            pending = islice(queue, len(plan.queue), None)
-            first_anchor = plan.first_anchor
-            blocked = True
-        else:
-            profile = base.copy()
-            if self.outage_aware:
-                profile.clamp_capacity(
-                    calendar if calendar is not None else state.min_capacity, now + self.horizon
-                )
-            pending = queue
-            first_anchor = float("inf")
-            blocked = False  # has any earlier-queued job been held back?
-
+        profile = base.copy()
+        if self.outage_aware and state.calendar is not None:
+            profile.clamp_capacity(state.calendar, now + self.horizon)
         started: List[JobRequest] = []
         free = state.free_processors
+        blocked = False  # has any earlier-queued job been held back?
         backfilled = 0
         place = profile.place
-        for request in pending:
+        for request in state.queue:
             anchor = place(request.processors, max(request.estimate, 1))
             if anchor <= now and self.job_fits_now(state, request, free):
                 backfilled += blocked
@@ -251,24 +178,7 @@ class ConservativeBackfillScheduler(Scheduler):
                 free -= request.processors
             else:
                 blocked = True
-                if anchor < first_anchor:
-                    first_anchor = anchor
         if backfilled:
             count("jobs_backfilled", backfilled)
         report_slot_stats(base, profile)
-        if not started:
-            self._plan = _Plan(profile, list(queue), first_anchor, now + self.horizon, steps)
         return started
-
-    def _extends(self, plan: _Plan, state: SchedulerState, steps: Optional[Tuple]) -> bool:
-        """Conditions 2-4 of the class docstring (1 is the tracker's ``steady``)."""
-        now = state.now
-        old, queue = plan.queue, state.queue
-        if plan.first_anchor <= now or len(queue) < len(old) or not all(map(is_, old, queue)):
-            return False
-        if not self.outage_aware:
-            return True
-        if steps is None or steps != plan.calendar:
-            return False
-        boundaries = steps[0]
-        return not boundaries or (boundaries[0] > now and boundaries[-1] <= plan.horizon_end)

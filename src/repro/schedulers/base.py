@@ -135,18 +135,18 @@ class SchedulerState:
     ``calendar`` is the announced capacity as a read-only
     :class:`~repro.schedulers.freespace.FreeSpace` starting at or before
     ``now`` (the driver's announced-outage calendar, or a grid site's
-    reservation calendar), or ``None`` for a hand-built state.
-    ``min_capacity(start, end)`` is the minimum capacity over a future
-    window given *announced* outages: the calendar's
-    :meth:`~repro.schedulers.freespace.FreeSpace.capacity` unless given,
-    else the total capacity.  It stays assignable, so a caller can wrap
-    it.
+    reservation calendar); ``None`` means nothing is announced.  It is the
+    one source of announced capacity: ``min_capacity(start, end)``, the
+    minimum capacity over a future window, is the calendar's
+    :meth:`~repro.schedulers.freespace.FreeSpace.capacity` (the total
+    capacity without one).  ``min_capacity`` is assignable so a caller can
+    wrap it to observe the calls; conservative backfilling clamps its
+    profile with the calendar itself, so a wrapper must answer as the
+    calendar does.
 
     ``delta`` is the driver's :class:`RunningDelta`: the running-set
     changes since the previous pass, the same object at every pass of one
-    simulation.  It is ``None`` in a hand-built state, and
-    ``MachineSimulation`` keeps one only for policies that declare
-    :attr:`Scheduler.uses_delta`.
+    simulation.  It is ``None`` in a hand-built state.
     """
 
     def __init__(
@@ -156,7 +156,6 @@ class SchedulerState:
         free_processors: int,
         queue: List[JobRequest],
         running: Union[List[RunningJobInfo], Callable[[], List[RunningJobInfo]]],
-        min_capacity: Optional[Callable[[float, float], int]] = None,
         calendar: Optional["FreeSpace"] = None,
         delta: Optional[RunningDelta] = None,
     ) -> None:
@@ -165,12 +164,9 @@ class SchedulerState:
         self.free_processors = free_processors
         self.queue = queue
         self._running = running
-        if min_capacity is None:
-            if calendar is not None:
-                min_capacity = calendar.capacity
-            else:
-                min_capacity = lambda start, end: total_processors  # noqa: E731
-        self.min_capacity = min_capacity
+        self.min_capacity: Callable[[float, float], int] = (
+            calendar.capacity if calendar is not None else lambda start, end: total_processors
+        )
         self.calendar = calendar
         self.delta = delta
         self._completions: Optional[List[Tuple[float, int]]] = None
@@ -212,12 +208,8 @@ class Scheduler(ABC):
     #: registered policy classes declare ``"gang"`` or ``"grid"`` and are
     #: dispatched by :func:`repro.api.runner.run` to their own simulators.
     mode: str = "space"
-    #: if True, the policy consults announced outages via ``state.min_capacity``
+    #: if True, the policy consults the announced capacity (``state.calendar``)
     outage_aware: bool = False
-    #: if True, the driver records the running-set delta and hands it over
-    #: as ``state.delta``; policies that never read it leave that work out
-    #: of the driver's hot path
-    uses_delta: bool = False
 
     @abstractmethod
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:

@@ -29,8 +29,8 @@ the style of OAR3's ``kamelot`` scheduler:
   for each start and releases ``[now, expected_end)`` for each end.  Any
   other state — no delta (a hand-built state), another driver's delta
   (one policy instance reused across simulations or shared between
-  them), a skipped pass — is rebuilt from ``state.running``, so a stale
-  profile is never patched.
+  them), a skipped pass, time running backwards — is rebuilt from
+  ``state.running``, so a stale profile is never patched.
 
 Every "capacity over a window" question in the repository is answered by
 a :class:`FreeSpace`: the policies' free-processor profiles, the driver's
@@ -239,15 +239,6 @@ class FreeSpace:
         """
         return max(0, self.min_free(start, end))
 
-    def steps(self) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
-        """(boundaries after now, free per slot): the function without its origin.
-
-        Two slot sets answer every query from some time on identically
-        exactly when their ``steps()`` are equal and neither has a boundary
-        before it.
-        """
-        return tuple(self._times[1:]), tuple(self._free)
-
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
@@ -408,7 +399,7 @@ class FreeSpaceTracker:
     equal neighbours is unique.  The property tests assert it.
 
     A state without a delta, or with one that does not continue the last
-    sync (another driver's, or a pass missed), is rebuilt from
+    sync (another driver's, a pass missed, an earlier ``now``), is rebuilt from
     ``state.running``; that covers hand-built states and one scheduler
     instance reused across simulations.
 
@@ -417,7 +408,7 @@ class FreeSpaceTracker:
     :func:`report_slot_stats`.
     """
 
-    __slots__ = ("_fs", "_delta", "_epoch", "steady")
+    __slots__ = ("_fs", "_delta", "_epoch")
 
     def __init__(self) -> None:
         self.reset()
@@ -426,28 +417,25 @@ class FreeSpaceTracker:
         self._fs: Optional[FreeSpace] = None
         self._delta = None
         self._epoch = 0
-        #: whether the last sync patched an empty delta, i.e. the running
-        #: set did not change since the previous pass
-        self.steady = False
 
     def sync(self, state) -> FreeSpace:
         """Bring the tracked slot set up to date with ``state``; return it."""
-        delta = state.delta
-        if delta is None or delta is not self._delta or delta.epoch != self._epoch + 1:
+        delta, fs = state.delta, self._fs
+        if (
+            delta is None
+            or delta is not self._delta
+            or delta.epoch != self._epoch + 1
+            or state.now < fs.now
+        ):
             return self._rebuild(state)
         self._epoch = delta.epoch
-        fs = self._fs
         # The starts happened at the previous pass: the slot origin.
         started_at = fs.now
         now = state.now
         fs.advance(now)
-        started, ended = delta.started, delta.ended
-        self.steady = not started and not ended
-        if self.steady:
-            return fs
-        windows = [(request.processors, started_at + request.estimate) for request in started]
+        windows = [(request.processors, started_at + request.estimate) for request in delta.started]
         patches = 0
-        for window in ended:
+        for window in delta.ended:
             if window in windows:
                 # Started and ended since the last sync: the two cancel.
                 windows.remove(window)
@@ -468,7 +456,6 @@ class FreeSpaceTracker:
         self._fs = fs
         self._delta = state.delta
         self._epoch = state.delta.epoch if state.delta is not None else 0
-        self.steady = False
         return fs
 
 

@@ -283,6 +283,24 @@ def _state_from_running(
 
 
 class TestTrackerMatchesRebuild:
+    """The tracker, patched from a driver's delta, equals a cold rebuild slot for slot."""
+
+    @staticmethod
+    def _state(total, now, running, delta):
+        """running: {job_id: (request, start, expected_end)}, as a driver keeps it."""
+        infos = [
+            RunningJobInfo(request=req, start_time=start, expected_end=max(end, now))
+            for req, start, end in running.values()
+        ]
+        return SchedulerState(
+            now=now,
+            total_processors=total,
+            free_processors=total - sum(i.processors for i in infos),
+            queue=[],
+            running=infos,
+            delta=delta,
+        )
+
     def _assert_equal_profiles(self, tracked: FreeSpace, state: SchedulerState):
         fresh = FreeSpace.from_running(
             state.total_processors, state.now, state.running
@@ -291,66 +309,95 @@ class TestTrackerMatchesRebuild:
 
     def test_event_sequence(self):
         total = 64
-        tracker = FreeSpaceTracker()
+        tracker, delta = FreeSpaceTracker(), RunningDelta()
+        running: dict = {}
         timeline = [
-            # (now, running set as (id, procs, start, expected_end))
-            (0.0, [(1, 16, 0.0, 100.0), (2, 8, 0.0, 50.0)]),
-            (10.0, [(1, 16, 0.0, 100.0), (2, 8, 0.0, 50.0), (3, 4, 10.0, 80.0)]),
-            (50.0, [(1, 16, 0.0, 100.0), (3, 4, 10.0, 80.0)]),  # job 2 done
-            (60.0, [(1, 16, 0.0, 120.0), (3, 4, 10.0, 80.0)]),  # job 1 overran
-            (80.0, [(1, 16, 0.0, 120.0)]),
-            (200.0, []),  # everything finished, machine idle
-            (210.0, [(9, 64, 210.0, 500.0)]),
+            # (now, jobs ended since the previous pass, jobs started now as
+            # (id, processors, estimate))
+            (0.0, [], [(1, 16, 100), (2, 8, 50)]),
+            (10.0, [], [(3, 4, 70), (4, 2, 30)]),
+            (20.0, [4], []),  # job 4 ended early: its start and end cancel
+            (40.0, [2], []),  # job 2 ended before its estimate ran out
+            (60.0, [], []),  # nothing changed
+            (150.0, [3], []),  # job 1 overran its estimate
+            (200.0, [1], []),  # everything finished, machine idle
+            (210.0, [], [(9, 64, 290)]),
+            (500.0, [9], []),
         ]
-        for now, running in timeline:
-            state = _state_from_running(total, now, running)
+        first = None
+        for now, ended, starts in timeline:
+            for job_id in ended:
+                req, _start, end = running.pop(job_id)
+                delta.ended.append((req.processors, end))
+            state = self._state(total, now, running, delta)
             tracked = tracker.sync(state)
             self._assert_equal_profiles(tracked, state)
+            # Built at the first pass, patched in place ever after.
+            first = tracked if first is None else first
+            assert tracked is first
+            selected = []
+            for job_id, procs, estimate in starts:
+                req = make_request(job_id, procs, runtime=estimate)
+                running[job_id] = (req, now, now + estimate)
+                selected.append(req)
+            delta.turn(selected)
 
     def test_randomized_pass_sequences(self):
         total = 128
         rng = random.Random(1999)
+        unchanged = 0
         for _trial in range(20):
-            tracker = FreeSpaceTracker()
-            now = 0.0
-            running: dict = {}
-            next_id = 1
+            tracker, delta = FreeSpaceTracker(), RunningDelta()
+            now, running, next_id, first = 0.0, {}, 1, None
             for _pass in range(40):
-                now += rng.randrange(0, 50)
-                # jobs whose end has passed complete (sometimes late/early)
+                now += rng.choice([0, 0, 3, 20, 80])
                 for job_id in list(running):
-                    procs, start, end = running[job_id]
-                    if end <= now or rng.random() < 0.1:
+                    req, start, end = running[job_id]
+                    # completions at, before (early) or after (overrun) the estimate
+                    if (end <= now and rng.random() < 0.7) or rng.random() < 0.1:
+                        delta.ended.append((req.processors, end))
                         del running[job_id]
-                    elif rng.random() < 0.1:
-                        running[job_id] = (procs, start, end + rng.randrange(1, 60))
-                used = sum(p for p, _, _ in running.values())
-                while rng.random() < 0.6:
-                    procs = rng.randrange(1, 33)
-                    if used + procs > total:
-                        break
-                    used += procs
-                    running[next_id] = (
-                        procs,
-                        now,
-                        now + rng.randrange(1, 300),
-                    )
-                    next_id += 1
-                state = _state_from_running(
-                    total,
-                    now,
-                    [(j, p, s, e) for j, (p, s, e) in sorted(running.items())],
-                )
+                unchanged += not delta.started and not delta.ended
+                state = self._state(total, now, running, delta)
                 tracked = tracker.sync(state)
                 self._assert_equal_profiles(tracked, state)
+                first = tracked if first is None else first
+                assert tracked is first
+                used = sum(req.processors for req, _s, _e in running.values())
+                selected = []
+                while rng.random() < 0.5:
+                    req = make_request(next_id, rng.randrange(1, 33), runtime=rng.choice([0, 5, 50, 200]))
+                    if used + req.processors > total:
+                        break
+                    used += req.processors
+                    running[next_id] = (req, now, now + req.estimate)
+                    selected.append(req)
+                    next_id += 1
+                delta.turn(selected)
+        assert unchanged > 0
 
     def test_time_regression_triggers_rebuild(self):
-        tracker = FreeSpaceTracker()
-        state1 = _state_from_running(32, 100.0, [(1, 8, 0.0, 200.0)])
-        tracker.sync(state1)
-        state2 = _state_from_running(32, 50.0, [(1, 8, 0.0, 200.0)])
-        tracked = tracker.sync(state2)  # time went backwards: full rebuild
-        self._assert_equal_profiles(tracked, state2)
+        tracker, delta = FreeSpaceTracker(), RunningDelta()
+        running = {1: (make_request(1, 8, runtime=200), 0.0, 200.0)}
+        tracker.sync(self._state(32, 100.0, running, delta))
+        delta.turn([])
+        state = self._state(32, 50.0, running, delta)
+        tracked = tracker.sync(state)  # time went backwards: full rebuild
+        self._assert_equal_profiles(tracked, state)
+        assert tracked.now == 50.0
+
+    def test_a_delta_that_does_not_continue_the_last_sync_rebuilds(self):
+        req = make_request(1, 8, runtime=100)
+        running = {1: (req, 0.0, 100.0)}
+        tracker, delta = FreeSpaceTracker(), RunningDelta()
+        tracker.sync(self._state(32, 0.0, {}, delta))
+        delta.turn([req])
+        delta.turn([])  # a pass the tracker never saw
+        tracked = tracker.sync(self._state(32, 10.0, running, delta))
+        assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
+        # Another driver's delta: rebuilt from its state, not patched.
+        other = self._state(32, 20.0, {}, RunningDelta())
+        assert tracker.sync(other).slots() == [(20.0, float("inf"), 32)]
 
     def test_copy_isolates_per_pass_mutation(self):
         # The scheduler reserves into a copy; the tracked base must not see it.
@@ -574,68 +621,3 @@ class TestCalendarClampMatchesReference:
             fs.clamp_capacity(calendar, horizon)
             assert fs.free_at(0) == expected
             assert fs.free_at(120) == 12
-
-
-class TestTrackerPatchesTheDriversDelta:
-    """The delta path builds, slot for slot, what a rebuild would."""
-
-    @staticmethod
-    def _state(total, now, running, delta):
-        infos = [
-            RunningJobInfo(request=req, start_time=start, expected_end=max(end, now))
-            for req, start, end in running.values()
-        ]
-        return SchedulerState(
-            now=now,
-            total_processors=total,
-            free_processors=total - sum(i.processors for i in infos),
-            queue=[],
-            running=infos,
-            delta=delta,
-        )
-
-    def test_randomized_passes(self):
-        total = 64
-        rng = random.Random(2024)
-        steady = 0
-        for _trial in range(20):
-            tracker, delta = FreeSpaceTracker(), RunningDelta()
-            now, running, next_id = 0.0, {}, 1
-            for _pass in range(40):
-                now += rng.choice([0, 0, 3, 20, 80])
-                for job_id in list(running):
-                    req, start, end = running[job_id]
-                    # completions at, before (early) or after (overrun) the estimate
-                    if (end <= now and rng.random() < 0.7) or rng.random() < 0.1:
-                        delta.ended.append((req.processors, end))
-                        del running[job_id]
-                state = self._state(total, now, running, delta)
-                tracked = tracker.sync(state)
-                assert tracked.slots() == FreeSpace.from_running(total, now, state.running).slots()
-                steady += tracker.steady
-                used = sum(req.processors for req, _s, _e in running.values())
-                selected = []
-                while rng.random() < 0.5:
-                    req = make_request(next_id, rng.randrange(1, 17), runtime=rng.choice([0, 5, 50, 200]))
-                    if used + req.processors > total:
-                        break
-                    used += req.processors
-                    running[next_id] = (req, now, now + req.estimate)
-                    selected.append(req)
-                    next_id += 1
-                delta.turn(selected)
-        assert steady > 0
-
-    def test_a_delta_that_does_not_continue_the_last_sync_rebuilds(self):
-        req = make_request(1, 8, runtime=100)
-        running = {1: (req, 0.0, 100.0)}
-        tracker, delta = FreeSpaceTracker(), RunningDelta()
-        tracker.sync(self._state(32, 0.0, {}, delta))
-        delta.turn([req])
-        delta.turn([])  # a pass the tracker never saw
-        tracked = tracker.sync(self._state(32, 10.0, running, delta))
-        assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
-        assert not tracker.steady
-        # Another driver's delta: rebuilt from its state, not patched.
-        other = self._state(32, 20.0, {}, RunningDelta())
-        assert tracker.sync(other).slots() == [(20.0, float("inf"), 32)]

@@ -14,6 +14,7 @@ from repro.schedulers import (
     WFPScheduler,
     WidestFirstScheduler,
 )
+from repro.schedulers.freespace import FreeSpace
 from tests.schedulers.util import make_request, make_state
 
 
@@ -41,9 +42,9 @@ class TestFCFS:
     def test_outage_aware_fcfs_drains_before_capacity_drop(self):
         # 16 free now, but announced capacity drops to 8 within the job's estimate.
         queue = [make_request(1, processors=12, runtime=1000, estimate=1000)]
-        state = make_state(
-            16, queue=queue, min_capacity=lambda start, end: 8 if end > 500 else 16
-        )
+        calendar = FreeSpace(16, 0.0)
+        calendar.reserve(500.0, 1e9, 8)
+        state = make_state(16, queue=queue, calendar=calendar)
         assert FCFSScheduler(outage_aware=True).select_jobs(state) == []
         assert len(FCFSScheduler(outage_aware=False).select_jobs(state)) == 1
 

@@ -34,7 +34,7 @@ def make_state(
     queue: Sequence[JobRequest] = (),
     running: Sequence[Tuple[JobRequest, float, float]] = (),
     now: float = 0.0,
-    min_capacity=None,
+    calendar=None,
 ) -> SchedulerState:
     """Scheduler state with free processors derived from the running jobs."""
     running_infos = [
@@ -48,5 +48,5 @@ def make_state(
         free_processors=total - used,
         queue=list(queue),
         running=running_infos,
-        min_capacity=min_capacity,
+        calendar=calendar,
     )
