@@ -9,6 +9,10 @@ loser of the race gets ``FileExistsError`` and moves on to the next unit.
 Liveness is the file's **mtime**: the owner refreshes it periodically (the
 heartbeat) while simulating, and a lease whose mtime is older than the TTL
 is *expired* — its owner is presumed dead (SIGKILL, host loss, partition).
+On a shared filesystem that mtime comes from the file server's clock, so a
+lease's age is measured against the same clock — the mtime of a probe file
+touched in the lease directory — never against the local ``time.time()``:
+a host whose clock runs ahead would otherwise reclaim live leases.
 Reclaiming an expired lease must itself be race-free, so it goes through
 ``os.replace`` onto a per-claimant unique name: of N workers that all see
 the same expired lease, exactly one wins the rename, deletes the stale
@@ -146,13 +150,31 @@ class LeaseBroker:
             handle.write(json.dumps(payload, sort_keys=True))
         return Lease(path=path, key=key, owner=self.owner, token=token, ttl=self.ttl)
 
-    def is_expired(self, path: Path) -> Optional[bool]:
-        """Whether the lease at ``path`` has outlived its TTL (None: gone)."""
+    def _filesystem_now(self) -> float:
+        """The lease directory's clock: the mtime of a freshly touched probe file.
+
+        Falls back to the local clock when the probe cannot be written
+        (a read-only view of the queue).
+        """
+        probe = self.root / ".clock"
         try:
-            age = time.time() - path.stat().st_mtime
+            probe.touch()
+            return probe.stat().st_mtime
+        except OSError:
+            return time.time()
+
+    def is_expired(self, path: Path, now: Optional[float] = None) -> Optional[bool]:
+        """Whether the lease at ``path`` has outlived its TTL (None: gone).
+
+        ``now`` is :meth:`_filesystem_now`, taken here when not given.
+        """
+        try:
+            mtime = path.stat().st_mtime
         except OSError:
             return None
-        return age > self.ttl
+        if now is None:
+            now = self._filesystem_now()
+        return now - mtime > self.ttl
 
     def _reclaim_expired(self, path: Path, token: str) -> bool:
         """Remove ``path`` if expired; True when the slot is (now) free.
@@ -185,8 +207,9 @@ class LeaseBroker:
         if not self.root.is_dir():
             return {}
         out: Dict[str, bool] = {}
+        now = self._filesystem_now()
         for path in sorted(self.root.glob("*.lease")):
-            expired = self.is_expired(path)
+            expired = self.is_expired(path, now)
             if expired is not None:
                 out[path.stem] = expired
         return out

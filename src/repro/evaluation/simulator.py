@@ -34,7 +34,7 @@ from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, Sche
 from repro.schedulers.freespace import FreeSpace
 from repro.simulation.engine import Simulator
 
-__all__ = ["MachineSimulation", "simulate"]
+__all__ = ["MachineSimulation", "SpaceSharedMachine", "simulate"]
 
 # Event priorities: completions are processed before outage transitions,
 # which are processed before arrivals at the same instant, so that freed or
@@ -49,8 +49,115 @@ class _Running:
     request: JobRequest
     start_time: float
     expected_end: float
-    completion_handle: object
-    restarts: int = 0
+    completion_handle: object = None
+
+
+class SpaceSharedMachine:
+    """One space-shared machine's scheduling pass and the state it keeps.
+
+    It owns the wait queue (arrival order, handed to policies uncopied),
+    the running set, the :class:`RunningDelta` and the announced-capacity
+    ``calendar`` policies see.  An owner on a :class:`Simulator` (a
+    :class:`MachineSimulation`, or one site of a grid simulation) submits
+    arrivals, ends jobs, keeps ``calendar`` current, calls
+    :meth:`schedule_pass` and schedules the completions of the records it
+    returns.  Nothing here refers back to the owner, so a finished
+    simulation is freed without the cycle collector.
+    """
+
+    def __init__(self, machine: Machine, scheduler: Scheduler, sim: Simulator) -> None:
+        self.machine = machine
+        self.scheduler = scheduler
+        self.sim = sim
+        #: deterministic scheduling counters; an owner installs this registry
+        #: as the contextvar scope so schedulers' ``count()`` calls land here
+        self.telemetry = Telemetry()
+        self._passes = self.telemetry.counter("sched_passes")
+        self._max_depth = self.telemetry.gauge("max_queue_depth")
+        self._started = self.telemetry.counter("jobs_started")
+        self.queue: List[JobRequest] = []
+        self._queued_ids: set = set()
+        self.running: Dict[int, _Running] = {}
+        self.calendar = FreeSpace(machine.size, 0)
+        #: running-set changes since the previous scheduling pass
+        self.delta = RunningDelta()
+
+    def submit(self, request: JobRequest, front: bool = False) -> None:
+        """Queue ``request`` at the tail, or at the head with ``front``."""
+        if front:
+            self.queue.insert(0, request)
+        else:
+            self.queue.append(request)
+        self._queued_ids.add(request.job_id)
+
+    def end(self, job_id: int) -> Optional[_Running]:
+        """Take ``job_id`` off the machine; ``None`` if it is not running."""
+        running = self.running.pop(job_id, None)
+        if running is not None:
+            self.machine.release(job_id)
+            self.delta.ended.append((running.request.processors, running.expected_end))
+        return running
+
+    def running_infos(self) -> List[RunningJobInfo]:
+        now = self.sim.now
+        return [
+            RunningJobInfo(r.request, r.start_time, max(r.expected_end, now))
+            for r in self.running.values()
+        ]
+
+    def schedule_pass(self) -> List[_Running]:
+        """Ask the policy for jobs to start now; start them and return their records."""
+        queue = self.queue
+        if not queue:
+            return []
+        self._passes.inc()
+        self._max_depth.set_max(len(queue))
+        now = self.sim.now
+        machine = self.machine
+        free = machine.free_count()
+        state = SchedulerState(
+            now=now,
+            total_processors=machine.size,
+            free_processors=free,
+            queue=queue,
+            # Bound per pass, not stored: a stored bound method would make
+            # this object a reference cycle that outlives its run.
+            running=self.running_infos,
+            calendar=self.calendar,
+            delta=self.delta,
+        )
+        selected = self.scheduler.select_jobs(state)
+        self.delta.turn(selected)
+        if not selected:
+            return []
+        queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0
+        for request in selected:
+            if request.job_id not in queued_ids or request.job_id in selected_ids:
+                raise RuntimeError(
+                    f"scheduler {self.scheduler.name!r} selected job {request.job_id} "
+                    "which is not in the wait queue"
+                )
+            selected_ids.add(request.job_id)
+            total_requested += request.processors
+        if total_requested > free:
+            raise RuntimeError(
+                f"scheduler {self.scheduler.name!r} over-committed the machine: "
+                f"selected {total_requested} processors with {free} free"
+            )
+        running, started = self.running, []
+        for request in selected:
+            machine.allocate(request.job_id, request.processors, start_time=now)
+            record = running[request.job_id] = _Running(request, now, now + request.estimate)
+            started.append(record)
+        self._started.inc(len(started))
+        # FCFS-like picks are the queue's leading entries: drop them in place
+        # (ids are distinct when the id set is as long as the queue).
+        if len(queued_ids) == len(queue) and all(s is q for s, q in zip(selected, queue)):
+            del queue[: len(selected)]
+        else:
+            self.queue = [r for r in queue if r.job_id not in selected_ids]
+        queued_ids -= selected_ids
+        return started
 
 
 class MachineSimulation:
@@ -71,24 +178,16 @@ class MachineSimulation:
         size = machine_size or workload.header.max_nodes or workload.max_processors()
         if not size:
             raise ValueError("machine size is unknown: pass machine_size explicitly")
-        self.machine = Machine(size=int(size), name="simulated-machine")
         self.outages = outages if outages is not None else OutageLog([])
         self.honor_dependencies = honor_dependencies
         self.restart_failed_jobs = restart_failed_jobs
         self.max_restarts = max_restarts
 
         self.sim = Simulator()
-        #: per-run registry for deterministic scheduling counters; installed
-        #: as the contextvar scope during :meth:`run` so schedulers' module-
-        #: level ``count()`` calls land here.
-        self._telemetry = Telemetry()
-        self._passes = self._telemetry.counter("sched_passes")
-        self._max_depth = self._telemetry.gauge("max_queue_depth")
-        self._started = self._telemetry.counter("jobs_started")
-        #: the wait queue (arrival order, handed to policies uncopied) and its ids
-        self._queue: List[JobRequest] = []
-        self._queued_ids: set = set()
-        self._running: Dict[int, _Running] = {}
+        self._space = SpaceSharedMachine(
+            Machine(size=int(size), name="simulated-machine"), scheduler, self.sim
+        )
+        self.machine = self._space.machine
         self._results: List[JobResult] = []
         self._outage_kills = 0
         self._skipped_too_large = 0
@@ -97,14 +196,11 @@ class MachineSimulation:
         self._waiting_on: Dict[int, List[Tuple[JobRequest, int]]] = {}
         self._released: set = set()
         self._restart_counts: Dict[int, int] = {}
-        # Announced outages as a capacity calendar: each record is reserved
-        # on it once its announce time has passed, consumed from an
+        # Announced outages go on the pass's capacity calendar: each record
+        # is reserved once its announce time has passed, consumed from an
         # announce-time-sorted list exactly once (time only moves forward).
         self._by_announce = sorted(self.outages, key=lambda r: r.announced_time)
         self._announce_index = 0
-        self._calendar = FreeSpace(self.machine.size, 0)
-        #: running-set changes since the previous scheduling pass
-        self._delta = RunningDelta()
 
     # ------------------------------------------------------------------
     # setup
@@ -161,17 +257,14 @@ class MachineSimulation:
     # event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: JobRequest) -> None:
-        self._queue.append(request)
-        self._queued_ids.add(request.job_id)
+        self._space.submit(request)
         self._submit_times.setdefault(request.job_id, self.sim.now)
         self._schedule_pass()
 
     def _on_completion(self, job_id: int) -> None:
-        running = self._running.pop(job_id, None)
+        running = self._space.end(job_id)
         if running is None:  # completion of a job killed by an outage
             return
-        self.machine.release(job_id)
-        self._delta.ended.append((running.request.processors, running.expected_end))
         self._finish(job_id, running, killed=False)
         self._schedule_pass()
 
@@ -184,7 +277,7 @@ class MachineSimulation:
                 end_time=self.sim.now,
                 processors=running.request.processors,
                 killed=killed,
-                restarts=running.restarts,
+                restarts=self._restart_counts.get(job_id, 0),
             )
         )
         self._release_dependents(job_id)
@@ -199,14 +292,13 @@ class MachineSimulation:
     def _on_outage_start(self, record, node_ids: List[int]) -> None:
         victims = self.machine.fail_nodes(node_ids)
         for job_id in victims:
-            running = self._running.pop(job_id, None)
+            running = self._space.end(job_id)
             if running is None:
                 continue
             running.completion_handle.cancel()
-            self.machine.release(job_id)
-            self._delta.ended.append((running.request.processors, running.expected_end))
             self._outage_kills += 1
-            if self.restart_failed_jobs and running.restarts < self.max_restarts:
+            restarts = self._restart_counts.get(job_id, 0)
+            if self.restart_failed_jobs and restarts < self.max_restarts:
                 request = running.request
                 # Restart from scratch: back into the queue at the current time.
                 restarted = JobRequest(
@@ -216,9 +308,8 @@ class MachineSimulation:
                     estimate=request.estimate,
                     submit_time=int(self.sim.now),
                 )
-                self._queue.append(restarted)
-                self._queued_ids.add(restarted.job_id)
-                self._restart_counts[request.job_id] = running.restarts + 1
+                self._space.submit(restarted)
+                self._restart_counts[job_id] = restarts + 1
             else:
                 self._finish(job_id, running, killed=True)
         self._schedule_pass()
@@ -232,7 +323,7 @@ class MachineSimulation:
     # ------------------------------------------------------------------
     def _announce(self, now: float) -> None:
         """Advance the announced-capacity calendar to ``now``."""
-        calendar = self._calendar
+        calendar = self._space.calendar
         calendar.advance(now)
         records, index = self._by_announce, self._announce_index
         while index < len(records) and records[index].announced_time <= now:
@@ -241,85 +332,26 @@ class MachineSimulation:
             index += 1
         self._announce_index = index
 
-    def _running_infos(self) -> List[RunningJobInfo]:
-        now = self.sim.now
-        return [
-            RunningJobInfo(r.request, r.start_time, max(r.expected_end, now))
-            for r in self._running.values()
-        ]
-
     def _schedule_pass(self) -> None:
-        queue = self._queue
-        if not queue:
-            return
-        self._passes.inc()
-        self._max_depth.set_max(len(queue))
-        now = self.sim.now
-        if self._by_announce:
-            self._announce(now)
-        free = self.machine.free_count()
-        state = SchedulerState(
-            now=now,
-            total_processors=self.machine.size,
-            free_processors=free,
-            queue=queue,
-            # Bound per pass, not stored: a stored bound method would make
-            # the simulation a reference cycle that outlives its run.
-            running=self._running_infos,
-            calendar=self._calendar,
-            delta=self._delta,
-        )
-        selected = self.scheduler.select_jobs(state)
-        self._delta.turn(selected)
-        if not selected:
-            return
-        queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0
-        for request in selected:
-            if request.job_id not in queued_ids or request.job_id in selected_ids:
-                raise RuntimeError(
-                    f"scheduler {self.scheduler.name!r} selected job {request.job_id} "
-                    "which is not in the wait queue"
-                )
-            selected_ids.add(request.job_id)
-            total_requested += request.processors
-        if total_requested > free:
-            raise RuntimeError(
-                f"scheduler {self.scheduler.name!r} over-committed the machine: "
-                f"selected {total_requested} processors with {free} free"
+        space, sim = self._space, self.sim
+        if self._by_announce and space.queue:
+            self._announce(sim.now)
+        for running in space.schedule_pass():
+            request = running.request
+            running.completion_handle = sim.schedule(
+                request.runtime, self._on_completion, request.job_id, priority=_PRIORITY_COMPLETION
             )
-        for request in selected:
-            self._start_job(request)
-        # FCFS-like picks are the queue's leading entries: drop them in place
-        # (ids are distinct when the id set is as long as the queue).
-        if len(queued_ids) == len(queue) and all(s is q for s, q in zip(selected, queue)):
-            del queue[: len(selected)]
-        else:
-            self._queue = [r for r in queue if r.job_id not in selected_ids]
-        queued_ids -= selected_ids
-
-    def _start_job(self, request: JobRequest) -> None:
-        self._started.inc()
-        self.machine.allocate(request.job_id, request.processors, start_time=self.sim.now)
-        handle = self.sim.schedule(
-            request.runtime, self._on_completion, request.job_id, priority=_PRIORITY_COMPLETION
-        )
-        self._running[request.job_id] = _Running(
-            request=request,
-            start_time=self.sim.now,
-            expected_end=self.sim.now + request.estimate,
-            completion_handle=handle,
-            restarts=self._restart_counts.get(request.job_id, 0),
-        )
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the results."""
-        with telemetry_scope(self._telemetry):
+        telemetry = self._space.telemetry
+        with telemetry_scope(telemetry):
             self._seed_events()
             self.sim.run()
-        counters = self._telemetry.as_counters()
+        counters = telemetry.as_counters()
         counters["events_processed"] = self.sim.processed_events
         counters["peak_event_queue"] = self.sim.peak_queue
         result = SimulationResult(

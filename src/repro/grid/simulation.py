@@ -17,13 +17,17 @@ followed directly:
   site's guaranteed-availability profile, and the sites drain around the
   reserved window).
 
-The per-site scheduling logic reuses the standard policies from
-:mod:`repro.schedulers`; reservation awareness reuses the same capacity hook
-that outage-aware policies use (a reservation is, to the local scheduler,
-indistinguishable from an announced outage of the reserved processors): the
-site's reservation calendar is reserved on a
-:class:`~repro.schedulers.freespace.FreeSpace` and answered by its
-``min_free``, just like the driver's announced outages.
+Each site runs the space-sharing driver's own pass
+(:class:`~repro.evaluation.simulator.SpaceSharedMachine`) with a standard
+policy from :mod:`repro.schedulers`: the same queue upkeep, selection
+checks and start bookkeeping as :func:`~repro.evaluation.simulator.simulate`.
+This module adds only meta-job placement, reservation claims and
+co-allocation.  Reservation awareness reuses the capacity hook that
+outage-aware policies use (a reservation is, to the local scheduler,
+indistinguishable from an announced outage of the reserved processors): a
+reservation is reserved on the site's calendar when it is negotiated and
+released when it is claimed, just as the driver keeps its announced
+outages.
 """
 
 from __future__ import annotations
@@ -31,15 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
 from repro.evaluation.results import JobResult, SimulationResult
+from repro.evaluation.simulator import SpaceSharedMachine
 from repro.grid.metaschedulers import MetaScheduler, SiteView
 from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
 from repro.machine.cluster import Machine
-from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, SchedulerState
-from repro.schedulers.freespace import FreeSpace
+from repro.schedulers.base import JobRequest
 from repro.simulation.engine import Simulator
 
 __all__ = ["MetaJobResult", "GridResult", "GridSimulation"]
@@ -123,23 +126,6 @@ class GridResult:
 # internal bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
-class _QueueEntry:
-    request: JobRequest
-    kind: str                      # "local" or "meta"
-    meta_id: Optional[int] = None
-    component: Optional[MetaComponent] = None
-    reservation_backed: bool = False
-
-
-@dataclass
-class _SiteRunning:
-    entry: _QueueEntry
-    start_time: float
-    expected_end: float
-    completion_handle: Optional[object]
-
-
-@dataclass
 class _MetaState:
     job: MetaJob
     mapping: Dict[str, MetaComponent]
@@ -155,61 +141,27 @@ class _MetaState:
 class _SiteState:
     """Mutable per-site simulation state."""
 
-    def __init__(self, site: Site) -> None:
+    def __init__(self, site: Site, sim: Simulator) -> None:
         self.site = site
-        self.machine = Machine(size=site.machine_size, name=site.name)
-        self.queue: List[_QueueEntry] = []
-        self.running: Dict[int, _SiteRunning] = {}
-        #: (start, end, processors, meta_id) reservation calendar
+        self.space = SpaceSharedMachine(
+            Machine(size=site.machine_size, name=site.name), site.scheduler, sim
+        )
+        #: (start, end, processors, meta_id) reservation calendar, each entry
+        #: also reserved on ``space.calendar`` until its claim
         self.reservations: List[List[float]] = []
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
-        #: running-set changes since the site's previous scheduling pass
-        self.delta = RunningDelta()
-
-    def free(self) -> int:
-        return self.machine.free_count()
-
-    def ended(self, running: "_SiteRunning") -> None:
-        """Record a job leaving the running set in the delta."""
-        self.delta.ended.append((running.entry.request.processors, running.expected_end))
-
-    def reserved_calendar(self, now: float) -> FreeSpace:
-        """Capacity over future time with the reservation calendar held back."""
-        calendar = FreeSpace(self.site.machine_size, now)
-        for start, end, processors, _meta_id in self.reservations:
-            calendar.reserve(start, end, processors)
-        return calendar
-
-    def scheduler_state(self, now: float) -> SchedulerState:
-        running_infos = [
-            RunningJobInfo(
-                request=r.entry.request,
-                start_time=r.start_time,
-                expected_end=max(r.expected_end, now),
-            )
-            for r in self.running.values()
-        ]
-        return SchedulerState(
-            now=now,
-            total_processors=self.site.machine_size,
-            free_processors=self.free(),
-            queue=[e.request for e in self.queue],
-            running=running_infos,
-            calendar=self.reserved_calendar(now),
-            delta=self.delta,
-        )
 
     def view(self, now: float) -> SiteView:
-        state = self.scheduler_state(now)
+        space = self.space
         return SiteView(
             name=self.site.name,
             total_processors=self.site.machine_size,
-            free_processors=state.free_processors,
+            free_processors=space.machine.free_count(),
             speed=self.site.speed,
             now=now,
-            queued=state.queue,
-            running=state.running,
+            queued=space.queue,
+            running=space.running_infos(),
             reservations=[(s, e, p) for s, e, p, _ in self.reservations],
         )
 
@@ -231,12 +183,12 @@ class GridSimulation:
         names = [s.name for s in sites]
         if len(set(names)) != len(names):
             raise ValueError("site names must be unique")
-        self.sites = {s.name: _SiteState(s) for s in sites}
+        self.sim = Simulator()
+        self.sites = {s.name: _SiteState(s, self.sim) for s in sites}
         self.meta_jobs = sorted(meta_jobs, key=lambda j: (j.submit_time, j.job_id))
         self.meta_scheduler = meta_scheduler
         self.use_reservations = use_reservations
         self.negotiation_slack = negotiation_slack
-        self.sim = Simulator()
         self._meta_states: Dict[int, _MetaState] = {}
         self._meta_results: List[MetaJobResult] = []
         self._rejected: List[int] = []
@@ -287,24 +239,22 @@ class GridSimulation:
     # ------------------------------------------------------------------
     def _on_local_arrival(self, site_name: str, request: JobRequest) -> None:
         state = self.sites[site_name]
-        state.queue.append(_QueueEntry(request=request, kind="local"))
+        state.space.submit(request)
         state.local_submit[request.job_id] = self.sim.now
         self._schedule_pass(site_name)
 
     def _on_local_completion(self, site_name: str, job_id: int) -> None:
         state = self.sites[site_name]
-        running = state.running.pop(job_id, None)
+        running = state.space.end(job_id)
         if running is None:
             return
-        state.machine.release(job_id)
-        state.ended(running)
         state.local_results.append(
             JobResult(
-                job=running.entry.request.job,
-                submit_time=state.local_submit[running.entry.request.job_id],
+                job=running.request.job,
+                submit_time=state.local_submit[job_id],
                 start_time=running.start_time,
                 end_time=self.sim.now,
-                processors=running.entry.request.processors,
+                processors=running.request.processors,
                 site=site_name,
             )
         )
@@ -374,11 +324,11 @@ class GridSimulation:
                 )
 
         if meta_state.use_reservation and planned_start is not None:
+            end = planned_start + job.estimate
             for site_name, component in mapping.items():
                 state = self.sites[site_name]
-                state.reservations.append(
-                    [planned_start, planned_start + job.estimate, component.processors, job.job_id]
-                )
+                state.reservations.append([planned_start, end, component.processors, job.job_id])
+                state.space.calendar.reserve(planned_start, end, component.processors)
                 self._schedule_pass(site_name)
             self.sim.schedule_at(
                 planned_start,
@@ -390,12 +340,7 @@ class GridSimulation:
         else:
             for site_name, component in mapping.items():
                 state = self.sites[site_name]
-                request = self._meta_request(job, component, state.site)
-                state.queue.append(
-                    _QueueEntry(
-                        request=request, kind="meta", meta_id=job.job_id, component=component
-                    )
-                )
+                state.space.submit(self._meta_request(job, component, state.site))
                 self._schedule_pass(site_name)
 
     def _on_reservation_claim(self, meta_id: int) -> None:
@@ -403,18 +348,16 @@ class GridSimulation:
         meta_state = self._meta_states[meta_id]
         for site_name, component in meta_state.mapping.items():
             state = self.sites[site_name]
-            state.reservations = [r for r in state.reservations if r[3] != meta_id]
-            request = self._meta_request(meta_state.job, component, state.site)
-            entry = _QueueEntry(
-                request=request,
-                kind="meta",
-                meta_id=meta_id,
-                component=component,
-                reservation_backed=True,
-            )
+            kept = []
+            for reservation in state.reservations:
+                if reservation[3] == meta_id:
+                    state.space.calendar.release(*reservation[:3])
+                else:
+                    kept.append(reservation)
+            state.reservations = kept
             # Reservation-backed components go to the head of the queue: the
             # site already drained capacity for them.
-            state.queue.insert(0, entry)
+            state.space.submit(self._meta_request(meta_state.job, component, state.site), front=True)
             self._schedule_pass(site_name)
 
     def _component_started(self, site_name: str, meta_id: int) -> None:
@@ -424,7 +367,6 @@ class GridSimulation:
             return
         # All components are running: the meta job begins useful work now.
         meta_state.started = True
-        start = max(meta_state.component_starts.values())
         slowest_speed = min(self.sites[s].site.speed for s in meta_state.mapping)
         runtime = max(1, int(round(meta_state.job.runtime / slowest_speed)))
         self.sim.schedule(
@@ -439,17 +381,10 @@ class GridSimulation:
         meta_state = self._meta_states[meta_id]
         start = max(meta_state.component_starts.values())
         wasted = 0.0
-        touched_sites = []
         for site_name, component in meta_state.mapping.items():
-            state = self.sites[site_name]
-            job_key = _META_ID_BASE + meta_id
-            running = state.running.pop(job_key, None)
-            if running is not None:
-                state.machine.release(job_key)
-                state.ended(running)
+            self.sites[site_name].space.end(_META_ID_BASE + meta_id)
             component_start = meta_state.component_starts[site_name]
             wasted += component.processors * max(0.0, start - component_start)
-            touched_sites.append(site_name)
 
         self._meta_results.append(
             MetaJobResult(
@@ -475,59 +410,29 @@ class GridSimulation:
                     component.processors, meta_state.job.estimate, actual_wait
                 )
 
-        for site_name in touched_sites:
+        for site_name in meta_state.mapping:
             self._schedule_pass(site_name)
 
     # ------------------------------------------------------------------
     # per-site scheduling
     # ------------------------------------------------------------------
     def _schedule_pass(self, site_name: str) -> None:
-        state = self.sites[site_name]
-        if not state.queue:
-            return
-        scheduler_state = state.scheduler_state(self.sim.now)
-        selected = state.site.scheduler.select_jobs(scheduler_state)
-        state.delta.turn(selected)
-        if not selected:
-            return
-        entries_by_id = {e.request.job_id: e for e in state.queue}
-        total = 0
-        for request in selected:
-            if request.job_id not in entries_by_id:
-                raise RuntimeError(
-                    f"site {site_name}: scheduler selected job {request.job_id} not in queue"
+        space = self.sites[site_name].space
+        space.calendar.advance(self.sim.now)
+        for running in space.schedule_pass():
+            job_id = running.request.job_id
+            if job_id >= _META_ID_BASE:
+                # Meta completions are driven by _component_started.
+                self._component_started(site_name, job_id - _META_ID_BASE)
+            else:
+                self.sim.schedule(
+                    running.request.runtime,
+                    self._on_local_completion,
+                    site_name,
+                    job_id,
+                    priority=_PRIORITY_COMPLETION,
+                    label=f"local-completion:{site_name}:{job_id}",
                 )
-            total += request.processors
-        if total > scheduler_state.free_processors:
-            raise RuntimeError(f"site {site_name}: scheduler over-committed the machine")
-        started_ids = set()
-        for request in selected:
-            entry = entries_by_id[request.job_id]
-            self._start_entry(state, entry, request)
-            started_ids.add(request.job_id)
-        state.queue = [e for e in state.queue if e.request.job_id not in started_ids]
-
-    def _start_entry(self, state: _SiteState, entry: _QueueEntry, request: JobRequest) -> None:
-        state.machine.allocate(request.job_id, request.processors, start_time=self.sim.now)
-        if entry.kind == "local":
-            handle = self.sim.schedule(
-                request.runtime,
-                self._on_local_completion,
-                state.site.name,
-                request.job_id,
-                priority=_PRIORITY_COMPLETION,
-                label=f"local-completion:{state.site.name}:{request.job_id}",
-            )
-        else:
-            handle = None  # meta completions are driven by _component_started
-        state.running[request.job_id] = _SiteRunning(
-            entry=entry,
-            start_time=self.sim.now,
-            expected_end=self.sim.now + request.estimate,
-            completion_handle=handle,
-        )
-        if entry.kind == "meta":
-            self._component_started(state.site.name, entry.meta_id)
 
     # ------------------------------------------------------------------
     # public API

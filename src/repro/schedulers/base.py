@@ -135,7 +135,8 @@ class SchedulerState:
     ``calendar`` is the announced capacity as a read-only
     :class:`~repro.schedulers.freespace.FreeSpace` starting at or before
     ``now`` (the driver's announced-outage calendar, or a grid site's
-    reservation calendar); ``None`` means nothing is announced.  It is the
+    reservation calendar, each kept across passes rather than rebuilt);
+    ``None`` means nothing is announced.  It is the
     one source of announced capacity: ``min_capacity(start, end)``, the
     minimum capacity over a future window, is the calendar's
     :meth:`~repro.schedulers.freespace.FreeSpace.capacity` (the total

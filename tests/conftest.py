@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.swf import SWFHeader, SWFJob, Workload
+from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site
 from repro.workloads import Lublin99Model
 
 
@@ -45,6 +46,12 @@ def make_workload(jobs, machine_size: int = 32, name: str = "test") -> Workload:
         computer="test machine", installation="unit tests", max_nodes=machine_size
     )
     return Workload(list(jobs), header, name=name)
+
+
+def simulate_one_site_grid(workload: Workload, scheduler, machine_size: int):
+    """``simulate`` as the single site of a grid without meta jobs; the site's result."""
+    site = Site(name="s0", machine_size=machine_size, scheduler=scheduler, local_workload=workload)
+    return GridSimulation([site], [], LeastLoadedMetaScheduler()).run().site_results["s0"]
 
 
 @pytest.fixture

@@ -119,5 +119,23 @@ class TestExpiry:
         leases = probe.active_leases()
         assert leases == {"b" * 64: True, "c" * 64: False}
 
+    @pytest.mark.parametrize("skew", [3600.0, -3600.0], ids=["clock-ahead", "clock-behind"])
+    def test_age_is_measured_on_the_filesystem_clock(self, tmp_path, monkeypatch, skew):
+        # On a shared filesystem lease mtimes come from the server's clock,
+        # not the host's: a skewed host clock must not change a lease's age.
+        live = LeaseBroker(tmp_path, ttl=60, owner="live")
+        assert live.acquire(KEY) is not None
+        dead = LeaseBroker(tmp_path, ttl=0.05, owner="dead")
+        assert dead.acquire("d" * 64) is not None
+        time.sleep(0.1)
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + skew)
+        rival = LeaseBroker(tmp_path, ttl=60, owner="rival")
+        assert rival.acquire(KEY) is None
+        assert rival.reclaimed == 0
+        heir = LeaseBroker(tmp_path, ttl=0.05, owner="heir")
+        assert heir.acquire("d" * 64) is not None
+        assert heir.reclaimed == 1
+
     def test_default_ttl_is_generous(self):
         assert DEFAULT_TTL_SECONDS >= 60

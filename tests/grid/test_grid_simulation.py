@@ -16,8 +16,10 @@ from repro.grid import (
     generate_meta_jobs,
 )
 from repro.bench.seeds import derive_seeds
-from repro.schedulers import EasyBackfillScheduler, FCFSScheduler
+from repro.evaluation import simulate
+from repro.schedulers import ConservativeBackfillScheduler, EasyBackfillScheduler, FCFSScheduler
 from repro.workloads import Lublin99Model
+from tests.conftest import simulate_one_site_grid
 
 
 def make_sites(count=2, size=64, local_jobs=0, load=0.5, seed=100, outage_aware=True):
@@ -164,3 +166,22 @@ class TestPredictionScoring:
         assert len(result.coallocation_results()) == 1
         assert result.mean_meta_wait() >= 0.0
         assert result.late_reservation_fraction() == 0.0
+
+
+class TestOneSiteGridMatchesTheDriver:
+    """A site without meta jobs is a plain machine: the same schedule as ``simulate``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("outage_aware", [False, True], ids=["plain", "outage-aware"])
+    @pytest.mark.parametrize(
+        "policy", [FCFSScheduler, EasyBackfillScheduler, ConservativeBackfillScheduler],
+        ids=["fcfs", "easy", "conservative"],
+    )
+    def test_same_schedule_as_simulate(self, policy, outage_aware, seed):
+        size = 64
+        workload = Lublin99Model(machine_size=size).generate_with_load(400, 0.8, seed=seed)
+        grid = simulate_one_site_grid(workload, policy(outage_aware=outage_aware), size)
+        alone = simulate(workload, policy(outage_aware=outage_aware), machine_size=size)
+        schedule = [(j.job_id, j.start_time, j.end_time) for j in alone.jobs]
+        assert len(schedule) == len(workload.summary_jobs())
+        assert [(j.job_id, j.start_time, j.end_time) for j in grid.jobs] == schedule

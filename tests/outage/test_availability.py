@@ -2,7 +2,7 @@
 
 Both are answered by a :class:`~repro.schedulers.freespace.FreeSpace` with
 the outage records reserved on it: the driver's announced-capacity
-calendar (``MachineSimulation._calendar``, which policies query through
+calendar (``SpaceSharedMachine.calendar``, which policies query through
 its ``capacity``) and the available node-seconds that outage-aware
 utilization divides by.
 """
@@ -35,7 +35,7 @@ def announced_capacity(size, records, now=0):
     """The driver's capacity function as a policy sees it at ``now``."""
     sim = MachineSimulation(make_workload([]), FCFSScheduler(), machine_size=size, outages=OutageLog(records))
     sim._announce(now)
-    return sim._calendar.capacity
+    return sim._space.calendar.capacity
 
 
 def naive_node_seconds(size, records, end):

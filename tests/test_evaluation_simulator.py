@@ -11,6 +11,7 @@ from repro.bench.seeds import derive_seeds
 from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
+from repro.evaluation.simulator import SpaceSharedMachine
 from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site, generate_meta_jobs
 from repro.schedulers import (
     ConservativeBackfillScheduler,
@@ -19,9 +20,10 @@ from repro.schedulers import (
     ShortestJobFirstScheduler,
 )
 from repro.schedulers.base import JobRequest, Scheduler
+from repro.schedulers.freespace import FreeSpace
 from repro.schedulers.moldable import MoldableScheduler
 from repro.workloads import Downey97Model, Lublin99Model
-from tests.conftest import make_job, make_workload
+from tests.conftest import make_job, make_workload, simulate_one_site_grid
 
 
 class TestBasicReplay:
@@ -269,13 +271,13 @@ class TestQueueUpkeep:
 
     def test_running_set_is_built_only_when_a_policy_reads_it(self, lublin_workload, monkeypatch):
         calls = []
-        original = MachineSimulation._running_infos
+        original = SpaceSharedMachine.running_infos
 
-        def counting(sim):
-            calls.append(sim.sim.now)
-            return original(sim)
+        def counting(space):
+            calls.append(space.sim.now)
+            return original(space)
 
-        monkeypatch.setattr(MachineSimulation, "_running_infos", counting)
+        monkeypatch.setattr(SpaceSharedMachine, "running_infos", counting)
         simulate(lublin_workload, FCFSScheduler(), machine_size=64)
         assert calls == []
         simulate(lublin_workload, EasyBackfillScheduler(), machine_size=64)
@@ -297,6 +299,10 @@ def _misbehaving(pick):
 class TestSelectionChecks:
     JOBS = [make_job(i, submit=0, runtime=100, processors=8) for i in (1, 2, 3)]
 
+    @staticmethod
+    def run(workload, scheduler, machine_size):
+        return simulate(workload, scheduler, machine_size=machine_size)
+
     def _ghost(self):
         return JobRequest(job=make_job(99, processors=1), processors=1, runtime=1, estimate=1, submit_time=0)
 
@@ -311,7 +317,7 @@ class TestSelectionChecks:
     )
     def test_duplicate_selection_raises(self, pick):
         with pytest.raises(RuntimeError, match="not in the wait queue"):
-            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
+            self.run(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
 
     @pytest.mark.parametrize("position", [0, 1, 3])
     def test_not_in_queue_selection_raises(self, position):
@@ -323,7 +329,7 @@ class TestSelectionChecks:
             return chosen
 
         with pytest.raises(RuntimeError, match="not in the wait queue"):
-            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
+            self.run(make_workload(self.JOBS), _misbehaving(pick), machine_size=64)
 
     @pytest.mark.parametrize(
         "pick",
@@ -334,7 +340,13 @@ class TestSelectionChecks:
     )
     def test_over_commit_raises(self, pick):
         with pytest.raises(RuntimeError, match="over-committed"):
-            simulate(make_workload(self.JOBS), _misbehaving(pick), machine_size=16)
+            self.run(make_workload(self.JOBS), _misbehaving(pick), machine_size=16)
+
+
+class TestSelectionChecksOnAGridSite(TestSelectionChecks):
+    """A grid site runs the same pass, so it makes the same checks."""
+
+    run = staticmethod(simulate_one_site_grid)
 
 
 def _reference_min_capacity(intervals, size, start, end):
@@ -403,7 +415,7 @@ class TestAnnouncedCapacity:
             gc.enable()
 
     def test_grid_site_capacity_answers_like_the_reservation_calendar(self):
-        size, calls = 64, []
+        size, calls, checked = 64, [], []
         grid = None
 
         def recording(site_name, policy):
@@ -411,6 +423,13 @@ class TestAnnouncedCapacity:
                 def select_jobs(self, state):
                     inner = state.min_capacity
                     calendar = [tuple(r[:3]) for r in grid.sites[site_name].reservations]
+                    # The site keeps its calendar across passes; it must hold
+                    # what a rebuild from the reservation list would.
+                    rebuilt = FreeSpace(size, state.now)
+                    for start, end, processors in calendar:
+                        rebuilt.reserve(start, end, processors)
+                    assert state.calendar.slots() == rebuilt.slots()
+                    checked.append(len(calendar))
 
                     def min_capacity(start, end):
                         answer = inner(start, end)
@@ -439,6 +458,7 @@ class TestAnnouncedCapacity:
         result = grid.run()
         assert any(r.used_reservation for r in result.meta_results)
         assert any(answer < size for _now, _start, _end, answer, _calendar in calls)
+        assert any(checked)
         for now, start, end, answer, calendar in calls:
             assert start >= now
             assert answer == _reference_min_capacity(calendar, size, start, end)
