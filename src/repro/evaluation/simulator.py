@@ -30,8 +30,8 @@ from repro.core.swf.workload import Workload
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
-from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, Scheduler, SchedulerState
-from repro.schedulers.freespace import FreeSpace
+from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState, usable_requests
+from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 from repro.simulation.engine import Simulator
 
 __all__ = ["MachineSimulation", "SpaceSharedMachine", "simulate"]
@@ -51,26 +51,35 @@ class _Running:
     expected_end: float
     completion_handle: object = None
 
+    @property
+    def processors(self) -> int:
+        return self.request.processors
+
 
 class SpaceSharedMachine:
     """One space-shared machine's scheduling pass and the state it keeps.
 
     It owns the wait queue (arrival order, handed to policies uncopied),
-    the running set, the :class:`RunningDelta` and the announced-capacity
-    ``calendar`` policies see.  An owner on a :class:`Simulator` (a
-    :class:`MachineSimulation`, or one site of a grid simulation) submits
-    arrivals, ends jobs, keeps ``calendar`` current, calls
-    :meth:`schedule_pass` and schedules the completions of the records it
-    returns.  Nothing here refers back to the owner, so a finished
-    simulation is freed without the cycle collector.
+    the running set with its free-space profile (a
+    :class:`~repro.schedulers.freespace.FreeSpaceTracker` told of every
+    start, completion and kill, so a policy that reads
+    ``SchedulerState.profile`` gets it patched rather than rebuilt), and
+    the announced-capacity ``calendar`` policies see.  An owner on a
+    :class:`Simulator` (a :class:`MachineSimulation`, or one site of a grid
+    simulation) submits arrivals, ends jobs, keeps ``calendar`` current,
+    calls :meth:`schedule_pass` and schedules the completions of the
+    records it returns.  Nothing here refers back to the owner, so a
+    finished simulation is freed without the cycle collector.
     """
 
     def __init__(self, machine: Machine, scheduler: Scheduler, sim: Simulator) -> None:
         self.machine = machine
         self.scheduler = scheduler
         self.sim = sim
-        #: deterministic scheduling counters; an owner installs this registry
-        #: as the contextvar scope so schedulers' ``count()`` calls land here
+        #: deterministic scheduling counters.  The owner must install this
+        #: registry as the telemetry scope around every :meth:`schedule_pass`
+        #: (policies and the profile ``count()`` into the active scope), or
+        #: the counts land in whatever scope encloses the simulation.
         self.telemetry = Telemetry()
         self._passes = self.telemetry.counter("sched_passes")
         self._max_depth = self.telemetry.gauge("max_queue_depth")
@@ -79,8 +88,7 @@ class SpaceSharedMachine:
         self._queued_ids: set = set()
         self.running: Dict[int, _Running] = {}
         self.calendar = FreeSpace(machine.size, 0)
-        #: running-set changes since the previous scheduling pass
-        self.delta = RunningDelta()
+        self.tracker = FreeSpaceTracker(machine.size)
 
     def submit(self, request: JobRequest, front: bool = False) -> None:
         """Queue ``request`` at the tail, or at the head with ``front``."""
@@ -95,7 +103,7 @@ class SpaceSharedMachine:
         running = self.running.pop(job_id, None)
         if running is not None:
             self.machine.release(job_id)
-            self.delta.ended.append((running.request.processors, running.expected_end))
+            self.tracker.end(running.request.processors, running.expected_end)
         return running
 
     def running_infos(self) -> List[RunningJobInfo]:
@@ -104,6 +112,10 @@ class SpaceSharedMachine:
             RunningJobInfo(r.request, r.start_time, max(r.expected_end, now))
             for r in self.running.values()
         ]
+
+    def profile(self) -> FreeSpace:
+        """The running set's free space from now: the tracked slot set, read-only."""
+        return self.tracker.sync(self.sim.now, self.running.values())
 
     def schedule_pass(self) -> List[_Running]:
         """Ask the policy for jobs to start now; start them and return their records."""
@@ -124,10 +136,9 @@ class SpaceSharedMachine:
             # this object a reference cycle that outlives its run.
             running=self.running_infos,
             calendar=self.calendar,
-            delta=self.delta,
+            profile=self.profile,
         )
         selected = self.scheduler.select_jobs(state)
-        self.delta.turn(selected)
         if not selected:
             return []
         queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0
@@ -144,10 +155,12 @@ class SpaceSharedMachine:
                 f"scheduler {self.scheduler.name!r} over-committed the machine: "
                 f"selected {total_requested} processors with {free} free"
             )
-        running, started = self.running, []
+        running, started, tracker = self.running, [], self.tracker
         for request in selected:
             machine.allocate(request.job_id, request.processors, start_time=now)
-            record = running[request.job_id] = _Running(request, now, now + request.estimate)
+            end = now + request.estimate
+            running[request.job_id] = record = _Running(request, now, end)
+            tracker.start(request.processors, end)
             started.append(record)
         self._started.inc(len(started))
         # FCFS-like picks are the queue's leading entries: drop them in place
@@ -190,7 +203,6 @@ class MachineSimulation:
         self.machine = self._space.machine
         self._results: List[JobResult] = []
         self._outage_kills = 0
-        self._skipped_too_large = 0
         self._submit_times: Dict[int, float] = {}
         #: dependent jobs waiting for a predecessor to finish: pred id -> [(request, think)]
         self._waiting_on: Dict[int, List[Tuple[JobRequest, int]]] = {}
@@ -205,22 +217,8 @@ class MachineSimulation:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def _build_requests(self) -> List[JobRequest]:
-        requests = []
-        for job in self.workload.summary_jobs():
-            try:
-                request = JobRequest.from_swf(job)
-            except ValueError:
-                self._skipped_too_large += 1
-                continue
-            if request.processors > self.machine.size:
-                self._skipped_too_large += 1
-                continue
-            requests.append(request)
-        return requests
-
     def _seed_events(self) -> None:
-        requests = self._build_requests()
+        requests, self._skipped_too_large = usable_requests(self.workload, self.machine.size)
         present = {r.job_id for r in requests}
         for request in requests:
             job = request.job

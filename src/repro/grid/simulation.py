@@ -42,7 +42,8 @@ from repro.grid.metaschedulers import MetaScheduler, SiteView
 from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
 from repro.machine.cluster import Machine
-from repro.schedulers.base import JobRequest
+from repro.obs.telemetry import telemetry_scope
+from repro.schedulers.base import JobRequest, usable_requests
 from repro.simulation.engine import Simulator
 
 __all__ = ["MetaJobResult", "GridResult", "GridSimulation"]
@@ -210,13 +211,7 @@ class GridSimulation:
             workload = state.site.local_workload
             if workload is None:
                 continue
-            for job in workload.summary_jobs():
-                try:
-                    request = JobRequest.from_swf(job)
-                except ValueError:
-                    continue
-                if request.processors > state.site.machine_size:
-                    continue
+            for request in usable_requests(workload, state.site.machine_size)[0]:
                 self.sim.schedule_at(
                     request.submit_time,
                     self._on_local_arrival,
@@ -419,7 +414,9 @@ class GridSimulation:
     def _schedule_pass(self, site_name: str) -> None:
         space = self.sites[site_name].space
         space.calendar.advance(self.sim.now)
-        for running in space.schedule_pass():
+        with telemetry_scope(space.telemetry):
+            started = space.schedule_pass()
+        for running in started:
             job_id = running.request.job_id
             if job_id >= _META_ID_BASE:
                 # Meta completions are driven by _component_started.
@@ -448,6 +445,7 @@ class GridSimulation:
                 machine_size=state.site.machine_size,
                 jobs=sorted(state.local_results, key=lambda j: j.job_id),
                 metadata={"site": name},
+                counters={k: int(v) for k, v in sorted(state.space.telemetry.as_counters().items())},
             )
         finished = {r.job.job_id for r in self._meta_results}
         unfinished = [

@@ -4,8 +4,8 @@ Three small modules, one purpose — make every layer of the pipeline
 measurable without adding a dependency:
 
 * :mod:`repro.obs.telemetry` — counters / gauges / fixed-bucket histograms
-  behind a contextvar-scoped :class:`Telemetry` registry, with ``span()``
-  timers and no-op-safe module helpers for deep call sites (schedulers).
+  behind a contextvar-scoped :class:`Telemetry` registry, with a no-op-safe
+  ``count()`` for deep call sites (schedulers).
 * :mod:`repro.obs.prometheus` — text exposition (format 0.0.4) for the
   serve daemon's ``GET /v1/metrics``.
 * :mod:`repro.obs.log` — structured ``key=value`` (or JSON-lines) logging
@@ -44,9 +44,6 @@ from .telemetry import (
     Telemetry,
     TelemetryError,
     count,
-    current_telemetry,
-    gauge_max,
-    span,
     telemetry_scope,
 )
 
@@ -58,9 +55,6 @@ __all__ = [
     "Telemetry",
     "TelemetryError",
     "count",
-    "current_telemetry",
-    "gauge_max",
-    "span",
     "telemetry_scope",
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",

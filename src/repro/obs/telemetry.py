@@ -1,4 +1,4 @@
-"""Zero-dependency telemetry primitives: counters, gauges, histograms, spans.
+"""Zero-dependency telemetry primitives: counters, gauges and histograms.
 
 Every layer of the repository that wants to be *measured* — the simulation
 driver, the schedulers, the bench runner, the serve daemon — records into a
@@ -8,17 +8,17 @@ driver, the schedulers, the bench runner, the serve daemon — records into a
   scheduling passes, shadow scans, backfilled jobs, queue depth) count
   *simulated* facts, never wall-clock time, so a run's counters are
   bit-identical between serial and parallel execution and can ride inside
-  the content-addressed result store.  Wall-clock spans are kept separate
-  (the bench runner's timing breakdown, the serve daemon's latencies).
+  the content-addressed result store.  Wall-clock timings are kept
+  separate (the bench runner's timing breakdown, the serve daemon's
+  latency histograms).
 
 * **Context scoping instead of plumbing.**  Schedulers are called deep
   inside the event loop through a stable API; rather than threading a
   registry through every signature, the active :class:`Telemetry` is held
   in a :mod:`contextvars` variable.  :func:`telemetry_scope` installs one
-  for the duration of a run, and the module-level helpers (:func:`count`,
-  :func:`gauge_max`, :func:`span`) are cheap no-ops when no scope is
-  active — unit tests calling a scheduler directly measure nothing and
-  pay (almost) nothing.
+  for the duration of a run, and the module-level :func:`count` is a cheap
+  no-op when no scope is active — unit tests calling a scheduler directly
+  measure nothing and pay (almost) nothing.
 
 The registry is intentionally small and stdlib-only; the Prometheus text
 rendering lives in :mod:`repro.obs.prometheus`.
@@ -26,7 +26,6 @@ rendering lives in :mod:`repro.obs.prometheus`.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -39,11 +38,8 @@ __all__ = [
     "HistogramFamily",
     "Telemetry",
     "TelemetryError",
-    "current_telemetry",
     "telemetry_scope",
     "count",
-    "gauge_max",
-    "span",
 ]
 
 #: Default histogram buckets (seconds) for request/phase latencies: the usual
@@ -244,29 +240,6 @@ class Telemetry:
         for name in sorted(self._families):
             yield self._families[name]
 
-    @contextmanager
-    def span(self, name: str, **labels: object):
-        """Time a block into the ``<name>_seconds`` histogram.
-
-        The lightweight timer behind the bench runner's phase breakdown and
-        the serve daemon's request latencies; yields nothing and never
-        swallows exceptions (the failed span is still observed).
-        """
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.histogram(f"{name}_seconds").observe(
-                time.perf_counter() - started, **labels
-            )
-
-    def seconds(self, name: str, **labels: object) -> float:
-        """Total seconds recorded by :meth:`span` calls under ``name``."""
-        family = self._families.get(f"{name}_seconds")
-        if not isinstance(family, HistogramFamily):
-            return 0.0
-        return family.sum_(**labels)
-
     def as_counters(self) -> Dict[str, float]:
         """Unlabelled counter and gauge values as one flat dict.
 
@@ -290,11 +263,6 @@ class Telemetry:
 _ACTIVE: ContextVar[Optional[Telemetry]] = ContextVar("repro_obs_telemetry", default=None)
 
 
-def current_telemetry() -> Optional[Telemetry]:
-    """The telemetry registry installed by the nearest :func:`telemetry_scope`."""
-    return _ACTIVE.get()
-
-
 @contextmanager
 def telemetry_scope(telemetry: Telemetry):
     """Install ``telemetry`` as the active registry for the enclosed block.
@@ -315,21 +283,3 @@ def count(name: str, amount: float = 1, **labels: object) -> None:
     telemetry = _ACTIVE.get()
     if telemetry is not None:
         telemetry.counter(name).inc(amount, **labels)
-
-
-def gauge_max(name: str, value: float, **labels: object) -> None:
-    """Raise a gauge high-water mark on the active registry; no-op without a scope."""
-    telemetry = _ACTIVE.get()
-    if telemetry is not None:
-        telemetry.gauge(name).set_max(value, **labels)
-
-
-@contextmanager
-def span(name: str, **labels: object):
-    """Time a block on the active registry; a plain pass-through without one."""
-    telemetry = _ACTIVE.get()
-    if telemetry is None:
-        yield
-        return
-    with telemetry.span(name, **labels):
-        yield

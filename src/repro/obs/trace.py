@@ -6,8 +6,8 @@ histograms), this module answers *where the time went and in what order*: a
 start, duration, attributes — and exports them as Chrome trace-event JSON,
 so any run opens directly in Perfetto or ``chrome://tracing``.
 
-The scoping contract is exactly the one :func:`repro.obs.telemetry.span`
-established: the active tracer lives in a :mod:`contextvars` variable,
+The scoping contract is the one :func:`repro.obs.telemetry.telemetry_scope`
+uses: the active tracer lives in a :mod:`contextvars` variable,
 :func:`trace_scope` installs one for the duration of a run, and the
 module-level :func:`trace_span` helper is a cheap pass-through when no scope
 is active — instrumented code pays (almost) nothing unless someone asked

@@ -16,11 +16,10 @@ and user estimates).
 * **Conservative backfilling** (Mu'alem & Feitelson): every queued job
   receives a reservation when it arrives, and a job may be backfilled only
   if it delays *no* existing reservation; reservations are compressed when
-  a job ends early.  Implemented by anchoring jobs in queue order against
-  the :class:`~repro.schedulers.freespace.FreeSpace` slot set that a
-  :class:`~repro.schedulers.freespace.FreeSpaceTracker` patches from the
-  driver's running-set delta (a per-pass copy takes the tentative
-  reservations, so the tracked structure only holds running jobs).
+  a job ends early.  Implemented by anchoring jobs in queue order on a
+  per-pass copy of the running jobs'
+  :class:`~repro.schedulers.freespace.FreeSpace` slot set
+  (``SchedulerState.profile``, which the driver keeps across passes).
 
 Both use the user estimate, not the actual runtime, to compute reservations —
 as in production systems, over-estimates create backfill opportunities.
@@ -34,7 +33,7 @@ from typing import List
 from repro.api.registry import register_scheduler
 from repro.obs.telemetry import count
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
-from repro.schedulers.freespace import FreeSpaceTracker, report_slot_stats
+from repro.schedulers.freespace import report_slot_stats
 
 __all__ = ["EasyBackfillScheduler", "ConservativeBackfillScheduler"]
 
@@ -142,13 +141,14 @@ class EasyBackfillScheduler(Scheduler):
 class ConservativeBackfillScheduler(Scheduler):
     """Conservative backfilling: every queued job holds a reservation.
 
-    Each pass syncs the tracked slot set with the driver's running-set
-    delta, takes an O(slots) copy, clamps it to the announced capacity
-    calendar when outage-aware, and places the queue in order: each job
-    takes the earliest anchor that fits around the running jobs and the
-    jobs queued before it, and starts if that anchor is now.  That is a
-    from-scratch re-plan at every pass, which is what compresses
-    reservations when a job ends early.
+    Each pass takes an O(slots) copy of the running jobs' profile
+    (``state.profile``), clamps it to the announced capacity calendar when
+    outage-aware, and places the queue in order: each job takes the
+    earliest anchor that fits around the running jobs and the jobs queued
+    before it, and starts if that anchor is now.  That is a from-scratch
+    re-plan at every pass, which is what compresses reservations when a
+    job ends early.  The policy keeps nothing between passes but its
+    options.
     """
 
     name = "conservative-backfill"
@@ -157,12 +157,10 @@ class ConservativeBackfillScheduler(Scheduler):
         self.outage_aware = outage_aware
         #: how far ahead the availability profile is clamped by announced outages
         self.horizon = horizon
-        self._tracker = FreeSpaceTracker()
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        base = self._tracker.sync(state)
         now = state.now
-        profile = base.copy()
+        profile = state.profile.copy()
         if self.outage_aware and state.calendar is not None:
             profile.clamp_capacity(state.calendar, now + self.horizon)
         started: List[JobRequest] = []
@@ -180,5 +178,5 @@ class ConservativeBackfillScheduler(Scheduler):
                 blocked = True
         if backfilled:
             count("jobs_backfilled", backfilled)
-        report_slot_stats(base, profile)
+        report_slot_stats(profile)
         return started

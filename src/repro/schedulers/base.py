@@ -17,18 +17,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
+from repro.schedulers.freespace import FreeSpace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.schedulers.freespace import FreeSpace
+    from repro.core.swf.workload import Workload
 
 __all__ = [
     "JobRequest",
+    "usable_requests",
     "RunningJobInfo",
-    "RunningDelta",
     "SchedulerState",
     "Scheduler",
 ]
@@ -86,6 +87,26 @@ class JobRequest:
         )
 
 
+def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRequest], int]:
+    """(requests, skipped): the workload's jobs a ``machine_size`` machine can run.
+
+    A record :meth:`JobRequest.from_swf` rejects, or one wider than the
+    machine, is skipped.  Requests keep ``summary_jobs()`` order.
+    """
+    requests, skipped = [], 0
+    for job in workload.summary_jobs():
+        try:
+            request = JobRequest.from_swf(job)
+        except ValueError:
+            skipped += 1
+            continue
+        if request.processors > machine_size:
+            skipped += 1
+            continue
+        requests.append(request)
+    return requests, skipped
+
+
 @dataclass(frozen=True)
 class RunningJobInfo:
     """A job currently executing, as visible to the scheduler."""
@@ -97,31 +118,6 @@ class RunningJobInfo:
     @property
     def processors(self) -> int:
         return self.request.processors
-
-
-class RunningDelta:
-    """How the running set changed since the previous scheduling pass.
-
-    A driver keeps one per simulation and hands the same object to every
-    pass.  ``started`` is the selection the driver accepted at the
-    previous pass (so those jobs started at that pass's time); ``ended``
-    holds ``(processors, expected_end)`` for every job that completed or
-    was killed since.  ``epoch`` counts the passes closed with
-    :meth:`turn`, so a reader can tell whether it saw every pass.
-    """
-
-    __slots__ = ("epoch", "started", "ended")
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        self.started: Sequence[JobRequest] = ()
-        self.ended: List[Tuple[int, float]] = []
-
-    def turn(self, started: Sequence[JobRequest]) -> None:
-        """Close a pass that started ``started``; the next delta begins."""
-        self.epoch += 1
-        self.started = started
-        self.ended = []
 
 
 class SchedulerState:
@@ -145,9 +141,12 @@ class SchedulerState:
     profile with the calendar itself, so a wrapper must answer as the
     calendar does.
 
-    ``delta`` is the driver's :class:`RunningDelta`: the running-set
-    changes since the previous pass, the same object at every pass of one
-    simulation.  It is ``None`` in a hand-built state.
+    ``profile`` is the running jobs' free processors over future time, a
+    read-only :class:`~repro.schedulers.freespace.FreeSpace` from ``now``:
+    the driver's tracked slot set, which a policy copies before reserving
+    into it.  The driver passes a zero-argument callable, so policies that
+    never read it never pay for it; a hand-built state builds it from
+    ``running``.
     """
 
     def __init__(
@@ -157,8 +156,8 @@ class SchedulerState:
         free_processors: int,
         queue: List[JobRequest],
         running: Union[List[RunningJobInfo], Callable[[], List[RunningJobInfo]]],
-        calendar: Optional["FreeSpace"] = None,
-        delta: Optional[RunningDelta] = None,
+        calendar: Optional[FreeSpace] = None,
+        profile: Optional[Callable[[], FreeSpace]] = None,
     ) -> None:
         self.now = now
         self.total_processors = total_processors
@@ -169,7 +168,7 @@ class SchedulerState:
             calendar.capacity if calendar is not None else lambda start, end: total_processors
         )
         self.calendar = calendar
-        self.delta = delta
+        self._profile: Union[FreeSpace, Callable[[], FreeSpace], None] = profile
         self._completions: Optional[List[Tuple[float, int]]] = None
 
     @property
@@ -179,6 +178,17 @@ class SchedulerState:
         if callable(running):
             running = self._running = running()
         return running
+
+    @property
+    def profile(self) -> FreeSpace:
+        """The running jobs' free space from ``now``; read-only."""
+        profile = self._profile
+        if profile is None:
+            profile = FreeSpace.from_running(self.total_processors, self.now, self.running)
+        elif callable(profile):
+            profile = profile()
+        self._profile = profile
+        return profile
 
     def expected_completions(self) -> List[Tuple[float, int]]:
         """(expected end, processors) for running jobs, sorted by end time.

@@ -16,21 +16,13 @@ the style of OAR3's ``kamelot`` scheduler:
   breakpoint in between.  :meth:`FreeSpace.place` is that walk and the
   reservation of its result in one pass over the slots.
 
-* :class:`FreeSpaceTracker` — maintains one :class:`FreeSpace` across
-  scheduling passes from the driver's running-set delta
-  (:class:`~repro.schedulers.base.RunningDelta`).  The contract: the
-  driver hands every pass the same delta object; ``started`` holds the
-  requests it started at the previous pass (at that pass's time, which
-  is the tracker's origin), ``ended`` the ``(processors, expected_end)``
-  of every job that completed or was killed since, and ``epoch`` counts
-  the passes the driver closed.  When the delta is the one the tracker
-  last synced with and exactly one pass was closed since, the tracker
-  advances the slot origin to ``now``, reserves ``[now, expected_end)``
-  for each start and releases ``[now, expected_end)`` for each end.  Any
-  other state — no delta (a hand-built state), another driver's delta
-  (one policy instance reused across simulations or shared between
-  them), a skipped pass, time running backwards — is rebuilt from
-  ``state.running``, so a stale profile is never patched.
+* :class:`FreeSpaceTracker` — the running set's slot set, kept across
+  scheduling passes by the driver that owns the running set
+  (:class:`~repro.evaluation.simulator.SpaceSharedMachine`).  The driver
+  reports each start and each completion or kill as ``(processors,
+  expected_end)``; a pass that reads the profile brings it to ``now`` by
+  patching only those windows.  Policies read it as
+  ``SchedulerState.profile`` and copy it before reserving.
 
 Every "capacity over a window" question in the repository is answered by
 a :class:`FreeSpace`: the policies' free-processor profiles, the driver's
@@ -54,7 +46,7 @@ report them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.telemetry import count
 
@@ -90,7 +82,7 @@ class FreeSpace:
         cls,
         total_processors: int,
         now: float,
-        running: Sequence,
+        running: Iterable,
     ) -> "FreeSpace":
         """The slot set implied by the running jobs' expected completions."""
         fs = cls(total_processors, now)
@@ -385,77 +377,69 @@ class FreeSpace:
 
 
 class FreeSpaceTracker:
-    """Maintain a :class:`FreeSpace` across scheduling passes from the driver's delta.
+    """The running set's :class:`FreeSpace`, patched from reported windows.
 
     Rebuilding the profile from the running set costs O(running x slots)
-    per pass, and so does re-diffing the running set by job id.  The
-    tracker instead patches the driver's
-    :class:`~repro.schedulers.base.RunningDelta` (see the module
-    docstring for the contract): each start reserves ``[now,
-    expected_end)``, each completion or kill releases the same window, and
-    a start and an end of the same window cancel.
+    per pass.  The owner of the running set instead reports each start
+    with :meth:`start` and each completion or kill with :meth:`end`, both
+    as ``(processors, expected_end)``.  The first :meth:`sync` builds the
+    slot set from the running set; each later one advances it to ``now``,
+    releases ``[now, expected_end)`` for each end, reserves the same window
+    for each start, and lets a start and an end of the same window cancel.
     The result is, slot for slot, the structure ``FreeSpace.from_running``
     would build: both hold the same function, and a slot set with no two
     equal neighbours is unique.  The property tests assert it.
 
-    A state without a delta, or with one that does not continue the last
-    sync (another driver's, a pass missed, an earlier ``now``), is rebuilt from
-    ``state.running``; that covers hand-built states and one scheduler
-    instance reused across simulations.
+    Nothing is recorded before the first sync, so an owner whose policy
+    never reads the profile pays one method call per start or end.
 
-    The tracker counts ``profile_builds`` and ``profile_patches``; the
-    tracked slot set's splits and merges wait for its owner's
-    :func:`report_slot_stats`.
+    A sync counts ``profile_builds`` or ``profile_patches`` and reports the
+    tracked slot set's splits and merges.
     """
 
-    __slots__ = ("_fs", "_delta", "_epoch")
+    __slots__ = ("total", "_fs", "_started", "_ended")
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
+    def __init__(self, total_processors: int) -> None:
+        self.total = total_processors
         self._fs: Optional[FreeSpace] = None
-        self._delta = None
-        self._epoch = 0
+        self._started: List[Tuple[int, float]] = []
+        self._ended: List[Tuple[int, float]] = []
 
-    def sync(self, state) -> FreeSpace:
-        """Bring the tracked slot set up to date with ``state``; return it."""
-        delta, fs = state.delta, self._fs
-        if (
-            delta is None
-            or delta is not self._delta
-            or delta.epoch != self._epoch + 1
-            or state.now < fs.now
-        ):
-            return self._rebuild(state)
-        self._epoch = delta.epoch
-        # The starts happened at the previous pass: the slot origin.
-        started_at = fs.now
-        now = state.now
-        fs.advance(now)
-        windows = [(request.processors, started_at + request.estimate) for request in delta.started]
-        patches = 0
-        for window in delta.ended:
-            if window in windows:
-                # Started and ended since the last sync: the two cancel.
-                windows.remove(window)
-            elif window[1] > now:
-                fs.release(now, window[1], window[0])
-                patches += 1
-        for processors, end in windows:
-            if end > now:
-                fs.reserve(now, end, processors)
-                patches += 1
-        if patches:
-            count("profile_patches", patches)
-        return fs
+    def start(self, processors: int, expected_end: float) -> None:
+        """Report a job started now that holds ``processors`` until ``expected_end``."""
+        if self._fs is not None:
+            self._started.append((processors, expected_end))
 
-    def _rebuild(self, state) -> FreeSpace:
-        count("profile_builds")
-        fs = FreeSpace.from_running(state.total_processors, state.now, state.running)
-        self._fs = fs
-        self._delta = state.delta
-        self._epoch = state.delta.epoch if state.delta is not None else 0
+    def end(self, processors: int, expected_end: float) -> None:
+        """Report that a job holding ``processors`` until ``expected_end`` left."""
+        if self._fs is not None:
+            self._ended.append((processors, expected_end))
+
+    def sync(self, now: float, running: Iterable) -> FreeSpace:
+        """The slot set at ``now``; ``running`` is read on the first sync only."""
+        fs = self._fs
+        if fs is None:
+            count("profile_builds")
+            fs = self._fs = FreeSpace.from_running(self.total, now, running)
+        else:
+            fs.advance(now)
+            windows, ended = self._started, self._ended
+            self._started, self._ended = [], []
+            patches = 0
+            for window in ended:
+                if window in windows:
+                    # Started and ended since the last sync: the two cancel.
+                    windows.remove(window)
+                elif window[1] > now:
+                    fs.release(now, window[1], window[0])
+                    patches += 1
+            for processors, end in windows:
+                if end > now:
+                    fs.reserve(now, end, processors)
+                    patches += 1
+            if patches:
+                count("profile_patches", patches)
+        report_slot_stats(fs)
         return fs
 
 

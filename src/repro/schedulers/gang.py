@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.api.registry import register_scheduler
 from repro.core.swf.workload import Workload
 from repro.evaluation.results import JobResult, SimulationResult
-from repro.schedulers.base import JobRequest
+from repro.schedulers.base import JobRequest, usable_requests
 
 __all__ = ["GangPolicy", "GangSimulation", "simulate_gang"]
 
@@ -105,25 +105,10 @@ class GangSimulation:
         self.overhead = context_switch_overhead
 
     # ------------------------------------------------------------------
-    def _build_requests(self) -> List[JobRequest]:
-        requests = []
-        skipped = 0
-        for job in self.workload.summary_jobs():
-            try:
-                request = JobRequest.from_swf(job)
-            except ValueError:
-                skipped += 1
-                continue
-            if request.processors > self.machine_size:
-                skipped += 1
-                continue
-            requests.append(request)
-        self._skipped = skipped
-        return sorted(requests, key=lambda r: (r.submit_time, r.job_id))
-
     def run(self) -> SimulationResult:
         """Run the fluid simulation and return per-job results."""
-        arrivals = self._build_requests()
+        arrivals, skipped = usable_requests(self.workload, self.machine_size)
+        arrivals.sort(key=lambda r: (r.submit_time, r.job_id))
         arrival_index = 0
         queue: List[JobRequest] = []
         running: Dict[int, _GangJob] = {}
@@ -211,7 +196,7 @@ class GangSimulation:
             machine_size=self.machine_size,
             jobs=sorted(results, key=lambda j: j.job_id),
             metadata={
-                "skipped_too_large": self._skipped,
+                "skipped_too_large": skipped,
                 "max_slots": self.max_slots,
                 "context_switch_overhead": self.overhead,
                 "workload": self.workload.name,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.grid import (
@@ -15,8 +17,10 @@ from repro.grid import (
     Site,
     generate_meta_jobs,
 )
+from repro.api import Scenario, run
 from repro.bench.seeds import derive_seeds
 from repro.evaluation import simulate
+from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers import ConservativeBackfillScheduler, EasyBackfillScheduler, FCFSScheduler
 from repro.workloads import Lublin99Model
 from tests.conftest import simulate_one_site_grid
@@ -185,3 +189,42 @@ class TestOneSiteGridMatchesTheDriver:
         schedule = [(j.job_id, j.start_time, j.end_time) for j in alone.jobs]
         assert len(schedule) == len(workload.summary_jobs())
         assert [(j.job_id, j.start_time, j.end_time) for j in grid.jobs] == schedule
+
+
+class TestSiteTelemetry:
+    def test_site_counters_stay_on_their_site(self):
+        outer = Telemetry()
+        with telemetry_scope(outer):
+            result = run(
+                Scenario(
+                    workload="lublin99:jobs=200,seed=3",
+                    policy="grid:meta=earliest-start,sites=3,reservations=true,local=easy",
+                    machine_size=64,
+                )
+            )
+        assert outer.as_counters() == {}
+        for site_result in result.grid.site_results.values():
+            assert site_result.counters["jobs_started"] > 0
+
+    def test_sites_sharing_one_conservative_instance(self):
+        # A policy keeps no state between passes, so one instance serves
+        # every site, and each site's profile is built once and patched.
+        meta = generate_meta_jobs(30, coallocation_fraction=0.3, max_components=2,
+                                  max_component_processors=32, seed=5)
+
+        def schedules(sites):
+            result = GridSimulation(sites, meta, EarliestStartMetaScheduler(), use_reservations=True).run()
+            return result, {
+                name: [(j.job_id, j.start_time, j.end_time) for j in site.jobs]
+                for name, site in result.site_results.items()
+            }
+
+        sites = make_sites(2, local_jobs=150, load=0.8, seed=11)
+        own = [replace(s, scheduler=ConservativeBackfillScheduler(outage_aware=True)) for s in sites]
+        shared_policy = ConservativeBackfillScheduler(outage_aware=True)
+        shared = [replace(s, scheduler=shared_policy) for s in sites]
+        _, expected = schedules(own)
+        result, actual = schedules(shared)
+        assert actual == expected
+        for site_result in result.site_results.values():
+            assert site_result.counters["profile_builds"] == 1

@@ -15,9 +15,6 @@ from repro.obs.telemetry import (
     Telemetry,
     TelemetryError,
     count,
-    current_telemetry,
-    gauge_max,
-    span,
     telemetry_scope,
 )
 
@@ -134,26 +131,14 @@ class TestHistogramBucketEdges:
 
 class TestScoping:
     def test_module_helpers_are_noops_without_scope(self):
-        assert current_telemetry() is None
-        count("never_recorded")
-        gauge_max("never_recorded_gauge", 7)
-        with span("never_timed"):
-            pass  # must not raise
+        count("never_recorded")  # must not raise
 
     def test_helpers_record_inside_scope(self):
         t = Telemetry()
         with telemetry_scope(t):
-            assert current_telemetry() is t
             count("events")
             count("events", 2)
-            gauge_max("depth", 4)
-            gauge_max("depth", 2)
-            with span("work"):
-                pass
-        assert current_telemetry() is None
         assert t.counter("events").value() == 3
-        assert t.gauge("depth").value() == 4
-        assert t.histogram("work_seconds").count_() == 1
 
     def test_scopes_nest_and_restore(self):
         outer, inner = Telemetry(), Telemetry()

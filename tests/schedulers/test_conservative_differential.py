@@ -1,8 +1,8 @@
 """Per-pass differential test of conservative backfilling.
 
-The production :class:`ConservativeBackfillScheduler` patches its profile
-from the driver's running-set delta, clamps it with the announced-capacity
-calendar, and places each job in one walk.  A wrapper policy hands every scheduling pass of a
+The production :class:`ConservativeBackfillScheduler` copies the driver's
+patched running-set profile (``state.profile``), clamps it with the
+announced-capacity calendar, and places each job in one walk.  A wrapper policy hands every scheduling pass of a
 real simulation to it and to two from-scratch planners, and asserts they
 start the same jobs, so a shortcut that is wrong at any single pass fails
 here, not just one that changes a final schedule:
@@ -202,7 +202,7 @@ class TestSchedulerReuse:
         reused = simulate(second, shared, machine_size=size)
         fresh = simulate(second, ConservativeBackfillScheduler(), machine_size=size)
         assert _schedule(reused) == _schedule(fresh)
-        # The second run starts from a rebuild, never from the first run's profile.
+        # The profile belongs to the driver: the second run builds its own once.
         assert reused.counters["profile_builds"] == 1
 
 

@@ -9,9 +9,10 @@ old implementation returned.  These tests enforce that contract three ways:
 1. a verbatim copy of the old profile (``ReferenceProfile``) is kept here
    as an oracle, and randomized operation sequences must agree query by
    query (property test);
-2. the incremental :class:`FreeSpaceTracker` must always equal a cold
-   ``FreeSpace.from_running`` rebuild, structurally, across simulated
-   scheduling-pass sequences (jobs starting, finishing early, overrunning);
+2. the incremental :class:`FreeSpaceTracker`, told of every start and end,
+   must always equal a cold ``FreeSpace.from_running`` rebuild,
+   structurally, across simulated scheduling-pass sequences (jobs
+   starting, finishing early, overrunning);
 3. full simulations through the old conservative scheduler (also copied
    here verbatim) and the new one must produce identical per-job start/end
    sequences, identical ``jobs_backfilled`` counts, and identical store
@@ -31,7 +32,7 @@ from repro.api import Scenario, run
 from repro.bench.store import result_key
 from repro.obs.telemetry import count
 from repro.schedulers.backfill import ConservativeBackfillScheduler
-from repro.schedulers.base import JobRequest, RunningDelta, RunningJobInfo, Scheduler, SchedulerState
+from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 from tests.schedulers.util import make_request, make_state
 
@@ -283,33 +284,23 @@ def _state_from_running(
 
 
 class TestTrackerMatchesRebuild:
-    """The tracker, patched from a driver's delta, equals a cold rebuild slot for slot."""
+    """The tracker, patched from reported starts and ends, equals a cold rebuild slot for slot."""
 
     @staticmethod
-    def _state(total, now, running, delta):
+    def _infos(now, running):
         """running: {job_id: (request, start, expected_end)}, as a driver keeps it."""
-        infos = [
+        return [
             RunningJobInfo(request=req, start_time=start, expected_end=max(end, now))
             for req, start, end in running.values()
         ]
-        return SchedulerState(
-            now=now,
-            total_processors=total,
-            free_processors=total - sum(i.processors for i in infos),
-            queue=[],
-            running=infos,
-            delta=delta,
-        )
 
-    def _assert_equal_profiles(self, tracked: FreeSpace, state: SchedulerState):
-        fresh = FreeSpace.from_running(
-            state.total_processors, state.now, state.running
-        )
+    def _assert_equal_profiles(self, tracked: FreeSpace, total, now, running):
+        fresh = FreeSpace.from_running(total, now, self._infos(now, running))
         assert tracked.slots() == fresh.slots()
 
     def test_event_sequence(self):
         total = 64
-        tracker, delta = FreeSpaceTracker(), RunningDelta()
+        tracker = FreeSpaceTracker(total)
         running: dict = {}
         timeline = [
             # (now, jobs ended since the previous pass, jobs started now as
@@ -328,87 +319,75 @@ class TestTrackerMatchesRebuild:
         for now, ended, starts in timeline:
             for job_id in ended:
                 req, _start, end = running.pop(job_id)
-                delta.ended.append((req.processors, end))
-            state = self._state(total, now, running, delta)
-            tracked = tracker.sync(state)
-            self._assert_equal_profiles(tracked, state)
-            # Built at the first pass, patched in place ever after.
+                tracker.end(req.processors, end)
+            tracked = tracker.sync(now, self._infos(now, running))
+            self._assert_equal_profiles(tracked, total, now, running)
+            # Built at the first sync, patched in place ever after.
             first = tracked if first is None else first
             assert tracked is first
-            selected = []
             for job_id, procs, estimate in starts:
                 req = make_request(job_id, procs, runtime=estimate)
                 running[job_id] = (req, now, now + estimate)
-                selected.append(req)
-            delta.turn(selected)
+                tracker.start(procs, now + estimate)
+
+    def test_reports_before_the_first_sync_are_ignored(self):
+        # The first sync builds from the running set, which already holds
+        # every job reported before it.
+        tracker = FreeSpaceTracker(32)
+        req = make_request(1, 8, runtime=100)
+        tracker.start(8, 100.0)
+        tracker.start(4, 50.0)
+        tracker.end(4, 50.0)
+        running = {1: (req, 0.0, 100.0)}
+        tracked = tracker.sync(10.0, self._infos(10.0, running))
+        assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
+        assert tracker.sync(20.0, []).slots() == [(20.0, 100.0, 24), (100.0, float("inf"), 32)]
 
     def test_randomized_pass_sequences(self):
         total = 128
         rng = random.Random(1999)
         unchanged = 0
         for _trial in range(20):
-            tracker, delta = FreeSpaceTracker(), RunningDelta()
-            now, running, next_id, first = 0.0, {}, 1, None
+            tracker = FreeSpaceTracker(total)
+            now, running, next_id, first, started = 0.0, {}, 1, None, 0
             for _pass in range(40):
                 now += rng.choice([0, 0, 3, 20, 80])
+                ended = 0
                 for job_id in list(running):
                     req, start, end = running[job_id]
                     # completions at, before (early) or after (overrun) the estimate
                     if (end <= now and rng.random() < 0.7) or rng.random() < 0.1:
-                        delta.ended.append((req.processors, end))
+                        tracker.end(req.processors, end)
                         del running[job_id]
-                unchanged += not delta.started and not delta.ended
-                state = self._state(total, now, running, delta)
-                tracked = tracker.sync(state)
-                self._assert_equal_profiles(tracked, state)
+                        ended += 1
+                unchanged += not started and not ended
+                tracked = tracker.sync(now, self._infos(now, running))
+                self._assert_equal_profiles(tracked, total, now, running)
                 first = tracked if first is None else first
                 assert tracked is first
                 used = sum(req.processors for req, _s, _e in running.values())
-                selected = []
+                started = 0
                 while rng.random() < 0.5:
                     req = make_request(next_id, rng.randrange(1, 33), runtime=rng.choice([0, 5, 50, 200]))
                     if used + req.processors > total:
                         break
                     used += req.processors
                     running[next_id] = (req, now, now + req.estimate)
-                    selected.append(req)
+                    tracker.start(req.processors, now + req.estimate)
+                    started += 1
                     next_id += 1
-                delta.turn(selected)
         assert unchanged > 0
-
-    def test_time_regression_triggers_rebuild(self):
-        tracker, delta = FreeSpaceTracker(), RunningDelta()
-        running = {1: (make_request(1, 8, runtime=200), 0.0, 200.0)}
-        tracker.sync(self._state(32, 100.0, running, delta))
-        delta.turn([])
-        state = self._state(32, 50.0, running, delta)
-        tracked = tracker.sync(state)  # time went backwards: full rebuild
-        self._assert_equal_profiles(tracked, state)
-        assert tracked.now == 50.0
-
-    def test_a_delta_that_does_not_continue_the_last_sync_rebuilds(self):
-        req = make_request(1, 8, runtime=100)
-        running = {1: (req, 0.0, 100.0)}
-        tracker, delta = FreeSpaceTracker(), RunningDelta()
-        tracker.sync(self._state(32, 0.0, {}, delta))
-        delta.turn([req])
-        delta.turn([])  # a pass the tracker never saw
-        tracked = tracker.sync(self._state(32, 10.0, running, delta))
-        assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
-        # Another driver's delta: rebuilt from its state, not patched.
-        other = self._state(32, 20.0, {}, RunningDelta())
-        assert tracker.sync(other).slots() == [(20.0, float("inf"), 32)]
 
     def test_copy_isolates_per_pass_mutation(self):
         # The scheduler reserves into a copy; the tracked base must not see it.
-        tracker = FreeSpaceTracker()
-        state = _state_from_running(32, 0.0, [(1, 8, 0.0, 100.0)])
-        base = tracker.sync(state)
+        tracker = FreeSpaceTracker(32)
+        running = {1: (make_request(1, 8, runtime=100), 0.0, 100.0)}
+        base = tracker.sync(0.0, self._infos(0.0, running))
         scratch = base.copy()
         scratch.reserve(0.0, 50.0, 24)
         assert base.free_at(10.0) == 24
         assert scratch.free_at(10.0) == 0
-        self._assert_equal_profiles(tracker.sync(state), state)
+        self._assert_equal_profiles(tracker.sync(0.0, []), 32, 0.0, running)
 
 
 # ----------------------------------------------------------------------
