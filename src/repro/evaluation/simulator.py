@@ -21,7 +21,6 @@ Features required by the paper's extensions are built in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -32,7 +31,7 @@ from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState, usable_requests
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import EventHandle, Simulator
 
 __all__ = ["MachineSimulation", "SpaceSharedMachine", "simulate"]
 
@@ -44,23 +43,13 @@ _PRIORITY_OUTAGE = 1
 _PRIORITY_ARRIVAL = 2
 
 
-@dataclass
-class _Running:
-    request: JobRequest
-    start_time: float
-    expected_end: float
-    completion_handle: object = None
-
-    @property
-    def processors(self) -> int:
-        return self.request.processors
-
-
 class SpaceSharedMachine:
     """One space-shared machine's scheduling pass and the state it keeps.
 
-    It owns the wait queue (arrival order, handed to policies uncopied),
-    the running set with its free-space profile (a
+    It owns the wait queue and the running set, both handed to policies
+    uncopied: the queue in arrival order, the running set as a dict of
+    :class:`~repro.schedulers.base.RunningJobInfo` keyed by job id, with
+    its free-space profile (a
     :class:`~repro.schedulers.freespace.FreeSpaceTracker` told of every
     start, completion and kill, so a policy that reads
     ``SchedulerState.profile`` gets it patched rather than rebuilt), and
@@ -86,7 +75,7 @@ class SpaceSharedMachine:
         self._started = self.telemetry.counter("jobs_started")
         self.queue: List[JobRequest] = []
         self._queued_ids: set = set()
-        self.running: Dict[int, _Running] = {}
+        self.running: Dict[int, RunningJobInfo] = {}
         self.calendar = FreeSpace(machine.size, 0)
         self.tracker = FreeSpaceTracker(machine.size)
 
@@ -98,7 +87,7 @@ class SpaceSharedMachine:
             self.queue.append(request)
         self._queued_ids.add(request.job_id)
 
-    def end(self, job_id: int) -> Optional[_Running]:
+    def end(self, job_id: int) -> Optional[RunningJobInfo]:
         """Take ``job_id`` off the machine; ``None`` if it is not running."""
         running = self.running.pop(job_id, None)
         if running is not None:
@@ -106,18 +95,11 @@ class SpaceSharedMachine:
             self.tracker.end(running.request.processors, running.expected_end)
         return running
 
-    def running_infos(self) -> List[RunningJobInfo]:
-        now = self.sim.now
-        return [
-            RunningJobInfo(r.request, r.start_time, max(r.expected_end, now))
-            for r in self.running.values()
-        ]
-
     def profile(self) -> FreeSpace:
         """The running set's free space from now: the tracked slot set, read-only."""
         return self.tracker.sync(self.sim.now, self.running.values())
 
-    def schedule_pass(self) -> List[_Running]:
+    def schedule_pass(self) -> List[RunningJobInfo]:
         """Ask the policy for jobs to start now; start them and return their records."""
         queue = self.queue
         if not queue:
@@ -132,10 +114,10 @@ class SpaceSharedMachine:
             total_processors=machine.size,
             free_processors=free,
             queue=queue,
+            running=self.running.values(),
+            calendar=self.calendar,
             # Bound per pass, not stored: a stored bound method would make
             # this object a reference cycle that outlives its run.
-            running=self.running_infos,
-            calendar=self.calendar,
             profile=self.profile,
         )
         selected = self.scheduler.select_jobs(state)
@@ -157,9 +139,9 @@ class SpaceSharedMachine:
             )
         running, started, tracker = self.running, [], self.tracker
         for request in selected:
-            machine.allocate(request.job_id, request.processors, start_time=now)
+            machine.allocate(request.job_id, request.processors)
             end = now + request.estimate
-            running[request.job_id] = record = _Running(request, now, end)
+            running[request.job_id] = record = RunningJobInfo(request, now, end)
             tracker.start(request.processors, end)
             started.append(record)
         self._started.inc(len(started))
@@ -197,11 +179,13 @@ class MachineSimulation:
         self.max_restarts = max_restarts
 
         self.sim = Simulator()
-        self._space = SpaceSharedMachine(
-            Machine(size=int(size), name="simulated-machine"), scheduler, self.sim
-        )
+        self._space = SpaceSharedMachine(Machine(size=int(size)), scheduler, self.sim)
         self.machine = self._space.machine
         self._results: List[JobResult] = []
+        #: job id -> completion event of each running job; kept off the
+        #: record because its time is the actual end, which policies must
+        #: not see
+        self._completions: Dict[int, EventHandle] = {}
         self._outage_kills = 0
         self._submit_times: Dict[int, float] = {}
         #: dependent jobs waiting for a predecessor to finish: pred id -> [(request, think)]
@@ -261,12 +245,11 @@ class MachineSimulation:
 
     def _on_completion(self, job_id: int) -> None:
         running = self._space.end(job_id)
-        if running is None:  # completion of a job killed by an outage
-            return
+        del self._completions[job_id]
         self._finish(job_id, running, killed=False)
         self._schedule_pass()
 
-    def _finish(self, job_id: int, running: _Running, killed: bool) -> None:
+    def _finish(self, job_id: int, running: RunningJobInfo, killed: bool) -> None:
         self._results.append(
             JobResult(
                 job=running.request.job,
@@ -291,9 +274,7 @@ class MachineSimulation:
         victims = self.machine.fail_nodes(node_ids)
         for job_id in victims:
             running = self._space.end(job_id)
-            if running is None:
-                continue
-            running.completion_handle.cancel()
+            self._completions.pop(job_id).cancel()
             self._outage_kills += 1
             restarts = self._restart_counts.get(job_id, 0)
             if self.restart_failed_jobs and restarts < self.max_restarts:
@@ -334,9 +315,10 @@ class MachineSimulation:
         space, sim = self._space, self.sim
         if self._by_announce and space.queue:
             self._announce(sim.now)
+        completions = self._completions
         for running in space.schedule_pass():
             request = running.request
-            running.completion_handle = sim.schedule(
+            completions[request.job_id] = sim.schedule(
                 request.runtime, self._on_completion, request.job_id, priority=_PRIORITY_COMPLETION
             )
 

@@ -35,7 +35,12 @@ class SiteView:
     """The information a site exposes to the meta-scheduler at one instant.
 
     This is the "Metacomputing Directory Service"-style snapshot: static
-    capacity, current load, the queue as the site reports it, and the
+    capacity, current load, the queue as the site reports it, the running
+    jobs (a list of the site driver's own immutable
+    :class:`~repro.schedulers.base.RunningJobInfo` records, whose
+    ``expected_end`` can lie before ``now`` for a meta component held for
+    its partners; :meth:`FreeSpace.from_running
+    <repro.schedulers.freespace.FreeSpace.from_running>` clamps it), and the
     reservation calendar (as (start, end, processors) triples).
     """
 

@@ -145,7 +145,7 @@ class _SiteState:
     def __init__(self, site: Site, sim: Simulator) -> None:
         self.site = site
         self.space = SpaceSharedMachine(
-            Machine(size=site.machine_size, name=site.name), site.scheduler, sim
+            Machine(size=site.machine_size), site.scheduler, sim
         )
         #: (start, end, processors, meta_id) reservation calendar, each entry
         #: also reserved on ``space.calendar`` until its claim
@@ -162,7 +162,7 @@ class _SiteState:
             speed=self.site.speed,
             now=now,
             queued=space.queue,
-            running=space.running_infos(),
+            running=list(space.running.values()),
             reservations=[(s, e, p) for s, e, p, _ in self.reservations],
         )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Collection, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
@@ -107,9 +107,17 @@ def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRe
     return requests, skipped
 
 
-@dataclass(frozen=True)
-class RunningJobInfo:
-    """A job currently executing, as visible to the scheduler."""
+class RunningJobInfo(NamedTuple):
+    """A job currently executing: the driver's one record of it.
+
+    Policies read the driver's records themselves, not copies, so the
+    record is immutable.  ``expected_end`` is ``start_time`` plus the
+    estimate.  It can lie before ``now`` while a grid site holds a started
+    meta component for its partners;
+    :meth:`SchedulerState.expected_completions` and
+    :meth:`FreeSpace.from_running
+    <repro.schedulers.freespace.FreeSpace.from_running>` read it as ``now``.
+    """
 
     request: JobRequest
     start_time: float
@@ -123,10 +131,10 @@ class RunningJobInfo:
 class SchedulerState:
     """What a policy sees at one scheduling point.
 
-    ``queue`` is the driver's own wait queue in arrival order, not a copy:
-    policies must treat it and ``running`` as read-only.  ``running`` may
-    be a list or a zero-argument callable that builds it on first access,
-    so policies that never read it (FCFS) never pay for it.
+    ``queue`` is the driver's own wait queue in arrival order, and
+    ``running`` the driver's own :class:`RunningJobInfo` records (its
+    ``running.values()`` view; a hand-built state may pass a list).
+    Neither is a copy, so policies must treat both as read-only.
 
     ``calendar`` is the announced capacity as a read-only
     :class:`~repro.schedulers.freespace.FreeSpace` starting at or before
@@ -155,7 +163,7 @@ class SchedulerState:
         total_processors: int,
         free_processors: int,
         queue: List[JobRequest],
-        running: Union[List[RunningJobInfo], Callable[[], List[RunningJobInfo]]],
+        running: Collection[RunningJobInfo],
         calendar: Optional[FreeSpace] = None,
         profile: Optional[Callable[[], FreeSpace]] = None,
     ) -> None:
@@ -163,21 +171,13 @@ class SchedulerState:
         self.total_processors = total_processors
         self.free_processors = free_processors
         self.queue = queue
-        self._running = running
+        self.running = running
         self.min_capacity: Callable[[float, float], int] = (
             calendar.capacity if calendar is not None else lambda start, end: total_processors
         )
         self.calendar = calendar
         self._profile: Union[FreeSpace, Callable[[], FreeSpace], None] = profile
         self._completions: Optional[List[Tuple[float, int]]] = None
-
-    @property
-    def running(self) -> List[RunningJobInfo]:
-        """The running jobs, built on first access when given as a callable."""
-        running = self._running
-        if callable(running):
-            running = self._running = running()
-        return running
 
     @property
     def profile(self) -> FreeSpace:
@@ -193,12 +193,16 @@ class SchedulerState:
     def expected_completions(self) -> List[Tuple[float, int]]:
         """(expected end, processors) for running jobs, sorted by end time.
 
-        Memoized on the state: backfilling consults this once per
-        blocked-head decision, and the running set cannot change within
-        one scheduling pass.
+        An expected end before ``now`` (a grid site's held meta component)
+        reads as ``now``.  Memoized on the state: backfilling consults this
+        once per blocked-head decision, and the running set cannot change
+        within one scheduling pass.
         """
         if self._completions is None:
-            self._completions = sorted((r.expected_end, r.processors) for r in self.running)
+            now = self.now
+            self._completions = sorted(
+                (max(r.expected_end, now), r.processors) for r in self.running
+            )
         return self._completions
 
 

@@ -67,6 +67,16 @@ class TestEasySelection:
     def test_empty_queue(self):
         assert EasyBackfillScheduler().select_jobs(make_state(16)) == []
 
+    def test_held_component_reads_as_ending_now(self):
+        # A grid site holds a started meta component until its partners
+        # start, so its expected end can fall before now.
+        head = make_request(1, 16, estimate=500)
+        held = make_state(16, queue=[head], running=[(make_request(99, 8), 0.0, 50.0)], now=100.0)
+        clamped = make_state(16, queue=[head], running=[(make_request(99, 8), 0.0, 100.0)], now=100.0)
+        assert held.expected_completions() == [(100.0, 8)]
+        easy = EasyBackfillScheduler()
+        assert easy._shadow(held, [], head, 8) == easy._shadow(clamped, [], head, 8) == (100.0, 0)
+
 
 class TestConservativeSelection:
     def test_starts_jobs_that_hold_immediate_reservations(self):

@@ -11,7 +11,6 @@ from repro.bench.seeds import derive_seeds
 from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
-from repro.evaluation.simulator import SpaceSharedMachine
 from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site, generate_meta_jobs
 from repro.schedulers import (
     ConservativeBackfillScheduler,
@@ -219,6 +218,20 @@ class TestOutages:
         assert aware.by_job_id()[1].start_time >= 200
         assert blind.outage_kills == 1
 
+    def test_killed_runs_never_complete(self):
+        size = 64
+        workload = Lublin99Model(machine_size=size).generate_with_load(300, 0.85, seed=7)
+        outages = generate_outages(size, int(workload.span()) + 1, seed=11)
+        sim = MachineSimulation(
+            workload, ConservativeBackfillScheduler(outage_aware=True), machine_size=size, outages=outages
+        )
+        result = sim.run()
+        assert sim._completions == {}
+        restarted = [j for j in result.jobs if j.restarts]
+        assert result.outage_kills > 0 and restarted
+        for job in restarted:
+            assert job.end_time - job.start_time == JobRequest.from_swf(job.job).runtime
+
     def test_available_node_seconds_recorded(self):
         workload = make_workload([make_job(1, submit=0, runtime=300, processors=4)])
         outages = self._maintenance(start=10, end=20, nodes=4)
@@ -269,19 +282,22 @@ class TestQueueUpkeep:
             j.job_number for j in workload.summary_jobs()
         )
 
-    def test_running_set_is_built_only_when_a_policy_reads_it(self, lublin_workload, monkeypatch):
-        calls = []
-        original = SpaceSharedMachine.running_infos
+    def test_policies_read_the_drivers_running_records(self, lublin_workload):
+        checked = []
 
-        def counting(space):
-            calls.append(space.sim.now)
-            return original(space)
+        class Spy(EasyBackfillScheduler):
+            def select_jobs(self, state):
+                records = sim._space.running.values()
+                assert sorted(map(id, state.running)) == sorted(map(id, records))
+                for seen in state.running:
+                    with pytest.raises(AttributeError):
+                        seen.expected_end = 0.0
+                checked.append(len(records))
+                return super().select_jobs(state)
 
-        monkeypatch.setattr(SpaceSharedMachine, "running_infos", counting)
-        simulate(lublin_workload, FCFSScheduler(), machine_size=64)
-        assert calls == []
-        simulate(lublin_workload, EasyBackfillScheduler(), machine_size=64)
-        assert calls
+        sim = MachineSimulation(lublin_workload, Spy(), machine_size=64)
+        sim.run()
+        assert any(checked)
 
 
 def _misbehaving(pick):

@@ -11,21 +11,6 @@ from repro.machine.cluster import AllocationError
 
 
 class TestConstruction:
-    def test_single_partition_by_default(self):
-        machine = Machine(size=16)
-        assert machine.size == 16
-        assert len(machine.partitions) == 1
-        assert machine.partitions[0].size == 16
-
-    def test_explicit_partitions(self):
-        machine = Machine(size=16, partitions=[4, 12])
-        assert [p.size for p in machine.partitions] == [4, 12]
-        assert machine.free_count(partition=1) == 4
-
-    def test_partition_sizes_must_sum_to_size(self):
-        with pytest.raises(ValueError):
-            Machine(size=16, partitions=[4, 4])
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Machine(size=0)
@@ -34,19 +19,19 @@ class TestConstruction:
 class TestAllocation:
     def test_allocate_and_release(self):
         machine = Machine(size=8)
-        allocation = machine.allocate(job_id=1, processors=5)
-        assert allocation.size == 5
+        node_ids = machine.allocate(job_id=1, processors=5)
+        assert node_ids == (0, 1, 2, 3, 4)
         assert machine.free_count() == 3
         assert machine.busy_count() == 5
-        machine.release(1)
+        assert machine.release(1) == node_ids
         assert machine.free_count() == 8
 
     def test_cannot_overallocate(self):
         machine = Machine(size=4)
         machine.allocate(1, 3)
-        assert not machine.can_allocate(2)
         with pytest.raises(AllocationError):
             machine.allocate(2, 2)
+        assert machine.free_count() == 1
 
     def test_double_allocation_rejected(self):
         machine = Machine(size=8)
@@ -62,42 +47,15 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             Machine(size=4).allocate(1, 0)
 
-    def test_memory_constraint(self):
-        machine = Machine(size=4, memory_per_node_kb=1024)
-        assert not machine.can_allocate(1, memory_per_node_kb=2048)
-        with pytest.raises(AllocationError):
-            machine.allocate(1, 1, memory_per_node_kb=2048)
-        machine.allocate(2, 1, memory_per_node_kb=512)
-
-    def test_partition_restricted_allocation(self):
-        machine = Machine(size=8, partitions=[4, 4])
-        machine.allocate(1, 4, partition=1)
-        assert machine.free_count(partition=1) == 0
-        assert machine.free_count(partition=2) == 4
-        with pytest.raises(AllocationError):
-            machine.allocate(2, 1, partition=1)
-
-    def test_utilized_fraction(self):
-        machine = Machine(size=10)
-        machine.allocate(1, 5)
-        assert machine.utilized_fraction() == pytest.approx(0.5)
-
-    def test_allocations_view(self):
-        machine = Machine(size=8)
-        machine.allocate(1, 2, start_time=42.0)
-        allocations = machine.allocations
-        assert allocations[1].start_time == 42.0
-        assert allocations[1].size == 2
-
 
 class TestFailures:
     def test_fail_free_nodes_reports_no_victims(self):
         machine = Machine(size=8)
-        node_ids, victims = machine.fail_any(2)
-        assert len(node_ids) == 2
+        victims = machine.fail_nodes([6, 7])
         assert victims == []
         assert machine.free_count() == 6
         assert machine.down_count() == 2
+        assert machine.down_node_ids() == [6, 7]
 
     def test_fail_busy_node_reports_victim_job(self):
         machine = Machine(size=2)
@@ -105,32 +63,22 @@ class TestFailures:
         victims = machine.fail_nodes([0])
         assert victims == [7]
 
-    def test_fail_any_prefers_free_nodes(self):
-        machine = Machine(size=4)
-        machine.allocate(1, 2)
-        _, victims = machine.fail_any(2)
-        assert victims == []
-
-    def test_fail_any_spills_to_busy_nodes(self):
-        machine = Machine(size=4)
-        machine.allocate(1, 3)
-        _, victims = machine.fail_any(2)
-        assert victims == [1]
-
     def test_restore_nodes(self):
         machine = Machine(size=4)
-        node_ids, _ = machine.fail_any(2)
-        machine.restore_nodes(node_ids)
+        machine.fail_nodes([2, 3])
+        machine.restore_nodes([2, 3])
         assert machine.down_count() == 0
         assert machine.free_count() == 4
+        assert machine.allocate(1, 4) == (0, 1, 2, 3)
 
     def test_down_nodes_not_allocated(self):
         machine = Machine(size=4)
         machine.fail_nodes([0, 1])
         assert machine.up_count() == 2
-        assert not machine.can_allocate(3)
-        allocation = machine.allocate(1, 2)
-        assert set(allocation.node_ids).isdisjoint({0, 1})
+        with pytest.raises(AllocationError):
+            machine.allocate(1, 3)
+        node_ids = machine.allocate(1, 2)
+        assert set(node_ids).isdisjoint({0, 1})
 
     def test_unknown_node_rejected(self):
         with pytest.raises(AllocationError):
@@ -142,7 +90,7 @@ class TestFailures:
         machine = Machine(size=2)
         machine.allocate(1, 2)
         machine.fail_nodes([0])
-        machine.release(1)
+        assert machine.release(1) == (0, 1)
         assert machine.down_count() == 1
         assert machine.free_count() == 1
 
@@ -193,8 +141,8 @@ class TestAgainstNaiveModel:
             if op == "allocate":
                 processors = data.draw(st.integers(min_value=1, max_value=size))
                 if processors <= machine.free_count():
-                    allocation = machine.allocate(next_job, processors)
-                    assert allocation.node_ids == naive.allocate(next_job, processors)
+                    node_ids = machine.allocate(next_job, processors)
+                    assert node_ids == naive.allocate(next_job, processors)
                     holding.append(next_job)
                     next_job += 1
                 else:
