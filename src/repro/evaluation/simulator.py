@@ -21,6 +21,7 @@ Features required by the paper's extensions are built in:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -31,7 +32,7 @@ from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState, usable_requests
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
-from repro.simulation.engine import EventHandle, Simulator
+from repro.simulation.engine import Simulator
 
 __all__ = ["MachineSimulation", "SpaceSharedMachine", "simulate"]
 
@@ -68,11 +69,10 @@ class SpaceSharedMachine:
         #: deterministic scheduling counters.  The owner must install this
         #: registry as the telemetry scope around every :meth:`schedule_pass`
         #: (policies and the profile ``count()`` into the active scope), or
-        #: the counts land in whatever scope encloses the simulation.
+        #: the counts land in whatever scope encloses the simulation; and
+        #: call :meth:`publish` once, after the run.
         self.telemetry = Telemetry()
-        self._passes = self.telemetry.counter("sched_passes")
-        self._max_depth = self.telemetry.gauge("max_queue_depth")
-        self._started = self.telemetry.counter("jobs_started")
+        self.sched_passes = self.jobs_started = self.max_queue_depth = 0
         self.queue: List[JobRequest] = []
         self._queued_ids: set = set()
         self.running: Dict[int, RunningJobInfo] = {}
@@ -95,6 +95,15 @@ class SpaceSharedMachine:
             self.tracker.end(running.request.processors, running.expected_end)
         return running
 
+    def publish(self) -> None:
+        """Add the pass counters to ``telemetry``; a counter never touched stays absent."""
+        telemetry = self.telemetry
+        if self.sched_passes:
+            telemetry.counter("sched_passes").inc(self.sched_passes)
+            telemetry.gauge("max_queue_depth").set_max(self.max_queue_depth)
+        if self.jobs_started:
+            telemetry.counter("jobs_started").inc(self.jobs_started)
+
     def profile(self) -> FreeSpace:
         """The running set's free space from now: the tracked slot set, read-only."""
         return self.tracker.sync(self.sim.now, self.running.values())
@@ -104,8 +113,9 @@ class SpaceSharedMachine:
         queue = self.queue
         if not queue:
             return []
-        self._passes.inc()
-        self._max_depth.set_max(len(queue))
+        self.sched_passes += 1
+        if len(queue) > self.max_queue_depth:
+            self.max_queue_depth = len(queue)
         now = self.sim.now
         machine = self.machine
         free = machine.free_count()
@@ -144,7 +154,7 @@ class SpaceSharedMachine:
             running[request.job_id] = record = RunningJobInfo(request, now, end)
             tracker.start(request.processors, end)
             started.append(record)
-        self._started.inc(len(started))
+        self.jobs_started += len(started)
         # FCFS-like picks are the queue's leading entries: drop them in place
         # (ids are distinct when the id set is as long as the queue).
         if len(queued_ids) == len(queue) and all(s is q for s, q in zip(selected, queue)):
@@ -182,10 +192,10 @@ class MachineSimulation:
         self._space = SpaceSharedMachine(Machine(size=int(size)), scheduler, self.sim)
         self.machine = self._space.machine
         self._results: List[JobResult] = []
-        #: job id -> completion event of each running job; kept off the
-        #: record because its time is the actual end, which policies must
-        #: not see
-        self._completions: Dict[int, EventHandle] = {}
+        #: job id -> sequence number of each running job's completion event;
+        #: kept off the record because the event's time is the actual end,
+        #: which policies must not see
+        self._completions: Dict[int, int] = {}
         self._outage_kills = 0
         self._submit_times: Dict[int, float] = {}
         #: dependent jobs waiting for a predecessor to finish: pred id -> [(request, think)]
@@ -204,6 +214,7 @@ class MachineSimulation:
     def _seed_events(self) -> None:
         requests, self._skipped_too_large = usable_requests(self.workload, self.machine.size)
         present = {r.job_id for r in requests}
+        arrivals = []
         for request in requests:
             job = request.job
             if (
@@ -214,9 +225,9 @@ class MachineSimulation:
                 think = job.think_time if job.think_time != MISSING else 0
                 self._waiting_on.setdefault(job.preceding_job, []).append((request, think))
             else:
-                self.sim.schedule_at(
-                    request.submit_time, self._on_arrival, request, priority=_PRIORITY_ARRIVAL
-                )
+                arrivals.append((request.submit_time, request))
+        arrivals.sort(key=itemgetter(0))
+        self.sim.stream(arrivals, self._on_arrival, priority=_PRIORITY_ARRIVAL)
         for record in self.outages:
             node_ids = self._outage_nodes(record)
             self.sim.schedule_at(
@@ -274,20 +285,12 @@ class MachineSimulation:
         victims = self.machine.fail_nodes(node_ids)
         for job_id in victims:
             running = self._space.end(job_id)
-            self._completions.pop(job_id).cancel()
+            self.sim.cancel(self._completions.pop(job_id))
             self._outage_kills += 1
             restarts = self._restart_counts.get(job_id, 0)
             if self.restart_failed_jobs and restarts < self.max_restarts:
-                request = running.request
                 # Restart from scratch: back into the queue at the current time.
-                restarted = JobRequest(
-                    job=request.job,
-                    processors=request.processors,
-                    runtime=request.runtime,
-                    estimate=request.estimate,
-                    submit_time=int(self.sim.now),
-                )
-                self._space.submit(restarted)
+                self._space.submit(running.request._replace(submit_time=int(self.sim.now)))
                 self._restart_counts[job_id] = restarts + 1
             else:
                 self._finish(job_id, running, killed=True)
@@ -331,6 +334,7 @@ class MachineSimulation:
         with telemetry_scope(telemetry):
             self._seed_events()
             self.sim.run()
+        self._space.publish()
         counters = telemetry.as_counters()
         counters["events_processed"] = self.sim.processed_events
         counters["peak_event_queue"] = self.sim.peak_queue

@@ -33,6 +33,7 @@ outages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.swf.records import SWFJob
@@ -207,27 +208,25 @@ class GridSimulation:
     # setup
     # ------------------------------------------------------------------
     def _seed_events(self) -> None:
+        # One stream: each site's local arrivals, then the meta arrivals
+        # (site ``None``), in a stable sort by time.
+        arrivals = []
         for state in self.sites.values():
             workload = state.site.local_workload
-            if workload is None:
-                continue
-            for request in usable_requests(workload, state.site.machine_size)[0]:
-                self.sim.schedule_at(
-                    request.submit_time,
-                    self._on_local_arrival,
-                    state.site.name,
-                    request,
-                    priority=_PRIORITY_ARRIVAL,
-                    label=f"local:{state.site.name}:{request.job_id}",
-                )
-        for job in self.meta_jobs:
-            self.sim.schedule_at(
-                job.submit_time,
-                self._on_meta_arrival,
-                job,
-                priority=_PRIORITY_ARRIVAL,
-                label=f"meta:{job.job_id}",
-            )
+            if workload is not None:
+                name = state.site.name
+                requests = usable_requests(workload, state.site.machine_size)[0]
+                arrivals.extend((r.submit_time, (name, r)) for r in requests)
+        arrivals.extend((job.submit_time, (None, job)) for job in self.meta_jobs)
+        arrivals.sort(key=itemgetter(0))
+        self.sim.stream(arrivals, self._on_arrival, priority=_PRIORITY_ARRIVAL)
+
+    def _on_arrival(self, arrival: Tuple[Optional[str], object]) -> None:
+        site_name, job = arrival
+        if site_name is None:
+            self._on_meta_arrival(job)
+        else:
+            self._on_local_arrival(site_name, job)
 
     # ------------------------------------------------------------------
     # local jobs
@@ -271,6 +270,7 @@ class GridSimulation:
         )
         return JobRequest(
             job=swf,
+            job_id=swf.job_number,
             processors=component.processors,
             runtime=runtime,
             estimate=max(job.estimate, runtime),
@@ -330,7 +330,6 @@ class GridSimulation:
                 self._on_reservation_claim,
                 job.job_id,
                 priority=_PRIORITY_CLAIM,
-                label=f"claim:{job.job_id}",
             )
         else:
             for site_name, component in mapping.items():
@@ -369,7 +368,6 @@ class GridSimulation:
             self._on_meta_completion,
             meta_id,
             priority=_PRIORITY_COMPLETION,
-            label=f"meta-completion:{meta_id}",
         )
 
     def _on_meta_completion(self, meta_id: int) -> None:
@@ -428,7 +426,6 @@ class GridSimulation:
                     site_name,
                     job_id,
                     priority=_PRIORITY_COMPLETION,
-                    label=f"local-completion:{site_name}:{job_id}",
                 )
 
     # ------------------------------------------------------------------
@@ -440,6 +437,7 @@ class GridSimulation:
         self.sim.run()
         site_results = {}
         for name, state in self.sites.items():
+            state.space.publish()
             site_results[name] = SimulationResult(
                 scheduler_name=f"{state.site.scheduler.name}@{name}",
                 machine_size=state.site.machine_size,

@@ -1,6 +1,6 @@
 """Metrics, composite objective functions, and ranking comparison."""
 
-from repro.metrics.basic import DEFAULT_TAU, MetricsReport, compute_metrics, confidence_interval
+from repro.metrics.basic import DEFAULT_TAU, MetricsReport, compute_metrics
 from repro.metrics.objective import (
     MAXIMIZE_METRICS,
     MINIMIZE_METRICS,
@@ -14,7 +14,6 @@ __all__ = [
     "DEFAULT_TAU",
     "MetricsReport",
     "compute_metrics",
-    "confidence_interval",
     "MAXIMIZE_METRICS",
     "MINIMIZE_METRICS",
     "ObjectiveFunction",

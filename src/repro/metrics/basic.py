@@ -14,16 +14,15 @@ capacity, not by nominal capacity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.api.registry import register_metric
 from repro.evaluation.results import JobResult, SimulationResult
 
-__all__ = ["MetricsReport", "compute_metrics", "confidence_interval"]
+__all__ = ["MetricsReport", "compute_metrics"]
 
 #: Default interactivity threshold (seconds) for bounded slowdown.
 DEFAULT_TAU = 10.0
@@ -205,21 +204,3 @@ def _register_report_metrics() -> None:
 
 
 _register_report_metrics()
-
-
-def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> tuple:
-    """Normal-approximation confidence interval for the mean of ``values``.
-
-    Returns ``(mean, half_width)``.  With fewer than two samples the half
-    width is zero.  The normal approximation (z = 1.96 at 95%) is adequate
-    for the hundreds-to-thousands of jobs a workload contains.
-    """
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        return 0.0, 0.0
-    mean = float(np.mean(data))
-    if data.size < 2:
-        return mean, 0.0
-    z = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}.get(round(confidence, 2), 1.96)
-    half = z * float(np.std(data, ddof=1)) / math.sqrt(data.size)
-    return mean, half

@@ -16,7 +16,6 @@ backfilling and advance reservations reason about is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
@@ -35,14 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JobRequest:
+class JobRequest(NamedTuple):
     """What the scheduler knows about a job (plus the hidden actual runtime).
 
     Attributes
     ----------
     job:
         The underlying SWF record.
+    job_id:
+        The record's job number.
     processors:
         Processors the job needs (requested count, falling back to allocated).
     runtime:
@@ -55,14 +55,11 @@ class JobRequest:
     """
 
     job: SWFJob
+    job_id: int
     processors: int
     runtime: int
     estimate: int
     submit_time: int
-
-    @property
-    def job_id(self) -> int:
-        return self.job.job_number
 
     @classmethod
     def from_swf(cls, job: SWFJob) -> "JobRequest":
@@ -78,13 +75,7 @@ class JobRequest:
             # a lower bound rather than modelling the kill here.
             estimate = runtime
         submit = job.submit_time if job.submit_time != MISSING else 0
-        return cls(
-            job=job,
-            processors=int(processors),
-            runtime=int(runtime),
-            estimate=int(max(estimate, 0)),
-            submit_time=int(submit),
-        )
+        return cls(job, job.job_number, int(processors), int(runtime), int(max(estimate, 0)), int(submit))
 
 
 def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRequest], int]:

@@ -79,12 +79,10 @@ class MoldableScheduler(Scheduler):
     def _resize(self, request: JobRequest, processors: int) -> JobRequest:
         moldable = self.moldable_jobs[request.job_id]
         runtime = max(1, int(round(moldable.runtime_on(processors))))
-        return JobRequest(
-            job=request.job,
+        return request._replace(
             processors=processors,
             runtime=runtime,
             estimate=max(runtime, int(round(runtime * self.estimate_factor))),
-            submit_time=request.submit_time,
         )
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:

@@ -4,8 +4,8 @@ This package provides the substrate every simulator in :mod:`repro` is built
 on:
 
 * :class:`~repro.simulation.engine.Simulator` — a deterministic
-  discrete-event engine (priority queue of timestamped events with stable
-  tie-breaking).
+  discrete-event engine (a heap of timestamped events with stable
+  tie-breaking, merged with a time-sorted arrival stream).
 * :mod:`~repro.simulation.distributions` — the random distributions the
   published workload models require (log-uniform, hyper-exponential,
   hyper-Erlang, two-stage hyper-gamma, Zipf, Weibull), all driven by
@@ -16,7 +16,7 @@ simulator; ``simpy`` is not available in this environment, so the kernel is
 implemented from scratch (see DESIGN.md, substitution table).
 """
 
-from repro.simulation.engine import Event, EventHandle, Simulator
+from repro.simulation.engine import Simulator
 from repro.simulation.distributions import (
     DiscreteSampler,
     HyperExponential,
@@ -30,8 +30,6 @@ from repro.simulation.distributions import (
 )
 
 __all__ = [
-    "Event",
-    "EventHandle",
     "Simulator",
     "DiscreteSampler",
     "HyperExponential",

@@ -1,38 +1,48 @@
 """A small deterministic discrete-event simulation engine.
 
-The engine maintains a binary heap of ``(time, priority, sequence, event)``
-tuples: :class:`Event` objects run in ``(time, priority, sequence)`` order,
-compared as plain tuples.  The sequence number guarantees a stable,
-deterministic order for events scheduled at the same instant with the same
-priority, which is essential for reproducible scheduler evaluations: two runs
-of the same workload with the same seed must produce bit-identical schedules.
+Events come from two sources, merged in :meth:`Simulator.run`:
+
+* a binary heap of plain ``(time, priority, sequence, callback, args)``
+  tuples, filled by ``schedule``/``schedule_at``.  Entries run in
+  ``(time, priority, sequence)`` order; the sequence number gives a stable,
+  deterministic order to events scheduled at the same instant with the same
+  priority, so two runs of the same workload with the same seed produce
+  bit-identical schedules;
+* one time-sorted arrival stream of ``(time, arg)`` entries with a single
+  callback and priority, set by ``stream`` before the run.  A stream entry
+  fires before the heap's top entry iff ``(t_stream, p_stream) <=
+  (t_heap, p_heap)``: the order the entries would get had they been pushed
+  through ``schedule_at`` before anything else.  A workload's arrivals are
+  known up front, so they never occupy the heap.
 
 The API is intentionally minimal — scheduler simulators in
-:mod:`repro.evaluation` and :mod:`repro.grid` drive it through three calls:
+:mod:`repro.evaluation` and :mod:`repro.grid` drive it through four calls:
 
-``schedule(delay, callback, ...)``
+``stream(entries, callback, priority)``
+    set the arrival stream, each entry firing as ``callback(arg)``,
+
+``schedule(delay, callback, *args, priority=0)``
     enqueue an event relative to the current time,
 
-``schedule_at(time, callback, ...)``
+``schedule_at(time, callback, *args, priority=0)``
     enqueue an event at an absolute time,
 
 ``run(until=None)``
-    process events in order until the queue drains or ``until`` is reached.
+    process events in order until both sources drain or ``until`` is reached.
 
-Events may be cancelled through the :class:`EventHandle` returned by the
-``schedule*`` calls; cancellation is O(1) (the event is flagged and skipped
-when popped), matching the usual "lazy deletion" technique for binary-heap
-event queues.
+``schedule*`` return the event's sequence number.  :meth:`Simulator.cancel`
+takes it and is O(1): the number goes into a set that is checked when the
+entry is popped (the usual "lazy deletion" technique for binary-heap event
+queues).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["Event", "EventHandle", "Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -41,56 +51,6 @@ class SimulationError(RuntimeError):
     Examples: scheduling an event in the past, or running a simulator that
     has already been stopped.
     """
-
-
-@dataclass
-class Event:
-    """A single scheduled occurrence inside the simulation.
-
-    The heap holds ``(time, priority, sequence, event)`` tuples, so events
-    run in that order without ever comparing two :class:`Event` objects:
-
-    * earlier events run first,
-    * among simultaneous events, lower ``priority`` runs first,
-    * among equal-priority simultaneous events, insertion order wins.
-    """
-
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[..., Any]
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    cancelled: bool = False
-    label: str = ""
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled :class:`Event`."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time the event is scheduled for."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Human-readable label attached at scheduling time."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self._event.cancelled = True
 
 
 class Simulator:
@@ -119,9 +79,15 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: heap of (time, priority, sequence, event) entries
-        self._queue: list[tuple] = []
+        #: heap of (time, priority, sequence, callback, args) entries
+        self._queue: List[tuple] = []
+        self._cancelled: set = set()
         self._counter = itertools.count()
+        #: the arrival stream, its next index, callback and priority
+        self._stream: Sequence[Tuple[float, Any]] = ()
+        self._stream_index = 0
+        self._stream_callback: Optional[Callable[[Any], Any]] = None
+        self._stream_priority = 0
         self._running = False
         self._stopped = False
         self._processed = 0
@@ -137,88 +103,67 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
+        """Events executed by finished :meth:`run` calls, stream entries included."""
         return self._processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including lazily-cancelled ones)."""
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
-
-    @property
     def peak_queue(self) -> int:
-        """High-water mark of the event queue length.
+        """High-water mark of the event heap's length.
 
-        Counts raw heap entries (lazily-cancelled events included), so the
-        value is a deterministic function of the event sequence alone.
+        Counts raw heap entries (lazily-cancelled events included, stream
+        entries not), so the value is a deterministic function of the event
+        sequence alone.
         """
         return self._peak_queue
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
+    def stream(
+        self, entries: Sequence[Tuple[float, Any]], callback: Callable[[Any], Any], priority: int = 0
+    ) -> None:
+        """Fire ``callback(arg)`` for each ``(time, arg)`` of ``entries``, in order.
+
+        ``entries`` must be sorted by time and start no earlier than now.
+        The simulator keeps a reference to it, and drops it with
+        ``callback`` once the last entry has fired.
+        """
+        if self._running or self._stream_index < len(self._stream):
+            raise SimulationError("an arrival stream is already set")
+        previous = self._now
+        for time, _ in entries:
+            if time < previous:
+                raise SimulationError(f"arrival at t={time} comes after t={previous}")
+            previous = time
+        self._stream, self._stream_index = entries, 0
+        self._stream_callback, self._stream_priority = callback, priority
+
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, priority: int = 0) -> int:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} s in the past")
-        return self.schedule_at(
-            self._now + delay, callback, *args, priority=priority, label=label, **kwargs
-        )
+        # Through schedule_at, so one wrapper of it sees every heap event.
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` at absolute simulation time ``time``."""
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0) -> int:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        time, sequence, queue = float(time), next(self._counter), self._queue
-        event = Event(time, priority, sequence, callback, args, kwargs, label=label)
-        heapq.heappush(queue, (time, priority, sequence, event))
+        sequence, queue = next(self._counter), self._queue
+        heapq.heappush(queue, (float(time), priority, sequence, callback, args))
         if len(queue) > self._peak_queue:
             self._peak_queue = len(queue)
-        return EventHandle(event)
+        return sequence
+
+    def cancel(self, sequence: int) -> None:
+        """Keep the heap event numbered ``sequence`` from firing.  Idempotent."""
+        self._cancelled.add(sequence)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Execute the single next non-cancelled event.
-
-        Returns the executed event, or ``None`` if the queue is empty.
-        """
-        while self._queue:
-            time, _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._processed += 1
-            event.callback(*event.args, **event.kwargs)
-            return event
-        return None
-
-    def peek(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or ``None`` if the queue is empty."""
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation.
 
@@ -226,8 +171,8 @@ class Simulator:
         ----------
         until:
             Stop once the next event would occur strictly after ``until``;
-            the clock is advanced to ``until``.  ``None`` runs to queue
-            exhaustion.
+            the clock is advanced to ``until``.  ``None`` runs until the
+            heap and the stream are both exhausted.
         max_events:
             Safety valve: stop after this many events.
 
@@ -240,35 +185,52 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        horizon = float("inf") if until is None else until
+        budget = -1 if max_events is None else max_events
         executed = 0
-        queue = self._queue
-        heappop = heapq.heappop
+        queue, cancelled, heappop = self._queue, self._cancelled, heapq.heappop
+        stream, index, fire, priority = (
+            self._stream, self._stream_index, self._stream_callback, self._stream_priority
+        )
+        end = len(stream)
         try:
-            while queue and not self._stopped and (max_events is None or executed < max_events):
-                time, _, _, event = queue[0]
-                if event.cancelled:
-                    heappop(queue)
-                    continue
-                if until is not None and time > until:
+            while executed != budget and not self._stopped:
+                if queue:
+                    entry = queue[0]
+                    if entry[2] in cancelled:
+                        heappop(queue)
+                        cancelled.discard(entry[2])
+                        continue
+                    time = entry[0]
+                    if index < end:
+                        arrival = stream[index][0]
+                        if arrival < time or (arrival == time and priority <= entry[1]):
+                            entry, time = None, arrival
+                elif index < end:
+                    entry, time = None, stream[index][0]
+                else:
+                    break
+                if time > horizon:
                     self._now = max(self._now, float(until))
                     break
-                heappop(queue)
-                self._now = time
-                self._processed += 1
-                event.callback(*event.args, **event.kwargs)
                 executed += 1
+                if entry is None:
+                    arg = stream[index][1]
+                    index += 1
+                    self._now = float(time)
+                    fire(arg)
+                else:
+                    heappop(queue)
+                    self._now = time
+                    entry[3](*entry[4])
         finally:
             self._running = False
+            self._processed += executed
+            self._stream_index = index
+            if index == end:
+                self._stream, self._stream_index, self._stream_callback = (), 0, None
         return executed
 
     def stop(self) -> None:
         """Request the current :meth:`run` loop to stop after the current event."""
         self._stopped = True
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock without executing events (only forward, only when idle)."""
-        if time < self._now:
-            raise SimulationError("cannot move the simulation clock backwards")
-        if self.peek() is not None and self.peek() < time:
-            raise SimulationError("cannot skip over pending events with advance_to()")
-        self._now = float(time)

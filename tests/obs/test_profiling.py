@@ -32,10 +32,14 @@ class TestProfileCall:
 
 
 class TestProfileCommand:
-    def test_policy_spec_smoke(self, capsys):
-        code = main(
-            ["profile", "sjf:strict=true", "--jobs", "200", "--seed", "3", "--top", "5"]
-        )
+    def test_policy_spec_smoke(self, capsys, tmp_path):
+        # A trace file, not a model spec: generating 200 model jobs inside the
+        # profiled call costs about as much as simulating them, and its four
+        # nested frames could fill the top five.
+        trace = str(tmp_path / "lublin99.swf")
+        assert main(["generate", "lublin99", trace, "--jobs", "200", "--seed", "3"]) == 0
+        capsys.readouterr()
+        code = main(["profile", "sjf:strict=true", "--workload", trace, "--top", "5"])
         out = capsys.readouterr().out
         assert code == 0
         assert "profile of 'sjf:strict=true'" in out

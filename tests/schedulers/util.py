@@ -25,7 +25,8 @@ def make_request(
         requested_time=estimate,
     )
     return JobRequest(
-        job=job, processors=processors, runtime=runtime, estimate=estimate, submit_time=submit
+        job=job, job_id=job_id, processors=processors, runtime=runtime, estimate=estimate,
+        submit_time=submit,
     )
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from repro.bench.seeds import derive_seeds
-from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
+from repro.core.outage import OutageLog, OutageModel, OutageRecord, OutageType, generate_outages
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
 from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site, generate_meta_jobs
@@ -18,7 +19,7 @@ from repro.schedulers import (
     FCFSScheduler,
     ShortestJobFirstScheduler,
 )
-from repro.schedulers.base import JobRequest, Scheduler
+from repro.schedulers.base import JobRequest, Scheduler, usable_requests
 from repro.schedulers.freespace import FreeSpace
 from repro.schedulers.moldable import MoldableScheduler
 from repro.workloads import Downey97Model, Lublin99Model
@@ -105,6 +106,7 @@ class TestBasicReplay:
             def select_jobs(self, state):
                 ghost = JobRequest(
                     job=make_job(99, processors=1),
+                    job_id=99,
                     processors=1,
                     runtime=1,
                     estimate=1,
@@ -263,6 +265,78 @@ def _assert_started_jobs_removed(passes):
         assert next_queued[: len(remaining)] == remaining
 
 
+class TestEveryJobAccountedFor:
+    """Every usable job ends in ``SimulationResult.jobs`` exactly once.
+
+    Arrivals fire from a sorted stream merged with the event heap; a merge
+    that dropped the stream's tail, or a dependency release that never
+    fired, would lose jobs silently: the run would just report fewer.
+    """
+
+    SIZE = 32
+
+    def _closed_workload(self, seed):
+        rng = random.Random(seed)
+        jobs = []
+        for number in range(1, 81):
+            dependency = {}
+            if number > 1 and rng.random() < 0.4:
+                dependency = dict(
+                    preceding_job=rng.randrange(1, number), think_time=rng.choice([0, 0, 5, 600])
+                )
+            jobs.append(
+                make_job(
+                    number,
+                    submit=rng.randrange(0, 3000),
+                    runtime=rng.choice([0, 0, 10, 300, 900]),
+                    processors=rng.choice([1, 4, 16, self.SIZE, self.SIZE + 8]),
+                    **dependency,
+                )
+            )
+        return make_workload(jobs, machine_size=self.SIZE)
+
+    def _assert_accounted(self, workload, result):
+        requests, skipped = usable_requests(workload, self.SIZE)
+        assert sorted(j.job_id for j in result.jobs) == sorted(r.job_id for r in requests)
+        killed = sum(1 for j in result.jobs if j.killed)
+        done = len(result.jobs) - killed
+        assert skipped == result.metadata["skipped_too_large"] > 0
+        assert done + killed + skipped == len(workload.summary_jobs())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "policy", [FCFSScheduler, EasyBackfillScheduler, ConservativeBackfillScheduler]
+    )
+    def test_closed_replay(self, policy, seed):
+        workload = self._closed_workload(seed)
+        result = simulate(workload, policy(), machine_size=self.SIZE, honor_dependencies=True)
+        self._assert_accounted(workload, result)
+        released = [j for j in workload.summary_jobs() if j.has_dependency]
+        assert released and any(j.run_time == 0 for j in result.jobs)
+
+    @pytest.mark.parametrize("restart", [True, False])
+    def test_outage_aware_replay_with_kills(self, restart):
+        workload = self._closed_workload(1)
+        outages = generate_outages(
+            self.SIZE,
+            int(workload.span()) + 3600,
+            model=OutageModel(mtbf_seconds=600, max_nodes_per_failure=self.SIZE),
+            seed=1,
+        )
+        result = simulate(
+            workload,
+            ConservativeBackfillScheduler(outage_aware=True),
+            machine_size=self.SIZE,
+            outages=outages,
+            honor_dependencies=True,
+            restart_failed_jobs=restart,
+        )
+        self._assert_accounted(workload, result)
+        assert result.outage_kills > 0
+        assert any(j.restarts for j in result.jobs) == restart
+        assert any(j.killed for j in result.jobs) != restart
+
+
 class TestQueueUpkeep:
     def test_non_prefix_selection_removes_exactly_the_started_jobs(self, lublin_workload):
         audit = _Audit(ShortestJobFirstScheduler())
@@ -320,7 +394,7 @@ class TestSelectionChecks:
         return simulate(workload, scheduler, machine_size=machine_size)
 
     def _ghost(self):
-        return JobRequest(job=make_job(99, processors=1), processors=1, runtime=1, estimate=1, submit_time=0)
+        return JobRequest.from_swf(make_job(99, processors=1, runtime=1))
 
     @pytest.mark.parametrize(
         "pick",

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.stats import mean_ci
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.metrics import (
     MAXIMIZE_METRICS,
     ObjectiveFunction,
     compute_metrics,
-    confidence_interval,
     kendall_tau,
     rank_schedulers,
     ranking_agreement,
@@ -111,18 +111,19 @@ class TestComputeMetrics:
 
 class TestConfidenceInterval:
     def test_mean_and_width(self):
-        mean, half = confidence_interval([10.0] * 100)
-        assert mean == 10.0
-        assert half == 0.0
+        ci = mean_ci([10.0] * 100)
+        assert ci.mean == 10.0
+        assert ci.half_width == 0.0
 
     def test_width_shrinks_with_samples(self):
-        small = confidence_interval(list(range(10)))[1]
-        large = confidence_interval(list(range(10)) * 100)[1]
+        small = mean_ci(list(range(10))).half_width
+        large = mean_ci(list(range(10)) * 100).half_width
         assert large < small
 
     def test_degenerate_inputs(self):
-        assert confidence_interval([]) == (0.0, 0.0)
-        assert confidence_interval([5.0])[1] == 0.0
+        with pytest.raises(ValueError):
+            mean_ci([])
+        assert mean_ci([5.0]).half_width == 0.0
 
 
 def report_with(name, **values):

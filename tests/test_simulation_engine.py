@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,13 +61,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(10.0, lambda: None)
 
-    def test_kwargs_passed_to_callback(self):
-        sim = Simulator()
-        seen = {}
-        sim.schedule(1.0, lambda **kw: seen.update(kw), value=42)
-        sim.run()
-        assert seen == {"value": 42}
-
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
         fired = []
@@ -84,26 +79,19 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "cancelled")
+        sequence = sim.schedule(1.0, fired.append, "cancelled")
         sim.schedule(2.0, fired.append, "kept")
-        handle.cancel()
+        sim.cancel(sequence)
         sim.run()
         assert fired == ["kept"]
-        assert handle.cancelled
+        assert sim.processed_events == 1
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sequence = sim.schedule(1.0, lambda: None)
+        sim.cancel(sequence)
+        sim.cancel(sequence)
         assert sim.run() == 0
-
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert sim.pending_events == 1
 
 
 class TestRunControl:
@@ -136,32 +124,6 @@ class TestRunControl:
         assert fired[0] == "a"
         assert "b" not in fired
 
-    def test_step_returns_none_on_empty_queue(self):
-        assert Simulator().step() is None
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
-        handle.cancel()
-        assert sim.peek() == 3.0
-
-    def test_advance_to_moves_idle_clock(self):
-        sim = Simulator()
-        sim.advance_to(42.0)
-        assert sim.now == 42.0
-
-    def test_advance_to_cannot_skip_events(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.advance_to(10.0)
-
-    def test_advance_to_cannot_go_backwards(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sim.advance_to(5.0)
-
     def test_processed_event_count(self):
         sim = Simulator()
         for i in range(4):
@@ -191,3 +153,120 @@ class TestDeterminism:
             sim.schedule(1.0, fired.append, value)
         sim.run()
         assert fired == values
+
+
+def _replay(arrivals, events, stream_priority, use_stream):
+    """Fire ``arrivals`` (sorted times) and heap ``events``; the firing order.
+
+    Each event is ``(time, priority, cancel_up_front, spawn, target)``: it is
+    cancelled before the run, schedules a zero-delay event at ``spawn``
+    priority when it fires, and cancels event ``target`` when it fires.
+    With ``use_stream`` the arrivals go through :meth:`Simulator.stream`,
+    otherwise through ``schedule_at`` before any event.
+    """
+    sim = Simulator()
+    fired, sequences = [], {}
+
+    def fire(label, spawn, target):
+        fired.append((sim.now, label))
+        if spawn is not None:
+            sim.schedule(0, fire, label + ("spawned",), None, None, priority=spawn)
+        if target in sequences:
+            sim.cancel(sequences[target])
+
+    entries = [(time, (("arrival", i), spawn, None)) for i, (time, spawn) in enumerate(arrivals)]
+    if use_stream:
+        sim.stream(entries, lambda entry: fire(*entry), priority=stream_priority)
+    else:
+        for time, entry in entries:
+            sim.schedule_at(time, fire, *entry, priority=stream_priority)
+    for i, (time, priority, _, spawn, target) in enumerate(events):
+        sequences[i] = sim.schedule_at(time, fire, ("event", i), spawn, target, priority=priority)
+    for i, event in enumerate(events):
+        if event[2]:
+            sim.cancel(sequences[i])
+    sim.run()
+    return fired, sim.processed_events
+
+
+_PRIORITIES = st.integers(min_value=0, max_value=3)
+_SPAWN = st.one_of(st.none(), _PRIORITIES)
+
+
+class TestArrivalStream:
+    @given(
+        arrivals=st.lists(st.tuples(st.integers(min_value=0, max_value=30), _SPAWN), max_size=25),
+        events=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=20),
+                _PRIORITIES,
+                st.booleans(),
+                _SPAWN,
+                st.one_of(st.none(), st.integers(min_value=0, max_value=25)),
+            ),
+            max_size=25,
+        ),
+        stream_priority=_PRIORITIES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stream_fires_as_if_pushed_first(self, arrivals, events, stream_priority):
+        arrivals = sorted(arrivals, key=lambda a: a[0])
+        assert _replay(arrivals, events, stream_priority, True) == _replay(
+            arrivals, events, stream_priority, False
+        )
+
+    def test_stream_drains_after_the_heap_empties(self):
+        sim = Simulator()
+        fired = []
+        sim.stream([(1, "a"), (5, "b"), (9, "c")], fired.append)
+        sim.schedule(2.0, fired.append, "heap")
+        assert sim.run() == 4
+        assert fired == ["a", "heap", "b", "c"]
+        assert sim.processed_events == 4 and sim.peak_queue == 1
+
+    def test_stream_times_become_floats(self):
+        sim = Simulator()
+        seen = []
+        sim.stream([(3, None)], lambda _: seen.append(sim.now))
+        sim.run()
+        assert seen == [3.0] and isinstance(seen[0], float)
+
+    def test_run_until_stops_before_later_arrivals(self):
+        sim = Simulator()
+        fired = []
+        sim.stream([(1.0, "a"), (10.0, "b")], fired.append)
+        sim.run(until=5.0)
+        assert fired == ["a"] and sim.now == 5.0
+        sim.run()
+        assert fired == ["a", "b"]
+
+    def test_consumed_stream_releases_its_callback(self):
+        class Owner:
+            def arrive(self, _):
+                pass
+
+        owner = Owner()
+        released = weakref.ref(owner)
+        sim = Simulator()
+        sim.stream([(1.0, None)], owner.arrive)
+        del owner
+        sim.run()
+        assert released() is None
+
+    @pytest.mark.parametrize(
+        "entries, start",
+        [([(2.0, "a"), (1.0, "b")], 0.0), ([(1.0, "a")], 5.0)],
+        ids=["unsorted", "before-now"],
+    )
+    def test_stream_out_of_order_rejected(self, entries, start):
+        with pytest.raises(SimulationError):
+            Simulator(start_time=start).stream(entries, lambda _: None)
+
+    def test_second_stream_rejected_until_the_first_is_consumed(self):
+        sim = Simulator()
+        sim.stream([(1.0, "a")], lambda _: None)
+        with pytest.raises(SimulationError):
+            sim.stream([(2.0, "b")], lambda _: None)
+        sim.run()
+        sim.stream([(2.0, "b")], lambda _: None)
+        assert sim.run() == 1
