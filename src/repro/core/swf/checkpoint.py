@@ -41,20 +41,6 @@ class CheckpointedJob:
     summary: SWFJob
     bursts: tuple
 
-    @property
-    def burst_count(self) -> int:
-        return len(self.bursts)
-
-    @property
-    def total_burst_runtime(self) -> int:
-        """Sum of burst runtimes (unknown bursts contribute zero)."""
-        return sum(b.run_time for b in self.bursts if b.run_time != MISSING)
-
-    @property
-    def swapped_out_time(self) -> int:
-        """Seconds the job spent swapped out between bursts (waits after the first)."""
-        return sum(b.wait_time for b in self.bursts[1:] if b.wait_time != MISSING)
-
 
 def group_checkpointed(jobs: Sequence[SWFJob]) -> List[CheckpointedJob]:
     """Collect the checkpointed (multi-line) jobs from a sequence of SWF lines."""

@@ -93,12 +93,6 @@ class ValidationReport:
     def summary(self) -> str:
         return f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
 
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = defaultdict(int)
-        for issue in self.issues:
-            counts[issue.rule] += 1
-        return dict(counts)
-
 
 # ----------------------------------------------------------------------
 # individual rules

@@ -70,12 +70,6 @@ class TraceReplayResult:
                 )
         return rows
 
-    def backfill_speedup(self, trace: str, load: float) -> float:
-        """FCFS over EASY mean bounded slowdown (>1: backfilling wins)."""
-        cell = self.reports[(trace, load)]
-        easy = max(cell["easy"].mean_bounded_slowdown, 1.0)
-        return cell["fcfs"].mean_bounded_slowdown / easy
-
 
 def run(
     traces: Sequence[str] = DEFAULT_TRACES,

@@ -106,9 +106,6 @@ class GridResult:
     def coallocation_results(self) -> List[MetaJobResult]:
         return [r for r in self.meta_results if r.job.is_coallocation]
 
-    def single_site_results(self) -> List[MetaJobResult]:
-        return [r for r in self.meta_results if not r.job.is_coallocation]
-
     def mean_meta_wait(self) -> float:
         if not self.meta_results:
             return 0.0

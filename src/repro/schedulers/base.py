@@ -44,7 +44,7 @@ class JobRequest(NamedTuple):
     job_id:
         The record's job number.
     processors:
-        Processors the job needs (requested count, falling back to allocated).
+        Processors the job needs (allocated count, falling back to requested).
     runtime:
         The *actual* runtime; used by the simulator to schedule the completion
         event, never exposed to policies through :class:`SchedulerState`.
@@ -61,40 +61,41 @@ class JobRequest(NamedTuple):
     estimate: int
     submit_time: int
 
-    @classmethod
-    def from_swf(cls, job: SWFJob) -> "JobRequest":
-        """Build a request from an SWF record, applying the standard fallbacks."""
-        processors = job.processors
-        if processors == MISSING or processors < 1:
-            raise ValueError(f"job {job.job_number} has no usable processor count")
-        runtime = job.run_time if job.run_time != MISSING else 0
-        estimate = job.requested_time if job.requested_time != MISSING else runtime
-        if estimate < runtime:
-            # Production schedulers kill jobs that exceed their request; the
-            # archive logs keep the recorded runtime, so treat the estimate as
-            # a lower bound rather than modelling the kill here.
-            estimate = runtime
-        submit = job.submit_time if job.submit_time != MISSING else 0
-        return cls(job, job.job_number, int(processors), int(runtime), int(max(estimate, 0)), int(submit))
-
 
 def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRequest], int]:
     """(requests, skipped): the workload's jobs a ``machine_size`` machine can run.
 
-    A record :meth:`JobRequest.from_swf` rejects, or one wider than the
-    machine, is skipped.  Requests keep ``summary_jobs()`` order.
+    Each request applies the standard fallbacks: processors are
+    :attr:`SWFJob.processors`; a missing runtime reads 0; a missing
+    estimate reads the runtime; a missing submit time reads 0.  An estimate
+    below the runtime is raised to it: production schedulers kill jobs that
+    exceed their request, but the archive logs keep the recorded runtime, so
+    the estimate is treated as a lower bound rather than modelling the kill.
+    A record with no usable processor count, or one wider than the machine,
+    is skipped.  Requests keep ``summary_jobs()`` order.
     """
     requests, skipped = [], 0
+    make = JobRequest._make
     for job in workload.summary_jobs():
-        try:
-            request = JobRequest.from_swf(job)
-        except ValueError:
+        processors = job.processors
+        if processors < 1 or processors > machine_size:
             skipped += 1
             continue
-        if request.processors > machine_size:
-            skipped += 1
-            continue
-        requests.append(request)
+        runtime = job.run_time
+        if runtime == MISSING:
+            runtime = 0
+        estimate = job.requested_time
+        if estimate == MISSING or estimate < runtime:
+            estimate = runtime
+        submit = job.submit_time
+        requests.append(make((
+            job,
+            job.job_number,
+            processors,
+            runtime,
+            estimate if estimate > 0 else 0,
+            submit if submit != MISSING else 0,
+        )))
     return requests, skipped
 
 

@@ -149,13 +149,8 @@ class FreeSpace:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def free_at(self, time: float) -> int:
-        """Free processors at ``time`` (clamped to now)."""
-        time = max(time, self.now)
-        return self._free[bisect_right(self._times, time) - 1]
-
     def min_free(self, start: float, end: float) -> int:
-        """Minimum free processors over [start, end)."""
+        """Minimum free processors over [start, end); at ``start`` if the window is empty."""
         start = max(start, self.now)
         times, free = self._times, self._free
         index = bisect_right(times, start) - 1

@@ -105,11 +105,6 @@ class HyperExponential:
         if any(r <= 0 for r in self.rates):
             raise ValueError("rates must be positive")
 
-    @staticmethod
-    def two_branch(p: float, rate1: float, rate2: float) -> "HyperExponential":
-        """Convenience constructor for the common two-branch form."""
-        return HyperExponential(probs=(p, 1.0 - p), rates=(rate1, rate2))
-
     def sample(self, rng: Optional[np.random.Generator] = None) -> float:
         rng = _as_rng(rng)
         branch = rng.choice(len(self.probs), p=self.probs)
@@ -126,11 +121,6 @@ class HyperExponential:
     def variance(self) -> float:
         second_moment = sum(2.0 * p / (r * r) for p, r in zip(self.probs, self.rates))
         return second_moment - self.mean() ** 2
-
-    def cv2(self) -> float:
-        """Squared coefficient of variation (>= 1 for any hyper-exponential)."""
-        m = self.mean()
-        return self.variance() / (m * m)
 
 
 @dataclass(frozen=True)

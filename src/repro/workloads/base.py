@@ -94,7 +94,13 @@ class DailyCycleArrivals:
         return trough + (peak - trough) * (phase + 1.0) / 2.0
 
     def generate(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Return ``count`` arrival times by thinning a homogeneous Poisson process."""
+        """Return ``count`` arrival times by thinning a homogeneous Poisson process.
+
+        Draw order, part of every seeded workload that uses this process:
+        per candidate one ``exponential`` gap, then one ``random`` to accept
+        or thin it, until ``count`` are accepted. The two kinds alternate, so
+        neither can be drawn as a sized call without changing the stream.
+        """
         ratio = self.peak_to_trough
         peak_intensity = 2.0 * ratio / (ratio + 1.0)
         base_rate = 1.0 / self.mean_interarrival
@@ -134,20 +140,25 @@ class UserPopulation:
         self.executables_per_user = max(1, min(executables_per_user, executables))
 
     def assign(self, rng: np.random.Generator, count: int):
-        """Return (user_ids, group_ids, executable_ids) arrays of length ``count``."""
-        user_ids = self.zipf.sample_many(rng, count)
-        group_of_user = {
-            u: int(rng.integers(1, self.groups + 1)) for u in range(1, self.users + 1)
-        }
-        exe_pool_of_user = {
-            u: rng.integers(1, self.executables + 1, size=self.executables_per_user)
-            for u in range(1, self.users + 1)
-        }
-        group_ids = np.asarray([group_of_user[int(u)] for u in user_ids])
-        executable_ids = np.asarray(
-            [int(rng.choice(exe_pool_of_user[int(u)])) for u in user_ids]
+        """Return (user_ids, group_ids, executable_ids) arrays of length ``count``.
+
+        Draw order, part of every seeded workload that uses a population:
+        one Zipf ``choice`` of ``count`` users, one ``integers`` per user for
+        its group, ``executables_per_user`` ``integers`` per user for its
+        executable pool, then one ``integers`` per job picking a pool slot.
+        Each run of same-kind draws is made as one sized call, which numpy
+        makes bit-identical to the scalar calls; adding, dropping or
+        reordering a draw changes every workload generated after it.
+        """
+        user_ids = self.zipf.sample_many(rng, count).astype(int)
+        group_of_user = rng.integers(1, self.groups + 1, size=self.users)
+        exe_pools = rng.integers(
+            1, self.executables + 1, size=(self.users, self.executables_per_user)
         )
-        return user_ids.astype(int), group_ids.astype(int), executable_ids.astype(int)
+        # rng.choice(pool) is pool[rng.integers(0, len(pool))].
+        slots = rng.integers(0, self.executables_per_user, size=count)
+        rows = user_ids - 1
+        return user_ids, group_of_user[rows], exe_pools[rows, slots]
 
 
 def assemble_workload(
@@ -245,9 +256,9 @@ def assemble_workload(
         max_runtime=max_runtime,
         notes=list(notes or []) + [f"Generated by the {name} workload model (repro.workloads)."],
     )
-    workload = Workload(jobs, header, name=name)
-    # Submit times were shifted per-job above; enforce the sorted invariant.
-    return workload.sorted_by_submit().renumbered()
+    # Already in standard order: submits are a monotone map of the sorted
+    # arrivals and jobs are numbered 1..N in that order.
+    return Workload(jobs, header, name=name)
 
 
 class WorkloadModel(ABC):

@@ -112,7 +112,7 @@ class Downey97Model(WorkloadModel):
             descriptions.append((work, speedup))
 
         users, groups, executables = self.population.assign(rng, jobs)
-        estimates = [r * float(rng.uniform(1.5, 8.0)) for r in runtimes]
+        estimates = np.asarray(runtimes) * rng.uniform(1.5, 8.0, size=len(runtimes))
         workload = assemble_workload(
             name=self.name,
             computer="synthetic space-shared machine (Downey 97 model)",

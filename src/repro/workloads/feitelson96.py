@@ -115,7 +115,7 @@ class Feitelson96Model(WorkloadModel):
         arrivals = PoissonArrivals(self.mean_interarrival).generate(rng, jobs)
         users, groups, executables = self.population.assign(rng, jobs)
         # Users over-estimate runtimes by a factor of 2-10, as observed in logs.
-        estimates = [r * float(rng.uniform(1.5, 10.0)) for r in runtimes]
+        estimates = np.asarray(runtimes) * rng.uniform(1.5, 10.0, size=len(runtimes))
 
         return assemble_workload(
             name=self.name,

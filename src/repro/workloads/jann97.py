@@ -154,7 +154,7 @@ class Jann97Model(WorkloadModel):
                 t += float(gap_dist.sample(rng))
 
         users, groups, executables = self.population.assign(rng, len(arrivals))
-        estimates = [r * float(rng.uniform(1.5, 8.0)) for r in runtimes]
+        estimates = np.asarray(runtimes) * rng.uniform(1.5, 8.0, size=len(runtimes))
         return assemble_workload(
             name=self.name,
             computer="synthetic IBM SP2 (Jann 97 model)",

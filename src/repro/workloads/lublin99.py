@@ -24,7 +24,7 @@ reproduced here:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,17 +86,18 @@ class Lublin99Model(WorkloadModel):
         self.population = UserPopulation(users=users)
 
     # ------------------------------------------------------------------
-    def _sample_size(self, rng: np.random.Generator) -> int:
-        if rng.random() < self.serial_probability:
+    def _sample_size(self, random: Callable[[], float], max_log: float) -> int:
+        """One size from one or four ``random()`` draws; ``max_log`` is log2(machine size)."""
+        if random() < self.serial_probability:
             return 1
-        max_log = float(np.log2(self.machine_size))
         lo, med, hi = 0.7, max_log * 0.55, max_log
-        if rng.random() < self.size_stage_split:
-            log_size = rng.uniform(lo, med)
+        # lo + (hi - lo) * random() is numpy's own rng.uniform(lo, hi), bit for bit.
+        if random() < self.size_stage_split:
+            log_size = lo + (med - lo) * random()
         else:
-            log_size = rng.uniform(med, hi)
+            log_size = med + (hi - med) * random()
         size = 2.0 ** log_size
-        if rng.random() < self.power_of_two_probability:
+        if random() < self.power_of_two_probability:
             return round_to_power_of_two(size, self.machine_size)
         return max(2, min(int(round(size)), self.machine_size))
 
@@ -107,7 +108,7 @@ class Lublin99Model(WorkloadModel):
         the linear-dependence device Lublin introduced.
         """
         size_fraction = np.log2(max(size, 1) + 1) / np.log2(self.machine_size + 1)
-        p_short = float(np.clip(0.85 - 0.6 * size_fraction, 0.05, 0.95))
+        p_short = min(max(float(0.85 - 0.6 * size_fraction), 0.05), 0.95)
         scale = (
             self.runtime_scale_interactive if interactive else self.runtime_scale_batch
         )
@@ -120,30 +121,46 @@ class Lublin99Model(WorkloadModel):
         )
 
     def generate(self, jobs: int, seed: Optional[int] = None) -> Workload:
+        """Generate ``jobs`` jobs from one generator seeded with ``seed``.
+
+        Draw order, part of every seeded Lublin workload: the daily-cycle
+        arrivals; then per job one ``random`` for the type, the size draws of
+        :meth:`_sample_size` and the hyper-Gamma's ``random`` + ``gamma``;
+        then :meth:`UserPopulation.assign`; then one ``uniform`` per job for
+        its estimate factor, drawn as one sized call. Adding, dropping or
+        reordering a draw changes the workload for every seed.
+        """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         rng = make_rng(seed)
+        random = rng.random
 
         arrivals = DailyCycleArrivals(
             self.mean_interarrival, peak_to_trough=self.peak_to_trough
         ).generate(rng, jobs)
 
+        max_log = float(np.log2(self.machine_size))
+        interactive_cap = max(1, self.machine_size // 8)
+        runtime_of: Dict[Tuple[int, bool], HyperGamma] = {}
         sizes: List[int] = []
         runtimes: List[float] = []
         queues: List[int] = []
         for _ in range(jobs):
-            interactive = rng.random() < self.interactive_probability
-            size = self._sample_size(rng)
+            interactive = random() < self.interactive_probability
+            size = self._sample_size(random, max_log)
             if interactive:
                 # Interactive work is overwhelmingly small and serial-ish.
-                size = min(size, max(1, self.machine_size // 8))
-            runtime = max(1.0, float(self._runtime_distribution(size, interactive).sample(rng)))
+                size = min(size, interactive_cap)
+            distribution = runtime_of.get((size, interactive))
+            if distribution is None:
+                distribution = self._runtime_distribution(size, interactive)
+                runtime_of[size, interactive] = distribution
             sizes.append(size)
-            runtimes.append(runtime)
+            runtimes.append(max(1.0, distribution.sample(rng)))
             queues.append(0 if interactive else 1)
 
         users, groups, executables = self.population.assign(rng, jobs)
-        estimates = [r * float(rng.uniform(1.2, 6.0)) for r in runtimes]
+        estimates = np.asarray(runtimes) * rng.uniform(1.2, 6.0, size=len(runtimes))
         return assemble_workload(
             name=self.name,
             computer="synthetic MPP (Lublin 99 model)",

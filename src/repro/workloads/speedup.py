@@ -142,13 +142,3 @@ class MoldableJob:
                 f"processors must be in [1, {self.max_processors}], got {processors}"
             )
         return self.sequential_work / self.speedup_model.speedup(processors)
-
-    def efficient_processors(self, efficiency_threshold: float = 0.5) -> int:
-        """Largest processor count whose parallel efficiency meets the threshold."""
-        if not 0 < efficiency_threshold <= 1.0:
-            raise ValueError("efficiency_threshold must be in (0, 1]")
-        best = 1
-        for n in range(1, self.max_processors + 1):
-            if self.speedup_model.speedup(n) / n >= efficiency_threshold:
-                best = n
-        return best

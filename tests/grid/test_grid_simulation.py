@@ -157,7 +157,7 @@ class TestPredictionScoring:
         ).run()
         assert set(result.prediction_pairs) == {"mean", "profile"}
         for pairs in result.prediction_pairs.values():
-            assert len(pairs) == len(result.single_site_results())
+            assert len(pairs) == len(result.meta_results) - len(result.coallocation_results())
             for predicted, actual in pairs:
                 assert predicted >= 0.0
                 assert actual >= 0.0
@@ -166,7 +166,7 @@ class TestPredictionScoring:
         sites = make_sites(2)
         meta = [single_meta_job(1), coallocation_job(2, submit=5)]
         result = GridSimulation(sites, meta, LeastLoadedMetaScheduler()).run()
-        assert len(result.single_site_results()) == 1
+        assert len(result.meta_results) == 2
         assert len(result.coallocation_results()) == 1
         assert result.mean_meta_wait() >= 0.0
         assert result.late_reservation_fraction() == 0.0

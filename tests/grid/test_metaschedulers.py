@@ -154,8 +154,8 @@ class TestSiteViewProfiles:
     def test_guaranteed_profile_subtracts_reservations(self):
         site = view("a", reservations=[(100.0, 200.0, 48)])
         profile = site.guaranteed_profile()
-        assert profile.free_at(150) == 16
-        assert profile.free_at(250) == 64
+        assert profile.min_free(150, 150) == 16
+        assert profile.min_free(250, 250) == 64
 
     def test_earliest_guaranteed_start_accounts_for_queue(self):
         queued = [make_request(1, 64, estimate=1000)]

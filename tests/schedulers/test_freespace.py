@@ -203,7 +203,7 @@ class TestFreeSpaceMatchesReference:
                 fs.reserve(start, start + duration, procs)
                 ref.remove(start, start + duration, procs)
             elif kind == "query_free":
-                assert fs.free_at(start) == ref.free_at(start)
+                assert fs.min_free(start, start) == ref.free_at(start)
             elif kind == "query_min":
                 assert fs.min_free(start, start + duration) == ref.min_free(
                     start, start + duration
@@ -215,7 +215,7 @@ class TestFreeSpaceMatchesReference:
                 )
         # final sweep: the full free curves must be pointwise identical
         for t in range(now, 1000, 7):
-            assert fs.free_at(t) == ref.free_at(t)
+            assert fs.min_free(t, t) == ref.free_at(t)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -246,7 +246,7 @@ class TestFreeSpaceMatchesReference:
         procs, duration = query
         assert fs.earliest_start(procs, duration) == ref.earliest_start(procs, duration)
         for t in range(0, 400, 3):
-            assert fs.free_at(t) == ref.free_at(t)
+            assert fs.min_free(t, t) == ref.free_at(t)
 
     def test_slot_invariants_after_operations(self):
         fs = FreeSpace(32, now=0.0)
@@ -385,8 +385,8 @@ class TestTrackerMatchesRebuild:
         base = tracker.sync(0.0, self._infos(0.0, running))
         scratch = base.copy()
         scratch.reserve(0.0, 50.0, 24)
-        assert base.free_at(10.0) == 24
-        assert scratch.free_at(10.0) == 0
+        assert base.min_free(10.0, 10.0) == 24
+        assert scratch.min_free(10.0, 10.0) == 0
         self._assert_equal_profiles(tracker.sync(0.0, []), 32, 0.0, running)
 
 
@@ -466,7 +466,7 @@ class TestOutageClampEquivalence:
         ref = ReferenceProfile.from_running(32, 0.0, state.running)
         ref.add_capacity_limit(capacity, 400.0)
         for t in range(0, 400, 5):
-            assert fs.free_at(t) == ref.free_at(t)
+            assert fs.min_free(t, t) == ref.free_at(t)
         for procs, duration in [(4, 10), (8, 50), (20, 30), (32, 10)]:
             assert fs.earliest_start(procs, duration) == ref.earliest_start(
                 procs, duration
@@ -586,9 +586,9 @@ class TestCalendarClampMatchesReference:
 
         assert fs.slots() == sampled.slots()
         for t in sorted({now, *ref._times, *(t + 0.5 for t in ref._times)}):
-            assert fs.free_at(t) == ref.free_at(t)
+            assert fs.min_free(t, t) == ref.free_at(t)
         for t in range(now, now + 1000, 11):
-            assert fs.free_at(t) == ref.free_at(t)
+            assert fs.min_free(t, t) == ref.free_at(t)
 
     def test_horizon_cuts_a_slot(self):
         # The slot [0, 100) is clamped by the dip at 40 only if its window,
@@ -598,5 +598,5 @@ class TestCalendarClampMatchesReference:
         for horizon, expected in ((30.0, 16), (50.0, 0)):
             fs = _free_space(16, 0, [(100, 50, 4)])
             fs.clamp_capacity(calendar, horizon)
-            assert fs.free_at(0) == expected
-            assert fs.free_at(120) == 12
+            assert fs.min_free(0, 0) == expected
+            assert fs.min_free(120, 120) == 12

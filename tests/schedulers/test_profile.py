@@ -13,23 +13,23 @@ from tests.schedulers.util import make_request, make_state
 class TestProfileBasics:
     def test_initially_fully_free(self):
         profile = FreeSpace(32, now=0.0)
-        assert profile.free_at(0) == 32
-        assert profile.free_at(10_000) == 32
+        assert profile.min_free(0, 0) == 32
+        assert profile.min_free(10_000, 10_000) == 32
 
     def test_remove_reduces_free_in_window_only(self):
         profile = FreeSpace(32, now=0.0)
         profile.reserve(10, 20, 8)
-        assert profile.free_at(5) == 32
-        assert profile.free_at(10) == 24
-        assert profile.free_at(19.9) == 24
-        assert profile.free_at(20) == 32
+        assert profile.min_free(5, 5) == 32
+        assert profile.min_free(10, 10) == 24
+        assert profile.min_free(19.9, 19.9) == 24
+        assert profile.min_free(20, 20) == 32
 
     def test_overlapping_removals_stack(self):
         profile = FreeSpace(32, now=0.0)
         profile.reserve(0, 100, 8)
         profile.reserve(50, 150, 8)
-        assert profile.free_at(75) == 16
-        assert profile.free_at(125) == 24
+        assert profile.min_free(75, 75) == 16
+        assert profile.min_free(125, 125) == 24
 
     def test_min_free_over_window(self):
         profile = FreeSpace(32, now=0.0)
@@ -40,7 +40,7 @@ class TestProfileBasics:
     def test_zero_length_removal_is_noop(self):
         profile = FreeSpace(8, now=0.0)
         profile.reserve(10, 10, 4)
-        assert profile.free_at(10) == 8
+        assert profile.min_free(10, 10) == 8
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -81,8 +81,8 @@ class TestEarliestStart:
         running_request = make_request(1, processors=24, runtime=100, estimate=100)
         state = make_state(32, running=[(running_request, 0.0, 100.0)])
         profile = FreeSpace.from_running(32, 0.0, state.running)
-        assert profile.free_at(50) == 8
-        assert profile.free_at(100) == 32
+        assert profile.min_free(50, 50) == 8
+        assert profile.min_free(100, 100) == 32
 
     @given(
         removals=st.lists(

@@ -62,9 +62,9 @@ class TestGroupAndSummarize:
         grouped = group_checkpointed(lines + [other])
         assert len(grouped) == 1
         record = grouped[0]
-        assert record.burst_count == 2
-        assert record.total_burst_runtime == 200
-        assert record.swapped_out_time == 45
+        assert record.summary == summary
+        assert [b.run_time for b in record.bursts] == [120, 80]
+        assert [b.wait_time for b in record.bursts[1:]] == [45]
 
     def test_bursts_without_summary_are_ignored(self):
         orphan = make_job(3, status=2)

@@ -137,12 +137,6 @@ class TestCheckpointRules:
 
 
 class TestReportApi:
-    def test_by_rule_counts(self):
-        jobs = [make_job(1, submit=100, run_time=-1 * 5)]
-        report = validate(make_workload(jobs))
-        counts = report.by_rule()
-        assert sum(counts.values()) == len(report.issues)
-
     def test_issue_string_mentions_job(self):
         report = validate(make_workload([make_job(1, user_id=0)]))
         assert any("job 1" in str(issue) for issue in report.issues)

@@ -231,8 +231,9 @@ class TestOutages:
         assert sim._completions == {}
         restarted = [j for j in result.jobs if j.restarts]
         assert result.outage_kills > 0 and restarted
+        runtime_of = {r.job_id: r.runtime for r in usable_requests(workload, size)[0]}
         for job in restarted:
-            assert job.end_time - job.start_time == JobRequest.from_swf(job.job).runtime
+            assert job.end_time - job.start_time == runtime_of[job.job.job_number]
 
     def test_available_node_seconds_recorded(self):
         workload = make_workload([make_job(1, submit=0, runtime=300, processors=4)])
@@ -394,7 +395,7 @@ class TestSelectionChecks:
         return simulate(workload, scheduler, machine_size=machine_size)
 
     def _ghost(self):
-        return JobRequest.from_swf(make_job(99, processors=1, runtime=1))
+        return usable_requests(make_workload([make_job(99, processors=1, runtime=1)]), 1)[0][0]
 
     @pytest.mark.parametrize(
         "pick",

@@ -101,17 +101,8 @@ class TestMoldableJob:
         with pytest.raises(ValueError):
             job.runtime_on(33)
 
-    def test_efficient_processors_threshold(self):
-        job = self.job(A=8.0, sigma=1.0, maximum=64)
-        generous = job.efficient_processors(0.2)
-        strict = job.efficient_processors(0.9)
-        assert strict <= generous
-        assert 1 <= strict <= 64
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             MoldableJob(job_id=1, sequential_work=0.0, speedup_model=AmdahlSpeedup(0.1), max_processors=4)
         with pytest.raises(ValueError):
             MoldableJob(job_id=1, sequential_work=10.0, speedup_model=AmdahlSpeedup(0.1), max_processors=0)
-        with pytest.raises(ValueError):
-            self.job().efficient_processors(0.0)
