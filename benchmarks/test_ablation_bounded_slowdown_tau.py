@@ -9,24 +9,20 @@ the paper wants evaluations to be explicit about.
 
 from __future__ import annotations
 
-from repro.evaluation import compare_schedulers
-from repro.metrics import rank_schedulers
-from repro.schedulers import (
-    ConservativeBackfillScheduler,
-    EasyBackfillScheduler,
-    FCFSScheduler,
-)
+from repro.api import Scenario, run_many
 from repro.workloads import Lublin99Model
 
 
 def test_ablation_bounded_slowdown_threshold(run_once, show_table):
     def run():
         workload = Lublin99Model(machine_size=128).generate_with_load(1500, 0.8, seed=13)
-        policies = [FCFSScheduler(), EasyBackfillScheduler(), ConservativeBackfillScheduler()]
         out = {}
         for tau in (10.0, 60.0):
-            rows = compare_schedulers(workload, policies, machine_size=128, tau=tau)
-            out[tau] = [row.report for row in rows]
+            scenarios = [
+                Scenario(workload=workload.name, policy=policy, machine_size=128, tau=tau)
+                for policy in ("fcfs", "easy", "conservative")
+            ]
+            out[tau] = [result.report for result in run_many(scenarios, workloads=workload)]
         return out
 
     reports_by_tau = run_once(run)

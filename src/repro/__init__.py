@@ -12,7 +12,7 @@ subpackages hold the full API:
 * :mod:`repro.core` — the SWF and outage-log standards,
 * :mod:`repro.workloads` — workload models (rigid, flexible, sessions),
 * :mod:`repro.schedulers` — machine-scheduling policies,
-* :mod:`repro.evaluation` — the simulation drivers and metric sweeps,
+* :mod:`repro.evaluation` — the simulation drivers and their results,
 * :mod:`repro.metrics` — metrics, objectives, ranking comparison,
 * :mod:`repro.grid` — metacomputing: sites, meta-schedulers, reservations,
 * :mod:`repro.appsched` — program graphs and the WARMstones environment,
@@ -41,7 +41,7 @@ from repro.core.swf import (
 )
 from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.data import synthetic_archive
-from repro.evaluation import compare_schedulers, simulate
+from repro.evaluation import simulate
 from repro.metrics import ObjectiveFunction, compute_metrics, rank_schedulers
 from repro.schedulers import (
     ConservativeBackfillScheduler,
@@ -83,7 +83,6 @@ __all__ = [
     "OutageType",
     "generate_outages",
     "synthetic_archive",
-    "compare_schedulers",
     "simulate",
     "ObjectiveFunction",
     "compute_metrics",

@@ -102,12 +102,6 @@ class ProgramGraph:
         """Megabytes carried on the edge (0 if the edge does not exist)."""
         return self._edges.get((producer, consumer), 0.0)
 
-    def entry_tasks(self) -> List[str]:
-        return [name for name in self._tasks if not self.predecessors(name)]
-
-    def exit_tasks(self) -> List[str]:
-        return [name for name in self._tasks if not self.successors(name)]
-
     def total_work(self) -> float:
         """Sum of compute costs (the sequential execution time)."""
         return sum(t.compute_seconds for t in self._tasks.values())
@@ -144,15 +138,6 @@ class ProgramGraph:
         if len(order) != len(self._tasks):
             raise GraphError("the program graph contains a cycle")
         return order
-
-    def critical_path_seconds(self) -> float:
-        """Length of the longest compute-only path (a lower bound on makespan)."""
-        longest: Dict[str, float] = {}
-        for name in self.topological_order():
-            preds = self.predecessors(name)
-            base = max((longest[p] for p in preds), default=0.0)
-            longest[name] = base + self._tasks[name].compute_seconds
-        return max(longest.values(), default=0.0)
 
     def width(self) -> int:
         """Maximum number of tasks with no ordering between them at any depth.

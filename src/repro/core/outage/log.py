@@ -62,18 +62,6 @@ class OutageLog:
         self._records.append(record)
         self._records.sort(key=lambda r: r.start_time)
 
-    def active_at(self, time: int) -> List[OutageRecord]:
-        """Outages in progress at ``time``."""
-        return [r for r in self._records if r.start_time <= time < r.end_time]
-
-    def known_by(self, time: int) -> List[OutageRecord]:
-        """Outages whose existence the scheduler knows about at ``time``."""
-        return [r for r in self._records if r.announced_time <= time]
-
-    def in_window(self, start: int, end: int) -> List[OutageRecord]:
-        """Outages overlapping the half-open window [start, end)."""
-        return [r for r in self._records if r.overlaps(start, end)]
-
     def total_node_downtime(self) -> int:
         """Sum over records of duration x nodes affected (node-seconds lost)."""
         return sum(r.duration * r.nodes_affected for r in self._records)

@@ -98,7 +98,3 @@ class OutageRecord:
     def is_announced(self) -> bool:
         """True if the scheduler knew about the outage before it started."""
         return self.advance_notice > 0
-
-    def overlaps(self, start: int, end: int) -> bool:
-        """True if the outage intersects the half-open interval [start, end)."""
-        return self.start_time < end and start < self.end_time

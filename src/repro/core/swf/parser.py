@@ -53,10 +53,6 @@ class ParseReport:
     blank_lines: int = 0
     skipped: List[Tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def skipped_count(self) -> int:
-        return len(self.skipped)
-
 
 def _split_header_comment(text: str) -> Optional[HeaderEntry]:
     """Interpret a comment line as a ``;Label: value`` header entry, if it is one."""

@@ -35,7 +35,7 @@ from repro.bench.runner import WorkUnit, execute_unit
 from repro.bench.store import ResultStore
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Heartbeat, LeaseBroker
 from repro.dist.queue import WorkQueue
-from repro.obs.telemetry import Telemetry, count, telemetry_scope
+from repro.obs.telemetry import Telemetry
 
 __all__ = ["WorkerStats", "run_worker"]
 
@@ -131,9 +131,8 @@ def run_worker(
         durable=True,
     )
     try:
-        with telemetry_scope(telemetry):
-            _drain(queue, store, broker, stats, journal, once, poll_interval,
-                   max_units, progress)
+        _drain(queue, store, broker, stats, telemetry, journal, once,
+               poll_interval, max_units, progress)
     finally:
         stats.contended = broker.contended
         stats.reclaimed = broker.reclaimed
@@ -157,6 +156,7 @@ def _drain(
     store: ResultStore,
     broker: LeaseBroker,
     stats: WorkerStats,
+    telemetry: Telemetry,
     journal,
     once: bool,
     poll_interval: float,
@@ -179,7 +179,9 @@ def _drain(
             reclaimed_before = broker.reclaimed
             lease = broker.acquire(key)
             if broker.reclaimed > reclaimed_before:
-                count("dist.lease_expired", broker.reclaimed - reclaimed_before)
+                telemetry.counter("dist.lease_expired").inc(
+                    broker.reclaimed - reclaimed_before
+                )
                 journal.append(
                     {"event": "dist.lease_expired", "worker": stats.worker_id,
                      "key": key}
@@ -187,7 +189,7 @@ def _drain(
             if lease is None:
                 continue
             stats.claimed += 1
-            count("dist.claim")
+            telemetry.counter("dist.claim").inc()
             try:
                 # The store, not the lease, is the source of truth for
                 # "done": someone may have finished this key between our
@@ -220,7 +222,7 @@ def _drain(
                 stats.events_processed += int(
                     entry.report.counters.get("events_processed", 0)
                 )
-                count("dist.units_simulated")
+                telemetry.counter("dist.units_simulated").inc()
                 progressed = True
                 journal.append(
                     {"event": "dist.unit_done", "worker": stats.worker_id,

@@ -1,16 +1,13 @@
-"""Scheduler-evaluation drivers: the simulation loop, comparisons, sweeps."""
+"""Scheduler-evaluation drivers: the simulation loop and its results."""
 
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.evaluation.simulator import MachineSimulation, simulate
-from repro.evaluation.sweep import ComparisonRow, compare_schedulers, format_table, load_sweep
+from repro.evaluation.table import format_table
 
 __all__ = [
     "JobResult",
     "SimulationResult",
     "MachineSimulation",
     "simulate",
-    "ComparisonRow",
-    "compare_schedulers",
     "format_table",
-    "load_sweep",
 ]

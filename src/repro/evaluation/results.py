@@ -121,7 +121,7 @@ class SimulationResult:
     #: number of job executions aborted by outages (including successful restarts)
     outage_kills: int = 0
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: deterministic per-run telemetry counters (events processed, scheduling
+    #: deterministic per-run counters (events processed, scheduling
     #: passes, backfill decisions, queue depth high-water marks).  Derived
     #: only from simulated facts — never wall-clock time — so serial and
     #: parallel runs of the same scenario report bit-identical values.
@@ -164,7 +164,3 @@ class SimulationResult:
         completed = ~cols.killed
         run = cols.np("end")[completed] - cols.np("start")[completed]
         return float((cols.np("procs")[completed] * run).sum())
-
-    def by_job_id(self) -> Dict[int, JobResult]:
-        """Results keyed by SWF job number."""
-        return {j.job_id: j for j in self.jobs}

@@ -21,6 +21,7 @@ Features required by the paper's extensions are built in:
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +30,6 @@ from repro.core.swf.fields import MISSING
 from repro.core.swf.workload import Workload
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.machine.cluster import Machine
-from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState, usable_requests
 from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 from repro.simulation.engine import Simulator
@@ -60,24 +60,24 @@ class SpaceSharedMachine:
     calls :meth:`schedule_pass` and schedules the completions of the
     records it returns.  Nothing here refers back to the owner, so a
     finished simulation is freed without the cycle collector.
+
+    The deterministic scheduling counters are plain data kept here:
+    ``counts``, which the policy (as ``SchedulerState.counts``) and the
+    tracker add to, and three int pass counters; :meth:`counters` reads
+    them all once the run is over.
     """
 
     def __init__(self, machine: Machine, scheduler: Scheduler, sim: Simulator) -> None:
         self.machine = machine
         self.scheduler = scheduler
         self.sim = sim
-        #: deterministic scheduling counters.  The owner must install this
-        #: registry as the telemetry scope around every :meth:`schedule_pass`
-        #: (policies and the profile ``count()`` into the active scope), or
-        #: the counts land in whatever scope encloses the simulation; and
-        #: call :meth:`publish` once, after the run.
-        self.telemetry = Telemetry()
+        self.counts: Counter = Counter()
         self.sched_passes = self.jobs_started = self.max_queue_depth = 0
         self.queue: List[JobRequest] = []
         self._queued_ids: set = set()
         self.running: Dict[int, RunningJobInfo] = {}
         self.calendar = FreeSpace(machine.size, 0)
-        self.tracker = FreeSpaceTracker(machine.size)
+        self.tracker = FreeSpaceTracker(machine.size, self.counts)
 
     def submit(self, request: JobRequest, front: bool = False) -> None:
         """Queue ``request`` at the tail, or at the head with ``front``."""
@@ -95,14 +95,15 @@ class SpaceSharedMachine:
             self.tracker.end(running.request.processors, running.expected_end)
         return running
 
-    def publish(self) -> None:
-        """Add the pass counters to ``telemetry``; a counter never touched stays absent."""
-        telemetry = self.telemetry
+    def counters(self) -> Dict[str, int]:
+        """Every scheduling counter, by name; a counter never touched stays absent."""
+        counters = dict(self.counts)
         if self.sched_passes:
-            telemetry.counter("sched_passes").inc(self.sched_passes)
-            telemetry.gauge("max_queue_depth").set_max(self.max_queue_depth)
+            counters["sched_passes"] = self.sched_passes
+            counters["max_queue_depth"] = self.max_queue_depth
         if self.jobs_started:
-            telemetry.counter("jobs_started").inc(self.jobs_started)
+            counters["jobs_started"] = self.jobs_started
+        return counters
 
     def profile(self) -> FreeSpace:
         """The running set's free space from now: the tracked slot set, read-only."""
@@ -129,6 +130,7 @@ class SpaceSharedMachine:
             # Bound per pass, not stored: a stored bound method would make
             # this object a reference cycle that outlives its run.
             profile=self.profile,
+            counts=self.counts,
         )
         selected = self.scheduler.select_jobs(state)
         if not selected:
@@ -330,12 +332,9 @@ class MachineSimulation:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the results."""
-        telemetry = self._space.telemetry
-        with telemetry_scope(telemetry):
-            self._seed_events()
-            self.sim.run()
-        self._space.publish()
-        counters = telemetry.as_counters()
+        self._seed_events()
+        self.sim.run()
+        counters = self._space.counters()
         counters["events_processed"] = self.sim.processed_events
         counters["peak_event_queue"] = self.sim.peak_queue
         result = SimulationResult(
@@ -348,7 +347,7 @@ class MachineSimulation:
                 "workload": self.workload.name,
                 "honor_dependencies": self.honor_dependencies,
             },
-            counters={k: int(v) for k, v in sorted(counters.items())},
+            counters=dict(sorted(counters.items())),
         )
         if len(self.outages) > 0:
             result.available_node_seconds = _available_node_seconds(

@@ -43,7 +43,6 @@ from repro.grid.metaschedulers import MetaScheduler, SiteView
 from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
 from repro.machine.cluster import Machine
-from repro.obs.telemetry import telemetry_scope
 from repro.schedulers.base import JobRequest, usable_requests
 from repro.simulation.engine import Simulator
 
@@ -409,9 +408,7 @@ class GridSimulation:
     def _schedule_pass(self, site_name: str) -> None:
         space = self.sites[site_name].space
         space.calendar.advance(self.sim.now)
-        with telemetry_scope(space.telemetry):
-            started = space.schedule_pass()
-        for running in started:
+        for running in space.schedule_pass():
             job_id = running.request.job_id
             if job_id >= _META_ID_BASE:
                 # Meta completions are driven by _component_started.
@@ -434,13 +431,12 @@ class GridSimulation:
         self.sim.run()
         site_results = {}
         for name, state in self.sites.items():
-            state.space.publish()
             site_results[name] = SimulationResult(
                 scheduler_name=f"{state.site.scheduler.name}@{name}",
                 machine_size=state.site.machine_size,
                 jobs=sorted(state.local_results, key=lambda j: j.job_id),
                 metadata={"site": name},
-                counters={k: int(v) for k, v in sorted(state.space.telemetry.as_counters().items())},
+                counters=dict(sorted(state.space.counters().items())),
             )
         finished = {r.job.job_id for r in self._meta_results}
         unfinished = [

@@ -45,22 +45,6 @@ class Machine:
         """Number of free (up and unallocated) nodes."""
         return len(self._free)
 
-    def up_count(self) -> int:
-        """Number of up nodes (free or busy)."""
-        return self.size - len(self._down)
-
-    def busy_count(self) -> int:
-        """Number of nodes currently allocated to jobs."""
-        return sum(len(node_ids) for node_ids in self._held.values())
-
-    def down_count(self) -> int:
-        """Number of failed / drained nodes."""
-        return len(self._down)
-
-    def down_node_ids(self) -> List[int]:
-        """Ids of all currently-failed nodes."""
-        return sorted(self._down)
-
     # ------------------------------------------------------------------
     # allocation / release
     # ------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Three small modules, one purpose — make every layer of the pipeline
 measurable without adding a dependency:
 
-* :mod:`repro.obs.telemetry` — counters / gauges / fixed-bucket histograms
-  behind a contextvar-scoped :class:`Telemetry` registry, with a no-op-safe
-  ``count()`` for deep call sites (schedulers).
+* :mod:`repro.obs.telemetry` — a :class:`Telemetry` registry of labelled
+  counters / gauges / fixed-bucket histograms for the serve daemon and the
+  dist workers.  A simulation's counters are a plain dict its driver owns.
 * :mod:`repro.obs.prometheus` — text exposition (format 0.0.4) for the
   serve daemon's ``GET /v1/metrics``.
 * :mod:`repro.obs.log` — structured ``key=value`` (or JSON-lines) logging
@@ -43,8 +43,6 @@ from .telemetry import (
     HistogramFamily,
     Telemetry,
     TelemetryError,
-    count,
-    telemetry_scope,
 )
 
 __all__ = [
@@ -54,8 +52,6 @@ __all__ = [
     "HistogramFamily",
     "Telemetry",
     "TelemetryError",
-    "count",
-    "telemetry_scope",
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",
     "configure_logging",

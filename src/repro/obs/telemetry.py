@@ -1,24 +1,11 @@
 """Zero-dependency telemetry primitives: counters, gauges and histograms.
 
-Every layer of the repository that wants to be *measured* — the simulation
-driver, the schedulers, the bench runner, the serve daemon — records into a
-:class:`Telemetry` registry.  Two properties drive the design:
-
-* **Determinism where it matters.**  Simulation-side metrics (events popped,
-  scheduling passes, shadow scans, backfilled jobs, queue depth) count
-  *simulated* facts, never wall-clock time, so a run's counters are
-  bit-identical between serial and parallel execution and can ride inside
-  the content-addressed result store.  Wall-clock timings are kept
-  separate (the bench runner's timing breakdown, the serve daemon's
-  latency histograms).
-
-* **Context scoping instead of plumbing.**  Schedulers are called deep
-  inside the event loop through a stable API; rather than threading a
-  registry through every signature, the active :class:`Telemetry` is held
-  in a :mod:`contextvars` variable.  :func:`telemetry_scope` installs one
-  for the duration of a run, and the module-level :func:`count` is a cheap
-  no-op when no scope is active — unit tests calling a scheduler directly
-  measure nothing and pay (almost) nothing.
+The serve daemon and the dist workers record into a :class:`Telemetry`
+registry: labelled counters, gauges and latency histograms, rendered for
+Prometheus or flattened by :meth:`Telemetry.as_counters`.  A simulation's
+own counters (events, passes, shadow scans, slot splits) are not kept
+here: they are a plain dict the driver owns and hands to the policy as
+``SchedulerState.counts`` (see :mod:`repro.evaluation.simulator`).
 
 The registry is intentionally small and stdlib-only; the Prometheus text
 rendering lives in :mod:`repro.obs.prometheus`.
@@ -27,9 +14,7 @@ rendering lives in :mod:`repro.obs.prometheus`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -38,8 +23,6 @@ __all__ = [
     "HistogramFamily",
     "Telemetry",
     "TelemetryError",
-    "telemetry_scope",
-    "count",
 ]
 
 #: Default histogram buckets (seconds) for request/phase latencies: the usual
@@ -244,8 +227,7 @@ class Telemetry:
         """Unlabelled counter and gauge values as one flat dict.
 
         Integral values come back as ``int`` so the dict serializes to the
-        same JSON text on every run — this is the snapshot the simulation
-        driver folds into :class:`~repro.metrics.basic.MetricsReport`.
+        same JSON text on every run (a dist worker's ``extra_counters``).
         """
         snapshot: Dict[str, float] = {}
         for family in self.families():
@@ -256,30 +238,3 @@ class Telemetry:
                 snapshot[family.name] = int(value) if value == int(value) else value
         return snapshot
 
-
-# ----------------------------------------------------------------------
-# contextvar scoping
-# ----------------------------------------------------------------------
-_ACTIVE: ContextVar[Optional[Telemetry]] = ContextVar("repro_obs_telemetry", default=None)
-
-
-@contextmanager
-def telemetry_scope(telemetry: Telemetry):
-    """Install ``telemetry`` as the active registry for the enclosed block.
-
-    Scopes nest: the previous registry is restored on exit.  Context
-    variables are per-thread and per-async-task, so concurrent runs (serve
-    workers, ``run_many`` processes) never share a scope by accident.
-    """
-    token = _ACTIVE.set(telemetry)
-    try:
-        yield telemetry
-    finally:
-        _ACTIVE.reset(token)
-
-
-def count(name: str, amount: float = 1, **labels: object) -> None:
-    """Increment a counter on the active registry; no-op without a scope."""
-    telemetry = _ACTIVE.get()
-    if telemetry is not None:
-        telemetry.counter(name).inc(amount, **labels)

@@ -6,8 +6,7 @@ histograms), this module answers *where the time went and in what order*: a
 start, duration, attributes — and exports them as Chrome trace-event JSON,
 so any run opens directly in Perfetto or ``chrome://tracing``.
 
-The scoping contract is the one :func:`repro.obs.telemetry.telemetry_scope`
-uses: the active tracer lives in a :mod:`contextvars` variable,
+The active tracer lives in a :mod:`contextvars` variable:
 :func:`trace_scope` installs one for the duration of a run, and the
 module-level :func:`trace_span` helper is a cheap pass-through when no scope
 is active — instrumented code pays (almost) nothing unless someone asked
@@ -272,7 +271,7 @@ def current_span_id() -> Optional[int]:
 def trace_scope(tracer: Tracer):
     """Install ``tracer`` as the active tracer for the enclosed block.
 
-    Scopes nest and restore, exactly like ``telemetry_scope``; the current
+    Scopes nest: the previous tracer is restored on exit.  The current
     parent resets to "root" on entry so a nested scope starts its own tree.
     """
     token = _ACTIVE.set((tracer, None))

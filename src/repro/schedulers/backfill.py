@@ -31,7 +31,6 @@ from heapq import merge
 from typing import List
 
 from repro.api.registry import register_scheduler
-from repro.obs.telemetry import count
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
 from repro.schedulers.freespace import report_slot_stats
 
@@ -74,6 +73,7 @@ class EasyBackfillScheduler(Scheduler):
         head = queue[head_index]
         shadow_time, extra = self._shadow(state, started, head, free)
 
+        backfilled = 0
         for i in range(head_index + 1, len(queue)):
             candidate = queue[i]
             if not self.job_fits_now(state, candidate, free):
@@ -81,11 +81,13 @@ class EasyBackfillScheduler(Scheduler):
             finishes_before_shadow = state.now + candidate.estimate <= shadow_time
             uses_only_extra = candidate.processors <= extra
             if finishes_before_shadow or uses_only_extra:
-                count("jobs_backfilled")
+                backfilled += 1
                 started.append(candidate)
                 free -= candidate.processors
                 if not finishes_before_shadow:
                     extra -= candidate.processors
+        if backfilled:
+            state.counts["jobs_backfilled"] += backfilled
         return started
 
     def _shadow(
@@ -113,7 +115,7 @@ class EasyBackfillScheduler(Scheduler):
         ``available``, and preserving the historical (paper-faithful)
         tie-breaking keeps schedules bit-for-bit identical.
         """
-        count("shadow_scans")
+        state.counts["shadow_scans"] += 1
         releases = state.expected_completions()
         if just_started:
             fresh = sorted(
@@ -177,6 +179,6 @@ class ConservativeBackfillScheduler(Scheduler):
             else:
                 blocked = True
         if backfilled:
-            count("jobs_backfilled", backfilled)
-        report_slot_stats(profile)
+            state.counts["jobs_backfilled"] += backfilled
+        report_slot_stats(state.counts, profile)
         return started

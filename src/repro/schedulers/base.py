@@ -16,6 +16,7 @@ backfilling and advance reservations reason about is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Collection, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
@@ -147,6 +148,13 @@ class SchedulerState:
     into it.  The driver passes a zero-argument callable, so policies that
     never read it never pay for it; a hand-built state builds it from
     ``running``.
+
+    ``counts`` is where a policy adds its deterministic work counters
+    (``shadow_scans``, ``jobs_backfilled``, ``slots_split``, ...): the
+    driver passes its own counts, which become the run's
+    ``SimulationResult.counters``, and a hand-built state gets a fresh
+    :class:`~collections.Counter`.  Add only nonzero amounts: a key is
+    present exactly when something was counted.
     """
 
     def __init__(
@@ -158,6 +166,7 @@ class SchedulerState:
         running: Collection[RunningJobInfo],
         calendar: Optional[FreeSpace] = None,
         profile: Optional[Callable[[], FreeSpace]] = None,
+        counts: Optional[Counter] = None,
     ) -> None:
         self.now = now
         self.total_processors = total_processors
@@ -170,6 +179,7 @@ class SchedulerState:
         self.calendar = calendar
         self._profile: Union[FreeSpace, Callable[[], FreeSpace], None] = profile
         self._completions: Optional[List[Tuple[float, int]]] = None
+        self.counts = counts if counts is not None else Counter()
 
     @property
     def profile(self) -> FreeSpace:

@@ -35,20 +35,19 @@ is value-equivalent to the original breakpoint scan, asserted bit-for-bit
 in ``tests/schedulers/test_freespace.py`` against a verbatim copy of the
 old implementation.
 
-The tracker and the conservative policy emit deterministic telemetry
+The tracker and the conservative policy add deterministic counters
 (``slots_split``, ``slots_merged``, ``profile_patches``) derived only from
-simulated facts, so the counters ride in ``MetricsReport.counters``
-bit-identically across serial and parallel runs.  A :class:`FreeSpace`
-itself only tallies its splits and merges; capacity calendars never
-report them.
+simulated facts to the driver's counts dict, so they ride in
+``MetricsReport.counters`` bit-identically across serial and parallel
+runs.  A :class:`FreeSpace` itself only tallies its splits and merges;
+capacity calendars never report them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import Callable, Iterable, List, Optional, Tuple, Union
-
-from repro.obs.telemetry import count
 
 __all__ = ["FreeSpace", "FreeSpaceTracker", "report_slot_stats"]
 
@@ -388,14 +387,15 @@ class FreeSpaceTracker:
     Nothing is recorded before the first sync, so an owner whose policy
     never reads the profile pays one method call per start or end.
 
-    A sync counts ``profile_builds`` or ``profile_patches`` and reports the
-    tracked slot set's splits and merges.
+    A sync adds ``profile_builds`` or ``profile_patches`` and the tracked
+    slot set's splits and merges to ``counts``, the owner's counts dict.
     """
 
-    __slots__ = ("total", "_fs", "_started", "_ended")
+    __slots__ = ("total", "counts", "_fs", "_started", "_ended")
 
-    def __init__(self, total_processors: int) -> None:
+    def __init__(self, total_processors: int, counts: Counter) -> None:
         self.total = total_processors
+        self.counts = counts
         self._fs: Optional[FreeSpace] = None
         self._started: List[Tuple[int, float]] = []
         self._ended: List[Tuple[int, float]] = []
@@ -412,9 +412,9 @@ class FreeSpaceTracker:
 
     def sync(self, now: float, running: Iterable) -> FreeSpace:
         """The slot set at ``now``; ``running`` is read on the first sync only."""
-        fs = self._fs
+        fs, counts = self._fs, self.counts
         if fs is None:
-            count("profile_builds")
+            counts["profile_builds"] += 1
             fs = self._fs = FreeSpace.from_running(self.total, now, running)
         else:
             fs.advance(now)
@@ -433,19 +433,15 @@ class FreeSpaceTracker:
                     fs.reserve(now, end, processors)
                     patches += 1
             if patches:
-                count("profile_patches", patches)
-        report_slot_stats(fs)
+                counts["profile_patches"] += patches
+        report_slot_stats(counts, fs)
         return fs
 
 
-def report_slot_stats(*spaces: FreeSpace) -> None:
-    """Count the splits and merges ``spaces`` made since their last report."""
-    splits = merges = 0
-    for fs in spaces:
-        fs_splits, fs_merges = fs.take_stats()
-        splits += fs_splits
-        merges += fs_merges
+def report_slot_stats(counts: Counter, fs: FreeSpace) -> None:
+    """Add the splits and merges ``fs`` made since its last report to ``counts``."""
+    splits, merges = fs.take_stats()
     if splits:
-        count("slots_split", splits)
+        counts["slots_split"] += splits
     if merges:
-        count("slots_merged", merges)
+        counts["slots_merged"] += merges

@@ -7,8 +7,8 @@ on:
   discrete-event engine (a heap of timestamped events with stable
   tie-breaking, merged with a time-sorted arrival stream).
 * :mod:`~repro.simulation.distributions` — the random distributions the
-  published workload models require (log-uniform, hyper-exponential,
-  hyper-Erlang, two-stage hyper-gamma, Zipf, Weibull), all driven by
+  published workload models require (log-uniform, hyper-Erlang,
+  two-stage hyper-gamma, Zipf, Weibull), all driven by
   :class:`numpy.random.Generator` for reproducibility.
 
 The paper's evaluation methodology assumes an event-driven scheduler
@@ -19,7 +19,6 @@ implemented from scratch (see DESIGN.md, substitution table).
 from repro.simulation.engine import Simulator
 from repro.simulation.distributions import (
     DiscreteSampler,
-    HyperExponential,
     HyperErlang,
     HyperGamma,
     LogUniform,
@@ -32,7 +31,6 @@ from repro.simulation.distributions import (
 __all__ = [
     "Simulator",
     "DiscreteSampler",
-    "HyperExponential",
     "HyperErlang",
     "HyperGamma",
     "LogUniform",

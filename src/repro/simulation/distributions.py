@@ -6,8 +6,6 @@ not all available directly from :mod:`numpy.random`:
 
 * **log-uniform** — Downey's model for total work and for the cumulative
   runtime distribution,
-* **hyper-exponential** — Feitelson's runtime model (two-branch) and many
-  interarrival models,
 * **hyper-Erlang** — Jann et al. fit interarrival and service times with
   hyper-Erlang distributions of common order,
 * **hyper-Gamma** — Lublin & Feitelson model runtimes with a two-stage
@@ -31,7 +29,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "LogUniform",
-    "HyperExponential",
     "HyperErlang",
     "HyperGamma",
     "Zipf",
@@ -83,44 +80,6 @@ class LogUniform:
         if self.low == self.high:
             return self.low
         return (self.high - self.low) / (math.log(self.high) - math.log(self.low))
-
-
-@dataclass(frozen=True)
-class HyperExponential:
-    """Mixture of exponentials: branch ``i`` with probability ``probs[i]`` and rate ``rates[i]``."""
-
-    probs: tuple
-    rates: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.probs) != len(self.rates):
-            raise ValueError("probs and rates must have the same length")
-        if not self.probs:
-            raise ValueError("at least one branch is required")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
-        total = sum(self.probs)
-        if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(f"branch probabilities must sum to 1 (got {total})")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("rates must be positive")
-
-    def sample(self, rng: Optional[np.random.Generator] = None) -> float:
-        rng = _as_rng(rng)
-        branch = rng.choice(len(self.probs), p=self.probs)
-        return float(rng.exponential(1.0 / self.rates[branch]))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        branches = rng.choice(len(self.probs), size=n, p=self.probs)
-        scales = np.asarray([1.0 / r for r in self.rates])[branches]
-        return rng.exponential(scales)
-
-    def mean(self) -> float:
-        return sum(p / r for p, r in zip(self.probs, self.rates))
-
-    def variance(self) -> float:
-        second_moment = sum(2.0 * p / (r * r) for p, r in zip(self.probs, self.rates))
-        return second_moment - self.mean() ** 2
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ The API is intentionally minimal — scheduler simulators in
 ``schedule_at(time, callback, *args, priority=0)``
     enqueue an event at an absolute time,
 
-``run(until=None)``
-    process events in order until both sources drain or ``until`` is reached.
+``run()``
+    process events in order until both sources drain.
 
 ``schedule*`` return the event's sequence number.  :meth:`Simulator.cancel`
 takes it and is O(1): the number goes into a set that is checked when the
@@ -48,20 +48,16 @@ __all__ = ["Simulator", "SimulationError"]
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven incorrectly.
 
-    Examples: scheduling an event in the past, or running a simulator that
-    has already been stopped.
+    Examples: scheduling an event in the past, an arrival stream out of
+    time order, or a re-entrant :meth:`Simulator.run`.
     """
 
 
 class Simulator:
     """Deterministic discrete-event simulator.
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulation clock (seconds).  Workload replay
-        typically starts at 0, matching the SWF convention that the first
-        submit time is the time origin.
+    The clock starts at 0, the SWF convention that the first submit time
+    is the time origin.
 
     Examples
     --------
@@ -77,8 +73,8 @@ class Simulator:
     10.0
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: heap of (time, priority, sequence, callback, args) entries
         self._queue: List[tuple] = []
         self._cancelled: set = set()
@@ -89,7 +85,6 @@ class Simulator:
         self._stream_callback: Optional[Callable[[Any], Any]] = None
         self._stream_priority = 0
         self._running = False
-        self._stopped = False
         self._processed = 0
         self._peak_queue = 0
 
@@ -164,29 +159,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run the simulation.
+    def run(self) -> int:
+        """Run until the heap and the stream are both exhausted.
 
-        Parameters
-        ----------
-        until:
-            Stop once the next event would occur strictly after ``until``;
-            the clock is advanced to ``until``.  ``None`` runs until the
-            heap and the stream are both exhausted.
-        max_events:
-            Safety valve: stop after this many events.
-
-        Returns
-        -------
-        int
-            The number of events executed by this call.
+        Returns the number of events executed by this call.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
-        horizon = float("inf") if until is None else until
-        budget = -1 if max_events is None else max_events
         executed = 0
         queue, cancelled, heappop = self._queue, self._cancelled, heapq.heappop
         stream, index, fire, priority = (
@@ -194,7 +174,7 @@ class Simulator:
         )
         end = len(stream)
         try:
-            while executed != budget and not self._stopped:
+            while True:
                 if queue:
                     entry = queue[0]
                     if entry[2] in cancelled:
@@ -209,9 +189,6 @@ class Simulator:
                 elif index < end:
                     entry, time = None, stream[index][0]
                 else:
-                    break
-                if time > horizon:
-                    self._now = max(self._now, float(until))
                     break
                 executed += 1
                 if entry is None:
@@ -230,7 +207,3 @@ class Simulator:
             if index == end:
                 self._stream, self._stream_index, self._stream_callback = (), 0, None
         return executed
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after the current event."""
-        self._stopped = True

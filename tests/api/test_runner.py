@@ -14,7 +14,7 @@ from repro.core.outage import (
 from repro.core.swf import write_swf
 from repro.evaluation import simulate
 from repro.schedulers import EasyBackfillScheduler
-from tests.conftest import make_job, make_workload
+from tests.conftest import by_job_id, make_job, make_workload
 
 
 def _job_triples(result):
@@ -133,10 +133,10 @@ class TestConditions:
         workload = make_workload([make_job(1, submit=0, runtime=100, processors=16)])
         scenario = Scenario(workload="(direct)", policy="fcfs", machine_size=16)
         unlimited = run(scenario, workload=workload, outages=self._outage_log())
-        assert unlimited.result.by_job_id()[1].restarts == 1
+        assert by_job_id(unlimited.result)[1].restarts == 1
         capped = run(scenario.with_(max_restarts=0), workload=workload,
                      outages=self._outage_log())
-        assert capped.result.by_job_id()[1].killed
+        assert by_job_id(capped.result)[1].killed
 
     def test_gang_rejects_space_only_conditions(self):
         scenario = Scenario(workload="uniform:jobs=10,seed=1", policy="gang:slots=2",
@@ -163,8 +163,8 @@ class TestConditions:
         scenario = Scenario(workload="(direct)", policy="fcfs", machine_size=16)
         open_replay = run(scenario, workload=workload)
         closed_replay = run(scenario.with_(honor_dependencies=True), workload=workload)
-        assert open_replay.result.by_job_id()[2].submit_time == 10
-        assert closed_replay.result.by_job_id()[2].submit_time == 120
+        assert by_job_id(open_replay.result)[2].submit_time == 10
+        assert by_job_id(closed_replay.result)[2].submit_time == 120
 
 
 class TestRunMany:

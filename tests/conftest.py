@@ -40,6 +40,11 @@ def make_job(
     return SWFJob(**fields)
 
 
+def by_job_id(result) -> dict:
+    """A simulation result's per-job results keyed by SWF job number."""
+    return {j.job_id: j for j in result.jobs}
+
+
 def make_workload(jobs, machine_size: int = 32, name: str = "test") -> Workload:
     """Wrap hand-written jobs in a workload with a matching header."""
     header = SWFHeader.standard(

@@ -20,7 +20,6 @@ from repro.grid import (
 from repro.api import Scenario, run
 from repro.bench.seeds import derive_seeds
 from repro.evaluation import simulate
-from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers import ConservativeBackfillScheduler, EasyBackfillScheduler, FCFSScheduler
 from repro.workloads import Lublin99Model
 from tests.conftest import simulate_one_site_grid
@@ -193,18 +192,23 @@ class TestOneSiteGridMatchesTheDriver:
 
 class TestSiteTelemetry:
     def test_site_counters_stay_on_their_site(self):
-        outer = Telemetry()
-        with telemetry_scope(outer):
-            result = run(
-                Scenario(
-                    workload="lublin99:jobs=200,seed=3",
-                    policy="grid:meta=earliest-start,sites=3,reservations=true,local=easy",
-                    machine_size=64,
-                )
+        result = run(
+            Scenario(
+                workload="lublin99:jobs=200,seed=3",
+                policy="grid:meta=earliest-start,sites=3,reservations=true,local=easy",
+                machine_size=64,
             )
-        assert outer.as_counters() == {}
-        for site_result in result.grid.site_results.values():
-            assert site_result.counters["jobs_started"] > 0
+        )
+        grid = result.grid
+        assert result.report.counters == {}
+        for name, site_result in grid.site_results.items():
+            # A site starts its own local jobs and one component of each
+            # meta job placed on it, and counts exactly those.
+            components = sum(name in meta.sites for meta in grid.meta_results)
+            counters = site_result.counters
+            assert counters["jobs_started"] == len(site_result.jobs) + components
+            assert 0 < counters["jobs_backfilled"] <= counters["jobs_started"]
+            assert 0 < counters["shadow_scans"] <= counters["sched_passes"]
 
     def test_sites_sharing_one_conservative_instance(self):
         # A policy keeps no state between passes, so one instance serves

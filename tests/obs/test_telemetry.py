@@ -1,4 +1,4 @@
-"""Tests for the telemetry registry: counters, gauges, histograms, scoping.
+"""Tests for the telemetry registry: counters, gauges, histograms.
 
 The histogram bucket-edge cases matter most: Prometheus semantics put an
 observation exactly on a boundary into that boundary's bucket (``le`` is an
@@ -14,8 +14,6 @@ from repro.obs.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     Telemetry,
     TelemetryError,
-    count,
-    telemetry_scope,
 )
 
 
@@ -127,27 +125,6 @@ class TestHistogramBucketEdges:
         t.histogram("lat", buckets=(0.1, 1.0))  # same: fine
         with pytest.raises(TelemetryError):
             t.histogram("lat", buckets=(0.2, 1.0))
-
-
-class TestScoping:
-    def test_module_helpers_are_noops_without_scope(self):
-        count("never_recorded")  # must not raise
-
-    def test_helpers_record_inside_scope(self):
-        t = Telemetry()
-        with telemetry_scope(t):
-            count("events")
-            count("events", 2)
-        assert t.counter("events").value() == 3
-
-    def test_scopes_nest_and_restore(self):
-        outer, inner = Telemetry(), Telemetry()
-        with telemetry_scope(outer):
-            with telemetry_scope(inner):
-                count("x")
-            count("x")
-        assert inner.counter("x").value() == 1
-        assert outer.counter("x").value() == 1
 
 
 class TestAsCounters:

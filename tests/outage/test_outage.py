@@ -56,13 +56,6 @@ class TestOutageRecord:
         with pytest.raises(ValueError):
             record(nodes=2, components=(1, 2, 3))
 
-    def test_overlap_predicate(self):
-        r = record(start=100, end=200)
-        assert r.overlaps(150, 300)
-        assert r.overlaps(0, 101)
-        assert not r.overlaps(200, 300)  # half-open interval
-        assert not r.overlaps(0, 100)
-
     def test_scheduled_types(self):
         assert OutageType.MAINTENANCE.is_scheduled
         assert OutageType.DEDICATED_TIME.is_scheduled
@@ -78,17 +71,6 @@ class TestOutageLog:
         log = OutageLog([record(start=500, end=600)])
         log.add(record(start=100, end=200))
         assert log[0].start_time == 100
-
-    def test_active_and_known_queries(self):
-        log = OutageLog([record(start=100, end=200, announced=50)])
-        assert len(log.active_at(150)) == 1
-        assert log.active_at(250) == []
-        assert len(log.known_by(60)) == 1
-        assert log.known_by(10) == []
-
-    def test_in_window(self):
-        log = OutageLog([record(start=100, end=200), record(start=1000, end=1100)])
-        assert len(log.in_window(0, 500)) == 1
 
     def test_total_node_downtime(self):
         log = OutageLog([record(start=0, end=100, nodes=2), record(start=0, end=50, nodes=4)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.evaluation import simulate
@@ -10,7 +12,7 @@ from repro.schedulers import (
     EasyBackfillScheduler,
     FCFSScheduler,
 )
-from tests.conftest import make_job, make_workload
+from tests.conftest import by_job_id, make_job, make_workload
 from tests.schedulers.util import make_request, make_state
 
 
@@ -107,6 +109,52 @@ class TestConservativeSelection:
         assert [r.job_id for r in started] == [2]
 
 
+class TestCountsLandInTheState:
+    """A policy adds its work counters to ``state.counts``, only nonzero ones."""
+
+    @staticmethod
+    def _blocked_head_state(counts=None):
+        running = [(make_request(99, 8, estimate=100), 0.0, 100.0)]
+        queue = [
+            make_request(1, 16, estimate=100),
+            make_request(2, 8, runtime=100, estimate=100),  # done when the head can start
+        ]
+        return make_state(16, queue=queue, running=running, counts=counts)
+
+    def test_easy_counts_its_shadow_scan_and_backfill(self):
+        state = self._blocked_head_state()
+        assert [r.job_id for r in EasyBackfillScheduler().select_jobs(state)] == [2]
+        assert state.counts == {"shadow_scans": 1, "jobs_backfilled": 1}
+
+    def test_conservative_counts_its_backfill_and_slot_churn(self):
+        state = self._blocked_head_state()
+        assert [r.job_id for r in ConservativeBackfillScheduler().select_jobs(state)] == [2]
+        counts = state.counts
+        assert set(counts) == {"jobs_backfilled", "slots_split", "slots_merged"}
+        assert counts["jobs_backfilled"] == 1
+        assert counts["slots_split"] > 0 and counts["slots_merged"] > 0
+
+    def test_a_pass_without_a_blocked_head_counts_nothing(self):
+        state = make_state(16, queue=[make_request(1, 8)])
+        EasyBackfillScheduler().select_jobs(state)
+        assert state.counts == {}
+
+    def test_hand_built_states_count_separately(self):
+        counted, untouched = self._blocked_head_state(), self._blocked_head_state()
+        EasyBackfillScheduler().select_jobs(counted)
+        assert counted.counts is not untouched.counts
+        assert untouched.counts == {}
+
+    def test_passes_accumulate_in_the_counts_they_are_given(self):
+        # The driver hands every pass its one counts dict.
+        counts = Counter({"shadow_scans": 5})
+        for _ in range(2):
+            state = self._blocked_head_state(counts)
+            EasyBackfillScheduler().select_jobs(state)
+            assert state.counts is counts
+        assert counts == {"shadow_scans": 7, "jobs_backfilled": 2}
+
+
 class TestBackfillEndToEnd:
     """Replay a small workload and verify the classic relationships."""
 
@@ -121,8 +169,8 @@ class TestBackfillEndToEnd:
 
     def test_easy_backfills_small_jobs_early(self):
         workload = self._workload()
-        fcfs = simulate(workload, FCFSScheduler(), machine_size=32).by_job_id()
-        easy = simulate(workload, EasyBackfillScheduler(), machine_size=32).by_job_id()
+        fcfs = by_job_id(simulate(workload, FCFSScheduler(), machine_size=32))
+        easy = by_job_id(simulate(workload, EasyBackfillScheduler(), machine_size=32))
         # Under FCFS the small jobs wait for job 2's turn; EASY backfills them
         # onto the 8 processors job 1 leaves free.
         assert easy[3].start_time < fcfs[3].start_time
@@ -132,10 +180,10 @@ class TestBackfillEndToEnd:
 
     def test_conservative_never_worse_than_fcfs_for_head_jobs(self):
         workload = self._workload()
-        fcfs = simulate(workload, FCFSScheduler(), machine_size=32).by_job_id()
-        conservative = simulate(
-            workload, ConservativeBackfillScheduler(), machine_size=32
-        ).by_job_id()
+        fcfs = by_job_id(simulate(workload, FCFSScheduler(), machine_size=32))
+        conservative = by_job_id(
+            simulate(workload, ConservativeBackfillScheduler(), machine_size=32)
+        )
         for job_id in (1, 2):
             assert conservative[job_id].start_time <= fcfs[job_id].start_time + 1e-9
 

@@ -22,6 +22,7 @@ old implementation returned.  These tests enforce that contract three ways:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import pytest
@@ -30,10 +31,9 @@ from hypothesis import strategies as st
 
 from repro.api import Scenario, run
 from repro.bench.store import result_key
-from repro.obs.telemetry import count
 from repro.schedulers.backfill import ConservativeBackfillScheduler
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
-from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
+from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker, report_slot_stats
 from tests.schedulers.util import make_request, make_state
 
 
@@ -168,7 +168,7 @@ class ReferenceConservative(Scheduler):
             profile.remove(anchor, anchor + duration, request.processors)
             if anchor <= state.now and self.job_fits_now(state, request, free):
                 if blocked:
-                    count("jobs_backfilled")
+                    state.counts["jobs_backfilled"] += 1
                 started.append(request)
                 free -= request.processors
             else:
@@ -300,7 +300,8 @@ class TestTrackerMatchesRebuild:
 
     def test_event_sequence(self):
         total = 64
-        tracker = FreeSpaceTracker(total)
+        counts: Counter = Counter()
+        tracker = FreeSpaceTracker(total, counts)
         running: dict = {}
         timeline = [
             # (now, jobs ended since the previous pass, jobs started now as
@@ -329,11 +330,17 @@ class TestTrackerMatchesRebuild:
                 req = make_request(job_id, procs, runtime=estimate)
                 running[job_id] = (req, now, now + estimate)
                 tracker.start(procs, now + estimate)
+        # One build; then the starts at 0 (two), the surviving start at 10
+        # and job 2's early end.  Job 4 and job 9 cancel, and ends past
+        # their estimate free nothing.
+        assert counts["profile_builds"] == 1
+        assert counts["profile_patches"] == 4
 
     def test_reports_before_the_first_sync_are_ignored(self):
         # The first sync builds from the running set, which already holds
         # every job reported before it.
-        tracker = FreeSpaceTracker(32)
+        counts: Counter = Counter()
+        tracker = FreeSpaceTracker(32, counts)
         req = make_request(1, 8, runtime=100)
         tracker.start(8, 100.0)
         tracker.start(4, 50.0)
@@ -342,13 +349,15 @@ class TestTrackerMatchesRebuild:
         tracked = tracker.sync(10.0, self._infos(10.0, running))
         assert tracked.slots() == [(10.0, 100.0, 24), (100.0, float("inf"), 32)]
         assert tracker.sync(20.0, []).slots() == [(20.0, 100.0, 24), (100.0, float("inf"), 32)]
+        # A counter nothing added to stays absent.
+        assert counts["profile_builds"] == 1 and "profile_patches" not in counts
 
     def test_randomized_pass_sequences(self):
         total = 128
         rng = random.Random(1999)
         unchanged = 0
         for _trial in range(20):
-            tracker = FreeSpaceTracker(total)
+            tracker = FreeSpaceTracker(total, Counter())
             now, running, next_id, first, started = 0.0, {}, 1, None, 0
             for _pass in range(40):
                 now += rng.choice([0, 0, 3, 20, 80])
@@ -380,7 +389,7 @@ class TestTrackerMatchesRebuild:
 
     def test_copy_isolates_per_pass_mutation(self):
         # The scheduler reserves into a copy; the tracked base must not see it.
-        tracker = FreeSpaceTracker(32)
+        tracker = FreeSpaceTracker(32, Counter())
         running = {1: (make_request(1, 8, runtime=100), 0.0, 100.0)}
         base = tracker.sync(0.0, self._infos(0.0, running))
         scratch = base.copy()
@@ -400,6 +409,25 @@ SCENARIOS = [
     Scenario(workload="lublin99", jobs=250, machine_size=128, load=0.55, seed=23),
     Scenario(workload="lublin99", jobs=250, machine_size=128, load=0.85, seed=23),
 ]
+
+
+class TestReportSlotStats:
+    def test_a_slot_set_without_churn_adds_no_key(self):
+        counts: Counter = Counter()
+        report_slot_stats(counts, FreeSpace(32, 0.0))
+        assert counts == {}
+
+    def test_each_split_and_merge_is_reported_once(self):
+        counts: Counter = Counter()
+        fs = FreeSpace(32, 0.0)
+        fs.reserve(10.0, 20.0, 8)  # boundaries at 10 and 20
+        report_slot_stats(counts, fs)
+        assert counts == {"slots_split": 2}
+        fs.release(10.0, 20.0, 8)  # both boundaries go again
+        report_slot_stats(counts, fs)
+        report_slot_stats(counts, fs)
+        assert counts == {"slots_split": 2, "slots_merged": 2}
+        assert fs.slots() == [(0.0, float("inf"), 32)]
 
 
 class TestSchedulesAreBitIdentical:

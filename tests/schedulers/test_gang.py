@@ -7,7 +7,7 @@ import pytest
 from repro.evaluation import simulate
 from repro.metrics import compute_metrics
 from repro.schedulers import EasyBackfillScheduler, GangSimulation, simulate_gang
-from tests.conftest import make_job, make_workload
+from tests.conftest import by_job_id, make_job, make_workload
 
 
 class TestSingleJobs:
@@ -80,7 +80,7 @@ class TestMatrixBehaviour:
         assert gang.mean_wait < easy.mean_wait
         # ...but individual executions take longer than their dedicated runtime.
         gang_result = simulate_gang(lublin_workload, machine_size=64, max_slots=5)
-        by_id = gang_result.by_job_id()
+        by_id = by_job_id(gang_result)
         stretched = [
             by_id[j.job_number].run_time >= j.run_time * 0.999
             for j in lublin_workload.summary_jobs()

@@ -36,6 +36,7 @@ def make_state(
     running: Sequence[Tuple[JobRequest, float, float]] = (),
     now: float = 0.0,
     calendar=None,
+    counts=None,
 ) -> SchedulerState:
     """Scheduler state with free processors derived from the running jobs."""
     running_infos = [
@@ -50,4 +51,5 @@ def make_state(
         queue=list(queue),
         running=running_infos,
         calendar=calendar,
+        counts=counts,
     )

@@ -72,7 +72,7 @@ class TestParsing:
         text = SAMPLE + "this is not a job line with 18 fields\n"
         workload, report = parse_swf_stream(io.StringIO(text), strict=False)
         assert len(workload) == 3
-        assert report.skipped_count == 1
+        assert len(report.skipped) == 1
         assert report.job_lines == 3
 
     @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ class TestParsing:
         write_swf(tiny_workload, path)
         workload, report = parse_swf(path, with_report=True)
         assert report.job_lines == len(tiny_workload)
-        assert report.skipped_count == 0
+        assert report.skipped == []
 
 
 class TestWriting:

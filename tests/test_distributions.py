@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.simulation import (
     DiscreteSampler,
     HyperErlang,
-    HyperExponential,
     HyperGamma,
     LogUniform,
     TruncatedNormal,
@@ -53,28 +52,6 @@ class TestLogUniform:
         dist = LogUniform(low, low * factor)
         value = dist.sample(make_rng(0))
         assert low * (1 - 1e-9) <= value <= low * factor * (1 + 1e-9)
-
-
-class TestHyperExponential:
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            HyperExponential(probs=(0.5, 0.4), rates=(1.0, 2.0))
-
-    def test_mean_and_cv(self):
-        dist = HyperExponential(probs=(0.9, 0.1), rates=(1.0, 0.01))
-        rng = make_rng(3)
-        samples = dist.sample_many(rng, 100_000)
-        assert np.mean(samples) == pytest.approx(dist.mean(), rel=0.05)
-        assert dist.variance() > dist.mean() ** 2  # hyper-exponential is over-dispersed
-
-    def test_single_branch_is_exponential(self):
-        dist = HyperExponential(probs=(1.0,), rates=(0.5,))
-        assert dist.mean() == pytest.approx(2.0)
-        assert dist.variance() == pytest.approx(dist.mean() ** 2)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            HyperExponential(probs=(1.0,), rates=(-1.0,))
 
 
 class TestHyperErlang:
@@ -177,7 +154,6 @@ class TestReproducibility:
         "dist",
         [
             LogUniform(1.0, 100.0),
-            HyperExponential(probs=(0.5, 0.5), rates=(1.0, 0.1)),
             HyperGamma(p=0.5, shape1=1.0, scale1=1.0, shape2=2.0, scale2=2.0),
             Weibull(shape=0.8, scale=10.0),
             Zipf(n=10, alpha=1.0),

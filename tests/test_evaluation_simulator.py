@@ -23,7 +23,7 @@ from repro.schedulers.base import JobRequest, Scheduler, usable_requests
 from repro.schedulers.freespace import FreeSpace
 from repro.schedulers.moldable import MoldableScheduler
 from repro.workloads import Downey97Model, Lublin99Model
-from tests.conftest import make_job, make_workload, simulate_one_site_grid
+from tests.conftest import by_job_id, make_job, make_workload, simulate_one_site_grid
 
 
 class TestBasicReplay:
@@ -41,7 +41,7 @@ class TestBasicReplay:
             make_job(2, submit=0, runtime=100, processors=16),
         ]
         result = simulate(make_workload(jobs), FCFSScheduler(), machine_size=16)
-        by_id = result.by_job_id()
+        by_id = by_job_id(result)
         assert by_id[1].start_time == 0
         assert by_id[2].start_time == 100
         assert by_id[2].wait_time == 100
@@ -130,14 +130,14 @@ class TestDependencies:
         result = simulate(
             self._chained_workload(), FCFSScheduler(), machine_size=16, honor_dependencies=False
         )
-        assert result.by_job_id()[2].submit_time == 10
+        assert by_job_id(result)[2].submit_time == 10
 
     def test_closed_replay_waits_for_predecessor_and_think_time(self):
         result = simulate(
             self._chained_workload(), FCFSScheduler(), machine_size=16, honor_dependencies=True
         )
         # Job 1 ends at 100; think time 30 -> job 2 is submitted at 130.
-        assert result.by_job_id()[2].submit_time == 130
+        assert by_job_id(result)[2].submit_time == 130
 
     def test_missing_think_time_treated_as_zero(self):
         jobs = [
@@ -147,14 +147,14 @@ class TestDependencies:
         result = simulate(
             make_workload(jobs), FCFSScheduler(), machine_size=16, honor_dependencies=True
         )
-        assert result.by_job_id()[2].submit_time == 100
+        assert by_job_id(result)[2].submit_time == 100
 
     def test_dependency_on_absent_job_falls_back_to_absolute_time(self):
         jobs = [make_job(1, submit=5, runtime=10, processors=4, preceding_job=77, think_time=3)]
         result = simulate(
             make_workload(jobs), FCFSScheduler(), machine_size=16, honor_dependencies=True
         )
-        assert result.by_job_id()[1].submit_time == 5
+        assert by_job_id(result)[1].submit_time == 5
 
 
 class TestOutages:
@@ -177,7 +177,7 @@ class TestOutages:
         result = simulate(
             workload, FCFSScheduler(), machine_size=16, outages=outages, restart_failed_jobs=True
         )
-        job = result.by_job_id()[1]
+        job = by_job_id(result)[1]
         assert result.outage_kills == 1
         assert job.restarts == 1
         assert not job.killed
@@ -189,7 +189,7 @@ class TestOutages:
         result = simulate(
             workload, FCFSScheduler(), machine_size=16, outages=outages, restart_failed_jobs=False
         )
-        job = result.by_job_id()[1]
+        job = by_job_id(result)[1]
         assert job.killed
         assert job.end_time == 50
 
@@ -217,7 +217,7 @@ class TestOutages:
             outages=outages,
         )
         assert aware.outage_kills == 0
-        assert aware.by_job_id()[1].start_time >= 200
+        assert by_job_id(aware)[1].start_time >= 200
         assert blind.outage_kills == 1
 
     def test_killed_runs_never_complete(self):

@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.core.swf import annotate_feedback, parse_swf, summarize, validate, write_swf
-from repro.evaluation import compare_schedulers, format_table
+from repro.evaluation import format_table
 from repro.metrics import ranking_agreement
 
 
@@ -35,12 +35,12 @@ class TestModelToFileToSimulationPipeline:
         assert validate(loaded).is_clean
 
         # 3. Evaluate schedulers on the loaded trace.
-        rows = compare_schedulers(
-            loaded,
-            [repro.FCFSScheduler(), repro.EasyBackfillScheduler()],
-            machine_size=64,
-        )
-        reports = [row.report for row in rows]
+        scenarios = [
+            repro.Scenario(workload=str(path), policy=policy, machine_size=64)
+            for policy in ("fcfs", "easy")
+        ]
+        results = repro.run_many(scenarios, workloads=loaded)
+        reports = [result.report for result in results]
         by_name = {r.scheduler: r for r in reports}
         assert by_name["easy-backfill"].mean_wait <= by_name["fcfs"].mean_wait
 

@@ -44,9 +44,9 @@ class TestScheduling:
         assert fired == ["a", "b", "c"]
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=100.0)
+        sim = Simulator()
         fired = []
-        sim.schedule_at(150.0, fired.append, "x")
+        sim.schedule(100.0, lambda: sim.schedule_at(150.0, fired.append, "x"))
         sim.run()
         assert fired == ["x"]
         assert sim.now == 150.0
@@ -57,9 +57,9 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
 
     def test_scheduling_in_the_past_rejected(self):
-        sim = Simulator(start_time=50.0)
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule_at(10.0, lambda: None)
+            sim.schedule_at(-10.0, lambda: None)
 
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
@@ -95,34 +95,11 @@ class TestCancellation:
 
 
 class TestRunControl:
-    def test_run_until_stops_before_later_events(self):
+    def test_reentrant_run_rejected(self):
         sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(10.0, fired.append, "b")
-        sim.run(until=5.0)
-        assert fired == ["a"]
-        assert sim.now == 5.0
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_max_events_limits_execution(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1.0, fired.append, i)
-        executed = sim.run(max_events=2)
-        assert executed == 2
-        assert fired == [0, 1]
-
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
-        sim.schedule(2.0, fired.append, "b")
-        sim.run()
-        assert fired[0] == "a"
-        assert "b" not in fired
+        sim.schedule(1.0, sim.run)
+        with pytest.raises(SimulationError):
+            sim.run()
 
     def test_processed_event_count(self):
         sim = Simulator()
@@ -130,6 +107,22 @@ class TestRunControl:
             sim.schedule(float(i + 1), lambda: None)
         sim.run()
         assert sim.processed_events == 4
+
+    def test_clock_starts_at_the_time_origin(self):
+        sim = Simulator()
+        assert sim.now == 0.0
+        sim.schedule_at(0.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(-1.0, lambda: None)
+        assert sim.run() == 1
+        assert sim.now == 0.0
+
+    def test_run_on_a_drained_simulator_executes_nothing(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        assert sim.run() == 1
+        assert sim.run() == 0
+        assert sim.now == 5.0
 
 
 class TestDeterminism:
@@ -231,15 +224,6 @@ class TestArrivalStream:
         sim.run()
         assert seen == [3.0] and isinstance(seen[0], float)
 
-    def test_run_until_stops_before_later_arrivals(self):
-        sim = Simulator()
-        fired = []
-        sim.stream([(1.0, "a"), (10.0, "b")], fired.append)
-        sim.run(until=5.0)
-        assert fired == ["a"] and sim.now == 5.0
-        sim.run()
-        assert fired == ["a", "b"]
-
     def test_consumed_stream_releases_its_callback(self):
         class Owner:
             def arrive(self, _):
@@ -254,13 +238,13 @@ class TestArrivalStream:
         assert released() is None
 
     @pytest.mark.parametrize(
-        "entries, start",
-        [([(2.0, "a"), (1.0, "b")], 0.0), ([(1.0, "a")], 5.0)],
+        "entries",
+        [[(2.0, "a"), (1.0, "b")], [(-1.0, "a")]],
         ids=["unsorted", "before-now"],
     )
-    def test_stream_out_of_order_rejected(self, entries, start):
+    def test_stream_out_of_order_rejected(self, entries):
         with pytest.raises(SimulationError):
-            Simulator(start_time=start).stream(entries, lambda _: None)
+            Simulator().stream(entries, lambda _: None)
 
     def test_second_stream_rejected_until_the_first_is_consumed(self):
         sim = Simulator()
