@@ -19,13 +19,19 @@ from repro.core.swf.records import SWFJob
 __all__ = ["JobResult", "ResultColumns", "SimulationResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JobResult:
     """Outcome of one job in a simulation.
 
     Times are absolute simulation seconds.  ``killed`` marks jobs that were
     terminated by an outage and not successfully re-run; ``restarts`` counts
     how many times the job was restarted after a node failure.
+
+    The drivers build one per job, positionally: a slotted class without
+    ``frozen`` costs a fraction of a frozen one, whose ``__init__`` sets
+    each field through ``object.__setattr__``.  Nothing hashes or mutates a
+    result once it is built; derive a changed copy with
+    :func:`dataclasses.replace`.
     """
 
     job: SWFJob
@@ -126,6 +132,12 @@ class SimulationResult:
     #: only from simulated facts — never wall-clock time — so serial and
     #: parallel runs of the same scenario report bit-identical values.
     counters: Dict[str, int] = field(default_factory=dict)
+    #: ids of the jobs that never finished: still queued, or still waiting on
+    #: a predecessor, when the events ran out.  With the jobs skipped as too
+    #: wide, finished + unfinished accounts for every submitted job.  Only
+    #: :class:`~repro.evaluation.simulator.MachineSimulation` fills it so
+    #: far; grid sites and the gang simulator leave it empty.
+    unfinished: List[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.jobs)

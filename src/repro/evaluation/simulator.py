@@ -110,7 +110,14 @@ class SpaceSharedMachine:
         return self.tracker.sync(self.sim.now, self.running.values())
 
     def schedule_pass(self) -> List[RunningJobInfo]:
-        """Ask the policy for jobs to start now; start them and return their records."""
+        """Ask the policy for jobs to start now; start them and return their records.
+
+        Each pass hands the policy a fresh :class:`SchedulerState`, built
+        positionally (the pass runs once or twice per job, and keyword
+        binding costs twice as much).  Its ``profile`` is ``self.profile``
+        bound per pass, never stored: a stored bound method would make this
+        object a reference cycle that outlives its run.
+        """
         queue = self.queue
         if not queue:
             return []
@@ -121,16 +128,7 @@ class SpaceSharedMachine:
         machine = self.machine
         free = machine.free_count()
         state = SchedulerState(
-            now=now,
-            total_processors=machine.size,
-            free_processors=free,
-            queue=queue,
-            running=self.running.values(),
-            calendar=self.calendar,
-            # Bound per pass, not stored: a stored bound method would make
-            # this object a reference cycle that outlives its run.
-            profile=self.profile,
-            counts=self.counts,
+            now, machine.size, free, queue, self.running.values(), self.calendar, self.profile, self.counts
         )
         selected = self.scheduler.select_jobs(state)
         if not selected:
@@ -202,7 +200,6 @@ class MachineSimulation:
         self._submit_times: Dict[int, float] = {}
         #: dependent jobs waiting for a predecessor to finish: pred id -> [(request, think)]
         self._waiting_on: Dict[int, List[Tuple[JobRequest, int]]] = {}
-        self._released: set = set()
         self._restart_counts: Dict[int, int] = {}
         # Announced outages go on the pass's capacity calendar: each record
         # is reserved once its announce time has passed, consumed from an
@@ -263,25 +260,16 @@ class MachineSimulation:
         self._schedule_pass()
 
     def _finish(self, job_id: int, running: RunningJobInfo, killed: bool) -> None:
+        request = running.request
         self._results.append(
             JobResult(
-                job=running.request.job,
-                submit_time=self._submit_times[job_id],
-                start_time=running.start_time,
-                end_time=self.sim.now,
-                processors=running.request.processors,
-                killed=killed,
-                restarts=self._restart_counts.get(job_id, 0),
+                request.job, self._submit_times[job_id], running.start_time, self.sim.now,
+                request.processors, killed, self._restart_counts.get(job_id, 0),
             )
         )
-        self._release_dependents(job_id)
-
-    def _release_dependents(self, job_id: int) -> None:
-        if job_id in self._released:
-            return
-        self._released.add(job_id)
-        for request, think in self._waiting_on.pop(job_id, []):
-            self.sim.schedule(max(0, think), self._on_arrival, request, priority=_PRIORITY_ARRIVAL)
+        if self._waiting_on:
+            for request, think in self._waiting_on.pop(job_id, ()):
+                self.sim.schedule(max(0, think), self._on_arrival, request, priority=_PRIORITY_ARRIVAL)
 
     def _on_outage_start(self, record, node_ids: List[int]) -> None:
         victims = self.machine.fail_nodes(node_ids)
@@ -323,8 +311,9 @@ class MachineSimulation:
         completions = self._completions
         for running in space.schedule_pass():
             request = running.request
-            completions[request.job_id] = sim.schedule(
-                request.runtime, self._on_completion, request.job_id, priority=_PRIORITY_COMPLETION
+            completions[request.job_id] = sim.schedule_at(
+                running.start_time + request.runtime, self._on_completion, request.job_id,
+                priority=_PRIORITY_COMPLETION,
             )
 
     # ------------------------------------------------------------------
@@ -342,6 +331,10 @@ class MachineSimulation:
             machine_size=self.machine.size,
             jobs=sorted(self._results, key=lambda j: j.job_id),
             outage_kills=self._outage_kills,
+            unfinished=sorted(
+                [r.job_id for r in self._space.queue]
+                + [r.job_id for waiting in self._waiting_on.values() for r, _think in waiting]
+            ),
             metadata={
                 "skipped_too_large": self._skipped_too_large,
                 "workload": self.workload.name,

@@ -238,14 +238,11 @@ class GridSimulation:
         running = state.space.end(job_id)
         if running is None:
             return
+        request = running.request
         state.local_results.append(
             JobResult(
-                job=running.request.job,
-                submit_time=state.local_submit[job_id],
-                start_time=running.start_time,
-                end_time=self.sim.now,
-                processors=running.request.processors,
-                site=site_name,
+                request.job, state.local_submit[job_id], running.start_time, self.sim.now,
+                request.processors, False, 0, site_name,
             )
         )
         self._schedule_pass(site_name)
@@ -414,8 +411,8 @@ class GridSimulation:
                 # Meta completions are driven by _component_started.
                 self._component_started(site_name, job_id - _META_ID_BASE)
             else:
-                self.sim.schedule(
-                    running.request.runtime,
+                self.sim.schedule_at(
+                    running.start_time + running.request.runtime,
                     self._on_local_completion,
                     site_name,
                     job_id,

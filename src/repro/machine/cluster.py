@@ -7,8 +7,8 @@ non-failed nodes or it does not.  Nodes are plain integer ids
 takes down *specific* nodes, killing whatever ran there), so the allocator
 keeps exactly what that needs and nothing per node:
 
-* a sorted list of free (up and unallocated) ids — ``free_count`` is its
-  length, ``allocate`` takes its lowest ids;
+* a list of free (up and unallocated) ids, sorted on demand —
+  ``free_count`` is its length, ``allocate`` takes its lowest ids;
 * the set of down ids;
 * the node ids each job holds, keyed by job id.
 
@@ -28,13 +28,21 @@ class AllocationError(RuntimeError):
 
 
 class Machine:
-    """A space-shared parallel machine of ``size`` failable nodes."""
+    """A space-shared parallel machine of ``size`` failable nodes.
+
+    The free list is sorted on demand: :meth:`release` and
+    :meth:`restore_nodes` append to it and mark it unsorted, and
+    :meth:`allocate` sorts it first when it is marked.  Several jobs ending
+    before the next start cost one sort, and ends with no start after them
+    cost none.
+    """
 
     def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("a machine needs at least one node")
         self.size = size
         self._free: List[int] = list(range(size))
+        self._unsorted = False
         self._down: Set[int] = set()
         self._held: Dict[int, Tuple[int, ...]] = {}
 
@@ -63,6 +71,9 @@ class Machine:
             raise AllocationError(
                 f"job {job_id} requests {processors} nodes but only {len(free)} are free"
             )
+        if self._unsorted:
+            free.sort()
+            self._unsorted = False
         self._held[job_id] = chosen = tuple(free[:processors])
         del free[:processors]
         return chosen
@@ -81,7 +92,7 @@ class Machine:
             self._free.extend(n for n in node_ids if n not in down)
         else:
             self._free.extend(node_ids)
-        self._free.sort()
+        self._unsorted = True
         return node_ids
 
     # ------------------------------------------------------------------
@@ -117,4 +128,4 @@ class Machine:
         self._down -= restored
         held = {n for node_ids in self._held.values() for n in node_ids}
         self._free.extend(restored - held)
-        self._free.sort()
+        self._unsorted = True

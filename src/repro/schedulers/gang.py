@@ -176,17 +176,14 @@ class GangSimulation:
                 advance(next_completion)
                 finished = [j for j in running.values() if j.remaining <= 1e-9]
                 for job in finished:
-                    del running[job.request.job_id]
-                    slot_usage[job.slot] -= job.request.processors
+                    request = job.request
+                    del running[request.job_id]
+                    slot_usage[job.slot] -= request.processors
                     if slot_usage[job.slot] <= 0:
                         del slot_usage[job.slot]
                     results.append(
                         JobResult(
-                            job=job.request.job,
-                            submit_time=submit_times[job.request.job_id],
-                            start_time=job.start_time,
-                            end_time=now,
-                            processors=job.request.processors,
+                            request.job, submit_times[request.job_id], job.start_time, now, request.processors
                         )
                     )
                 place_waiting()

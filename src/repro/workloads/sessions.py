@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.api.registry import register_model
-from repro.core.swf.fields import MISSING
+from repro.core.swf.fields import FIELD_NAMES, MISSING
 from repro.core.swf.header import SWFHeader
 from repro.core.swf.records import SWFJob
 from repro.core.swf.workload import Workload
@@ -36,6 +36,12 @@ from repro.workloads.base import WorkloadModel
 from repro.workloads.lublin99 import Lublin99Model
 
 __all__ = ["SessionModel"]
+
+_NUMBER_IDX = FIELD_NAMES.index("job_number")
+_SUBMIT_IDX = FIELD_NAMES.index("submit_time")
+_USER_IDX = FIELD_NAMES.index("user_id")
+_PRECEDING_IDX = FIELD_NAMES.index("preceding_job")
+_THINK_IDX = FIELD_NAMES.index("think_time")
 
 
 @register_model("sessions")
@@ -80,11 +86,10 @@ class SessionModel(WorkloadModel):
         for index, job in enumerate(template_jobs):
             per_user_jobs[index % self.users].append(job)
 
-        records: List[SWFJob] = []
-        job_counter = 0
-        # Temporary numbering; a final renumber pass fixes job numbers and
-        # dependency references once all users' jobs are merged and sorted.
-        provisional: List[dict] = []
+        # One (submit, template job, user, predecessor's index, think) entry
+        # per job, in generation order; a predecessor is named by its index
+        # here until the final numbering is known.
+        provisional: List[tuple] = []
         for user_index, user_jobs in enumerate(per_user_jobs, start=1):
             if not user_jobs:
                 continue
@@ -94,44 +99,37 @@ class SessionModel(WorkloadModel):
                 session_length = max(1, int(rng.geometric(1.0 / self.mean_session_length)))
                 session_jobs = user_jobs[position : position + session_length]
                 position += len(session_jobs)
-                previous_key: Optional[int] = None
+                previous: Optional[int] = None
                 previous_end = t
                 for job in session_jobs:
-                    think = float(rng.exponential(self.mean_think_time)) if previous_key is not None else 0.0
-                    submit = previous_end + think
+                    if previous is None:
+                        submit, think = previous_end, MISSING
+                    else:
+                        think_time = float(rng.exponential(self.mean_think_time))
+                        submit, think = previous_end + think_time, int(round(think_time))
+                    provisional.append((submit, job, user_index, previous, think))
+                    previous = len(provisional) - 1
                     runtime = job.run_time if job.run_time != MISSING else 0
-                    provisional.append(
-                        {
-                            "key": job_counter,
-                            "submit": submit,
-                            "job": job,
-                            "user": user_index,
-                            "preceding_key": previous_key,
-                            "think": int(round(think)) if previous_key is not None else MISSING,
-                        }
-                    )
-                    previous_key = job_counter
                     previous_end = submit + runtime  # zero-wait assumption
-                    job_counter += 1
                 t = previous_end + float(rng.exponential(self.mean_between_sessions))
 
-        provisional.sort(key=lambda d: d["submit"])
-        origin = provisional[0]["submit"] if provisional else 0.0
-        key_to_number = {d["key"]: i + 1 for i, d in enumerate(provisional)}
-        for i, d in enumerate(provisional, start=1):
-            job = d["job"]
-            preceding = (
-                key_to_number[d["preceding_key"]] if d["preceding_key"] is not None else MISSING
-            )
-            records.append(
-                job.replace(
-                    job_number=i,
-                    submit_time=int(round(d["submit"] - origin)),
-                    user_id=d["user"],
-                    preceding_job=preceding,
-                    think_time=d["think"],
-                )
-            )
+        # Number the jobs 1..N by submit time, ties in generation order.  Every
+        # value is a plain int, so the records skip re-validation.
+        order = sorted(range(len(provisional)), key=lambda index: provisional[index][0])
+        number = [0] * len(order)
+        for rank, index in enumerate(order, start=1):
+            number[index] = rank
+        origin = provisional[order[0]][0] if order else 0.0
+        records: List[SWFJob] = []
+        for rank, index in enumerate(order, start=1):
+            submit, job, user, previous, think = provisional[index]
+            fields = job.to_fields()
+            fields[_NUMBER_IDX] = rank
+            fields[_SUBMIT_IDX] = int(round(submit - origin))
+            fields[_USER_IDX] = user
+            fields[_PRECEDING_IDX] = number[previous] if previous is not None else MISSING
+            fields[_THINK_IDX] = think
+            records.append(SWFJob._from_trusted_fields(fields))
 
         header = SWFHeader.standard(
             computer=f"synthetic machine ({self.job_model.name} mix, session arrivals)",
@@ -142,5 +140,4 @@ class SessionModel(WorkloadModel):
                 "submit times assume zero wait (see repro.workloads.sessions).",
             ],
         )
-        workload = Workload(records, header, name=f"sessions-{self.job_model.name}")
-        return workload.sorted_by_submit().renumbered()
+        return Workload(records, header, name=f"sessions-{self.job_model.name}")

@@ -302,6 +302,7 @@ class TestEveryJobAccountedFor:
         killed = sum(1 for j in result.jobs if j.killed)
         done = len(result.jobs) - killed
         assert skipped == result.metadata["skipped_too_large"] > 0
+        assert result.unfinished == []
         assert done + killed + skipped == len(workload.summary_jobs())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -336,6 +337,76 @@ class TestEveryJobAccountedFor:
         assert result.outage_kills > 0
         assert any(j.restarts for j in result.jobs) == restart
         assert any(j.killed for j in result.jobs) != restart
+
+
+class TestUnfinishedJobs:
+    """Jobs left when the events run out are listed, not dropped."""
+
+    def _assert_balance(self, workload, result):
+        killed = sum(1 for j in result.jobs if j.killed)
+        done = len(result.jobs) - killed
+        skipped = result.metadata["skipped_too_large"]
+        assert done + killed + skipped + len(result.unfinished) == len(workload.summary_jobs())
+        assert not set(result.unfinished) & {j.job_id for j in result.jobs}
+
+    def test_a_policy_that_never_selects_leaves_every_job_unfinished(self):
+        workload = make_workload(
+            [make_job(n, submit=10 * n, processors=4) for n in (3, 1, 2)]
+            + [make_job(4, submit=5, processors=64)]
+        )
+
+        class Never(Scheduler):
+            def select_jobs(self, state):
+                return []
+
+        result = simulate(workload, Never(), machine_size=16)
+        assert result.jobs == []
+        assert result.unfinished == [1, 2, 3]
+        assert result.metadata["skipped_too_large"] == 1
+        self._assert_balance(workload, result)
+
+    def test_a_chain_whose_predecessor_never_runs(self):
+        workload = make_workload(
+            [
+                make_job(1, submit=0, processors=4),
+                make_job(2, submit=10, processors=4, preceding_job=1, think_time=5),
+                make_job(3, submit=20, processors=4, preceding_job=2, think_time=5),
+                make_job(4, submit=30, processors=4),
+            ]
+        )
+
+        class AllButJobOne(Scheduler):
+            def select_jobs(self, state):
+                return [r for r in state.queue if r.job_id != 1]
+
+        result = simulate(workload, AllButJobOne(), machine_size=16, honor_dependencies=True)
+        assert [j.job_id for j in result.jobs] == [4]
+        # 1 is still queued; 2 waits on 1, and 3 on 2.
+        assert result.unfinished == [1, 2, 3]
+        self._assert_balance(workload, result)
+
+    def test_a_refused_restart_is_unfinished(self):
+        workload = make_workload([make_job(1, submit=0, runtime=100, processors=16)])
+        outages = OutageLog(
+            [
+                OutageRecord(
+                    announced_time=10,
+                    start_time=10,
+                    end_time=20,
+                    outage_type=OutageType.CPU_FAILURE,
+                    nodes_affected=1,
+                )
+            ]
+        )
+
+        class FirstAttemptOnly(Scheduler):
+            def select_jobs(self, state):
+                return [] if state.now > 0 else list(state.queue)
+
+        result = simulate(workload, FirstAttemptOnly(), machine_size=16, outages=outages)
+        assert result.outage_kills == 1
+        assert result.jobs == [] and result.unfinished == [1]
+        self._assert_balance(workload, result)
 
 
 class TestQueueUpkeep:
@@ -487,15 +558,18 @@ class TestAnnouncedCapacity:
             ]
             assert answer == _reference_min_capacity(announced, size, start, end)
 
-    def test_finished_simulation_is_freed_without_the_cycle_collector(self):
+    @pytest.mark.parametrize(
+        "policy",
+        [FCFSScheduler, EasyBackfillScheduler, lambda: ConservativeBackfillScheduler(outage_aware=True)],
+        ids=["fcfs", "easy", "conservative-outage-aware"],
+    )
+    def test_finished_simulation_is_freed_without_the_cycle_collector(self, policy):
         # Keeping per-run objects out of reference cycles keeps peak memory
         # flat across many short simulations.
         size = 32
         workload = Lublin99Model(machine_size=size).generate_with_load(40, 0.8, seed=1)
         outages = generate_outages(size, int(workload.span()) + 1, seed=2)
-        sim = MachineSimulation(
-            workload, ConservativeBackfillScheduler(outage_aware=True), machine_size=size, outages=outages
-        )
+        sim = MachineSimulation(workload, policy(), machine_size=size, outages=outages)
         gc.disable()
         try:
             sim.run()

@@ -104,6 +104,34 @@ class TestFailures:
         assert machine.free_count() == 1
 
 
+class TestFreeListSortedOnDemand:
+    """``release`` appends out of order; ``allocate`` still takes the lowest ids."""
+
+    def _three_released_out_of_order(self):
+        machine = Machine(size=12)
+        for job_id in (1, 2, 3, 4):
+            machine.allocate(job_id, 3)
+        # ids 0-2, 3-5, 6-8 and 9-11; hand back 6-8, then 0-2, then 3-5
+        for job_id in (3, 1, 2):
+            machine.release(job_id)
+        return machine
+
+    def test_allocate_takes_the_lowest_ids_after_unordered_releases(self):
+        machine = self._three_released_out_of_order()
+        assert machine.free_count() == 9
+        assert machine.allocate(5, 4) == (0, 1, 2, 3)
+        assert machine.allocate(6, 5) == (4, 5, 6, 7, 8)
+
+    def test_fail_and_restore_between_release_and_allocate(self):
+        machine = self._three_released_out_of_order()
+        assert machine.fail_nodes([1, 7]) == []
+        assert machine.allocate(5, 2) == (0, 2)
+        machine.restore_nodes([7, 1])
+        assert machine.allocate(6, 3) == (1, 3, 4)
+        machine.release(4)
+        assert machine.allocate(7, 6) == (5, 6, 7, 8, 9, 10)
+
+
 class NaiveMachine:
     """Reference model: one owner slot and one up flag per node."""
 

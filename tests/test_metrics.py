@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.bench.stats import mean_ci
@@ -55,6 +58,34 @@ class TestJobResult:
         r = job_result(1, start=50, end=50)
         assert r.slowdown() == float("inf")
         assert r.bounded_slowdown() >= 1.0
+
+    def test_positional_construction_equals_keyword_construction(self):
+        job = make_job(3)
+        positional = JobResult(job, 1.0, 2.0, 5.0, 4, True, 2, "s0")
+        keyword = JobResult(
+            job=job, submit_time=1.0, start_time=2.0, end_time=5.0, processors=4,
+            killed=True, restarts=2, site="s0",
+        )
+        assert positional == keyword
+        assert JobResult(job, 1.0, 2.0, 5.0, 4) == dataclasses.replace(keyword, killed=False, restarts=0, site=None)
+
+    def test_replace_copies_and_leaves_the_original(self):
+        r = job_result(1, submit=10, start=60, end=160)
+        moved = dataclasses.replace(r, start_time=70, end_time=170)
+        assert (moved.wait_time, moved.run_time) == (60, 100)
+        assert (r.start_time, r.end_time) == (60, 160)
+        assert moved.job is r.job
+
+    def test_pickle_round_trip(self):
+        r = JobResult(make_job(2), 0.5, 1.5, 9.0, 8, True, 3, "site-a")
+        assert pickle.loads(pickle.dumps(r)) == r
+
+    def test_slotted_without_instance_dict(self):
+        r = job_result(1)
+        assert dataclasses.is_dataclass(r)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            r.wait = 3
 
 
 class TestComputeMetrics:
