@@ -16,80 +16,39 @@ creating an import cycle.
 
 from __future__ import annotations
 
-from typing import Any
+from repro.util import lazy_exports
 
-__all__ = [
-    # registry + specs
-    "Registry",
-    "RegistryError",
-    "UnknownNameError",
-    "SpecError",
-    "parse_spec",
-    "format_spec",
-    "scheduler_registry",
-    "model_registry",
-    "metric_registry",
-    "register_scheduler",
-    "register_model",
-    "register_metric",
-    "make_scheduler",
-    "make_model",
-    "get_metric",
-    "scheduler_names",
-    "model_names",
-    "metric_names",
-    # scenarios + running
-    "Scenario",
-    "ScenarioResult",
-    "GridPolicy",
-    "run",
-    "run_many",
-    "resolve_workload",
-    "resolve_workload_shared",
-]
-
-_REGISTRY_NAMES = {
-    "Registry",
-    "RegistryError",
-    "UnknownNameError",
-    "SpecError",
-    "parse_spec",
-    "format_spec",
-    "scheduler_registry",
-    "model_registry",
-    "metric_registry",
-    "register_scheduler",
-    "register_model",
-    "register_metric",
-    "make_scheduler",
-    "make_model",
-    "get_metric",
-    "scheduler_names",
-    "model_names",
-    "metric_names",
-}
-_SCENARIO_NAMES = {"Scenario"}
-_RUNNER_NAMES = {
-    "ScenarioResult",
-    "GridPolicy",
-    "run",
-    "run_many",
-    "resolve_workload",
-    "resolve_workload_shared",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _REGISTRY_NAMES:
-        from repro.api import registry as module
-    elif name in _SCENARIO_NAMES:
-        from repro.api import scenario as module
-    elif name in _RUNNER_NAMES:
-        from repro.api import runner as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
-
-def __dir__() -> list:
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "registry": (
+            "Registry",
+            "RegistryError",
+            "UnknownNameError",
+            "SpecError",
+            "parse_spec",
+            "format_spec",
+            "scheduler_registry",
+            "model_registry",
+            "metric_registry",
+            "register_scheduler",
+            "register_model",
+            "register_metric",
+            "make_scheduler",
+            "make_model",
+            "get_metric",
+            "scheduler_names",
+            "model_names",
+            "metric_names",
+        ),
+        "scenario": ("Scenario",),
+        "runner": (
+            "ScenarioResult",
+            "GridPolicy",
+            "run",
+            "run_many",
+            "resolve_workload",
+            "resolve_workload_shared",
+        ),
+    },
+)

@@ -40,7 +40,6 @@ from repro.api.registry import (
 from repro.api.scenario import Scenario
 from repro.bench.seeds import derive_seeds
 from repro.core.outage.log import OutageLog, parse_outage_log
-from repro.core.swf.parser import parse_swf
 from repro.core.swf.workload import Workload
 from repro.evaluation.results import SimulationResult
 from repro.evaluation.simulator import simulate
@@ -54,7 +53,6 @@ from repro.obs.trace import (
 )
 from repro.schedulers.base import Scheduler
 from repro.schedulers.gang import simulate_gang
-from repro.util import looks_like_swf_path as _looks_like_path
 
 __all__ = [
     "ScenarioResult",
@@ -149,74 +147,63 @@ class GridPolicy:
 def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload:
     """Materialize the scenario's workload spec, including its load scaling.
 
+    The trace sources build the base workload.  A ``trace:`` spec
+    materializes its :class:`~repro.traces.Trace` through the
+    content-addressed trace cache, so repeated runs (and run_many workers)
+    parse one canonical SWF file instead of regenerating, bit for bit
+    identically.  An SWF path is read by its file source; a model or archive
+    spec builds its source from the name, ``jobs`` and ``seed``.
+
     ``seed`` overrides the scenario seed (used by the grid runner to re-seed
     per site); a ``seed=`` kwarg inside the workload spec wins over both.
     """
-    return _scale_to_load(
-        _resolve_spec(scenario, seed), scenario.load, scenario.machine_size
-    )
+    from repro.api.registry import model_registry
+    from repro.data.archives import ARCHIVES
+    from repro.traces.catalog import trace_for_scenario
+    from repro.traces.sources import ArchiveSource, ModelSource
 
-
-def _resolve_spec(scenario: Scenario, seed: Optional[int] = None) -> Workload:
-    """Materialize the workload spec itself (without load scaling)."""
-    spec = scenario.workload
-    if spec.startswith("trace:"):
-        # Catalog traces materialize through the content-addressed trace
-        # cache: the digest pins source and pipeline, so repeated runs (and
-        # run_many workers) parse one canonical SWF file instead of
-        # regenerating, and are bit-for-bit identical either way.
-        from repro.traces import trace_for_scenario
-
-        return trace_for_scenario(scenario, seed=seed).materialize()
-    if spec.startswith("swf:"):
-        return parse_swf(spec[len("swf:"):])
-    if _looks_like_path(spec):
-        return parse_swf(spec)
-
-    name, kwargs = parse_spec(spec)
-    jobs = kwargs.pop("jobs", scenario.jobs)
-    gen_seed = kwargs.pop("seed", seed if seed is not None else scenario.seed)
-
-    from repro.data.archives import ARCHIVES, synthetic_archive
-
-    if name in ARCHIVES:
-        if kwargs:
-            raise ValueError(
-                f"archive workload {name!r} accepts only jobs/seed, "
-                f"got {sorted(kwargs)}"
+    trace = trace_for_scenario(scenario, seed=seed)
+    if trace is not None:
+        source = trace if scenario.workload.startswith("trace:") else trace.source
+    else:
+        name, kwargs = parse_spec(scenario.workload)
+        jobs = kwargs.pop("jobs", scenario.jobs)
+        seed = kwargs.pop("seed", seed if seed is not None else scenario.seed)
+        if name in ARCHIVES:
+            if kwargs:
+                raise ValueError(
+                    f"archive workload {name!r} accepts only jobs/seed, "
+                    f"got {sorted(kwargs)}"
+                )
+            source = ArchiveSource(name, jobs=jobs, seed=seed)
+        elif name in model_registry:
+            source = ModelSource(
+                name,
+                jobs=jobs,
+                seed=seed,
+                machine_size=scenario.machine_size,
+                params=tuple(kwargs.items()),
             )
-        return synthetic_archive(name, jobs=jobs, seed=gen_seed)
-
-    try:
-        from repro.api.registry import model_registry
-
-        factory = model_registry.get(name)
-    except UnknownNameError as exc:
-        # Re-raise with archives folded into the known-name set.
-        raise UnknownNameError(
-            "workload", name, list(model_registry.names()) + sorted(ARCHIVES)
-        ) from exc
-    if scenario.machine_size is not None:
-        kwargs.setdefault("machine_size", scenario.machine_size)
-    model = factory(**kwargs)
-    return model.generate(jobs, seed=gen_seed)
+        else:
+            raise UnknownNameError(
+                "workload", name, model_registry.names() + sorted(ARCHIVES)
+            )
+    return _at_load(scenario, source.materialize())
 
 
-def _scale_to_load(
-    workload: Workload, load: Optional[float], machine_size: Optional[int]
-) -> Workload:
-    if load is None:
+def _at_load(scenario: Scenario, workload: Workload) -> Workload:
+    """``workload`` rescaled to the scenario's offered load, if it sets one."""
+    if scenario.load is None:
         return workload
-    base = workload.offered_load(machine_size)
-    if base <= 0:
-        raise ValueError("the workload has no measurable offered load to rescale")
-    return workload.scale_load(load / base, name=f"{workload.name}@{load:.2f}")
+    return workload.scale_to_load(
+        scenario.load, scenario.machine_size, name=f"{workload.name}@{scenario.load:.2f}"
+    )
 
 
 #: Process-wide memo of *unscaled* materialized workloads.  ``trace:`` specs
 #: and SWF paths are keyed by the trace's content digest — a path's bytes can
 #: change under the same spec, and the result key already tracks them — and
-#: model specs by every input ``_resolve_spec`` reads.  A worker process
+#: model specs by every input ``resolve_workload`` reads.  A worker process
 #: draining many units over one trace parses the canonical SWF once and
 #: shares the Workload object across runs (safe — ``run()`` only rescales
 #: through ``scale_load``, which copies).
@@ -255,16 +242,6 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
         while held > _SHARED_WORKLOADS_MAX_JOBS and len(_SHARED_WORKLOADS) > 1:
             held -= len(_SHARED_WORKLOADS.pop(next(iter(_SHARED_WORKLOADS))))
     return workload
-
-
-def _materialize(
-    scenario: Scenario,
-    override: Optional[Workload],
-    seed: Optional[int] = None,
-) -> Workload:
-    if override is not None:
-        return _scale_to_load(override, scenario.load, scenario.machine_size)
-    return resolve_workload(scenario, seed=seed)
 
 
 def _resolve_outages(
@@ -328,7 +305,9 @@ def run(
         timings: Dict[str, float] = {}
         phase_started = time.perf_counter()
         with trace_span("run.materialize", workload=scenario.workload):
-            materialized = _materialize(scenario, workload)
+            materialized = (
+                resolve_workload(scenario) if workload is None else _at_load(scenario, workload)
+            )
         timings["materialize_seconds"] = time.perf_counter() - phase_started
         phase_started = time.perf_counter()
         with trace_span("run.simulate", mode=mode):
@@ -406,14 +385,15 @@ def _run_grid(
     for i in range(policy.sites):
         # Each site gets its own local stream: re-seed the model per site, or
         # replay the same trace everywhere when the workload is materialized.
-        local = _materialize(
-            scenario, workload, seed=None if workload is not None else site_seeds[i]
+        local = (
+            resolve_workload(scenario, seed=site_seeds[i])
+            if workload is None
+            else _at_load(scenario, workload)
         )
-        machine_size = scenario.machine_size or local.header.max_nodes or local.max_processors()
         sites.append(
             Site(
                 name=f"site-{i + 1}",
-                machine_size=int(machine_size),
+                machine_size=local.resolve_machine_size(scenario.machine_size),
                 scheduler=scheduler_registry.create(policy.local, outage_aware=True),
                 local_workload=local,
                 speed=1.0 + policy.speed_step * i,
@@ -457,6 +437,10 @@ def _run_grid(
             "sites": policy.sites,
             "meta_jobs_done": len(grid_result.meta_results),
             "meta_unfinished": len(grid_result.unfinished_meta_jobs),
+            "skipped_too_large": sum(
+                site.metadata["skipped_too_large"] for site in grid_result.site_results.values()
+            ),
+            "unfinished": sum(len(site.unfinished) for site in grid_result.site_results.values()),
             "mean_meta_wait": grid_result.mean_meta_wait(),
             "wasted_node_seconds": grid_result.total_wasted_node_seconds(),
         },

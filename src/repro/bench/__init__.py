@@ -31,110 +31,49 @@ scenario runner.
 
 from __future__ import annotations
 
-from typing import Any
+from repro.util import lazy_exports
 
-__all__ = [
-    # seeds
-    "derive_seeds",
-    # stats
-    "CIEstimate",
-    "PairedComparison",
-    "mean_ci",
-    "bootstrap_ci",
-    "paired_comparison",
-    "student_t_cdf",
-    "student_t_quantile",
-    # store
-    "ResultStore",
-    "StoredResult",
-    "result_key",
-    "family_key",
-    "code_version",
-    # suites
-    "BenchmarkCase",
-    "BenchmarkSuite",
-    "register_suite",
-    "get_suite",
-    "suite_names",
-    "suite_registry",
-    # running
-    "WorkUnit",
-    "execute_unit",
-    "ReplicationOutcome",
-    "CaseAggregate",
-    "SuiteRunResult",
-    "CaseComparison",
-    "ComparisonResult",
-    "MetricComparison",
-    "run_suite",
-    "compare_policies",
-    "mean_report",
-    # reporting
-    "suite_markdown",
-    "suite_json",
-    "comparison_markdown",
-    "comparison_json",
-    "report_from_store",
-]
-
-_SEEDS_NAMES = {"derive_seeds"}
-_STATS_NAMES = {
-    "CIEstimate",
-    "PairedComparison",
-    "mean_ci",
-    "bootstrap_ci",
-    "paired_comparison",
-    "student_t_cdf",
-    "student_t_quantile",
-}
-_STORE_NAMES = {"ResultStore", "StoredResult", "result_key", "family_key", "code_version"}
-_SUITE_NAMES = {
-    "BenchmarkCase",
-    "BenchmarkSuite",
-    "register_suite",
-    "get_suite",
-    "suite_names",
-    "suite_registry",
-}
-_RUNNER_NAMES = {
-    "WorkUnit",
-    "execute_unit",
-    "ReplicationOutcome",
-    "CaseAggregate",
-    "SuiteRunResult",
-    "CaseComparison",
-    "ComparisonResult",
-    "MetricComparison",
-    "run_suite",
-    "compare_policies",
-    "mean_report",
-}
-_REPORT_NAMES = {
-    "suite_markdown",
-    "suite_json",
-    "comparison_markdown",
-    "comparison_json",
-    "report_from_store",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SEEDS_NAMES:
-        from repro.bench import seeds as module
-    elif name in _STATS_NAMES:
-        from repro.bench import stats as module
-    elif name in _STORE_NAMES:
-        from repro.bench import store as module
-    elif name in _SUITE_NAMES:
-        from repro.bench import suite as module
-    elif name in _RUNNER_NAMES:
-        from repro.bench import runner as module
-    elif name in _REPORT_NAMES:
-        from repro.bench import report as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
-
-def __dir__() -> list:
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "seeds": ("derive_seeds",),
+        "stats": (
+            "CIEstimate",
+            "PairedComparison",
+            "mean_ci",
+            "bootstrap_ci",
+            "paired_comparison",
+            "student_t_cdf",
+            "student_t_quantile",
+        ),
+        "store": ("ResultStore", "StoredResult", "result_key", "family_key", "code_version"),
+        "suite": (
+            "BenchmarkCase",
+            "BenchmarkSuite",
+            "register_suite",
+            "get_suite",
+            "suite_names",
+            "suite_registry",
+        ),
+        "runner": (
+            "WorkUnit",
+            "execute_unit",
+            "ReplicationOutcome",
+            "CaseAggregate",
+            "SuiteRunResult",
+            "CaseComparison",
+            "ComparisonResult",
+            "MetricComparison",
+            "run_suite",
+            "compare_policies",
+            "mean_report",
+        ),
+        "report": (
+            "suite_markdown",
+            "suite_json",
+            "comparison_markdown",
+            "comparison_json",
+            "report_from_store",
+        ),
+    },
+)

@@ -247,7 +247,6 @@ class ResultStore:
         detects as staleness.
         """
         path = self.path_for(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(
             path, json.dumps(entry.to_record(), sort_keys=True).encode("utf-8")
         )
@@ -334,7 +333,6 @@ class ResultStore:
             "shards": shards,
             "entries": records,
         }
-        self.root.mkdir(parents=True, exist_ok=True)
         atomic_write(self.index_path, json.dumps(index, sort_keys=True).encode("utf-8"))
         return records
 

@@ -120,8 +120,10 @@ def _is_power_of_two(n: int) -> bool:
 def summarize(workload: Workload, machine_size: Optional[int] = None) -> WorkloadStatistics:
     """Compute the :class:`WorkloadStatistics` of a workload's summary jobs."""
     jobs = workload.summary_jobs()
-    if machine_size is None:
-        machine_size = workload.header.max_nodes or workload.max_processors()
+    try:
+        machine_size = workload.resolve_machine_size(machine_size)
+    except ValueError:
+        machine_size = 0  # no sized job: the statistics report no machine
 
     sizes = [j.processors for j in jobs if j.processors != MISSING]
     runtimes = [j.run_time for j in jobs if j.run_time != MISSING]
@@ -147,7 +149,7 @@ def summarize(workload: Workload, machine_size: Optional[int] = None) -> Workloa
         users=len(workload.users()),
         groups=len(workload.groups()),
         executables=len(workload.executables()),
-        machine_size=int(machine_size or 0),
+        machine_size=machine_size,
         span_seconds=workload.span(),
         offered_load=workload.offered_load(machine_size),
         serial_fraction=serial / len(sizes) if sizes else 0.0,

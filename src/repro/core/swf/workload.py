@@ -208,6 +208,20 @@ class Workload:
         procs = procs[procs != MISSING]
         return int(procs.max()) if procs.size else 0
 
+    def resolve_machine_size(self, machine_size: Optional[int] = None) -> int:
+        """The machine this workload runs on.
+
+        ``machine_size`` when given, else the header's MaxNodes, else the
+        largest job.  Raises :class:`ValueError` when none of them is known.
+        """
+        size = machine_size or self.header.max_nodes or self.max_processors()
+        if not size:
+            raise ValueError(
+                f"machine size is unknown: {self.name!r} has no machine size in "
+                "its header and no job declares a size; pass machine_size explicitly"
+            )
+        return int(size)
+
     def users(self) -> List[int]:
         """Sorted distinct user ids (missing values excluded)."""
         return sorted({j.user_id for j in self._jobs if j.user_id != MISSING})
@@ -261,6 +275,23 @@ class Workload:
             rebuilt.append(SWFJob._from_trusted_fields(fields))
         return Workload(rebuilt, SWFHeader(self.header.entries),
                         name=name if name is not None else f"{self.name}-x{factor:g}")
+
+    def scale_to_load(
+        self, load: float, machine_size: Optional[int] = None, name: Optional[str] = None
+    ) -> "Workload":
+        """:meth:`scale_load` by the factor that makes the offered load ``load``.
+
+        The offered load is measured on :meth:`resolve_machine_size`.  Raises
+        :class:`ValueError` when there is none to rescale: fewer than two
+        jobs, or all of them submitted at one instant.
+        """
+        current = self.offered_load(self.resolve_machine_size(machine_size))
+        if current <= 0:
+            raise ValueError(
+                f"cannot rescale {self.name!r} to load {load:g}: it has no "
+                "measurable offered load (fewer than two jobs, or no submit-time span)"
+            )
+        return self.scale_load(load / current, name=name)
 
     def truncate(self, max_jobs: int, name: Optional[str] = None) -> "Workload":
         """Keep only the first ``max_jobs`` jobs (by current order)."""

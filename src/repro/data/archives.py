@@ -194,9 +194,11 @@ def synthetic_archive(name: str, jobs: int = 5000, seed: Optional[int] = None) -
     result = Workload(adjusted, SWFHeader(), name=name).sorted_by_submit().renumbered()
     # Rescale arrivals so the trace matches the published offered load of the
     # machine it stands in for (the size adjustments above change the area).
-    current = result.offered_load(spec.machine_size)
-    if current > 0:
-        result = result.scale_load(spec.offered_load / current, name=name)
+    # A trace too short to have a load keeps its arrivals.
+    try:
+        result = result.scale_to_load(spec.offered_load, spec.machine_size)
+    except ValueError:
+        pass
     # The header is attached last so the EndTime it derives reflects the
     # trace's final (post-rescale) span; its timestamps are fixed constants,
     # keeping identical specs byte-identical (see ARCHIVE_EPOCH).

@@ -106,7 +106,7 @@ class LeaseBroker:
         self.root = Path(root)
         self.ttl = float(ttl)
         self.owner = owner or f"{socket.gethostname()}-{os.getpid()}"
-        #: expired leases this broker reclaimed (the `dist.lease_expired` feed)
+        #: expired leases this broker reclaimed
         self.reclaimed = 0
         #: acquisition attempts lost to a live competing lease
         self.contended = 0

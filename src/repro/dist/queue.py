@@ -164,7 +164,6 @@ class WorkQueue:
         units = _expand(suite)
         distinct = _distinct(units)
 
-        self.units_dir.mkdir(parents=True, exist_ok=True)
         enqueued = already_queued = already_stored = 0
         for key, unit in distinct.items():
             if store is not None and key in store:
@@ -185,7 +184,6 @@ class WorkQueue:
             "replications": len(units),
             "keys": sorted(distinct),
         }
-        self.suites_dir.mkdir(parents=True, exist_ok=True)
         atomic_write(
             self.suites_dir / f"{suite.name}.json",
             (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"),
@@ -293,7 +291,6 @@ class WorkQueue:
     # ------------------------------------------------------------------
     def write_worker_stats(self, worker_id: str, stats: Dict[str, Any]) -> Path:
         """Atomically publish one worker's progress snapshot."""
-        self.workers_dir.mkdir(parents=True, exist_ok=True)
         path = self.workers_dir / f"{worker_id}.json"
         atomic_write(
             path, (json.dumps(stats, sort_keys=True, indent=2) + "\n").encode("utf-8")

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.bench.runner import WorkUnit, execute_unit
 from repro.bench.store import ResultStore
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Heartbeat, LeaseBroker
 from repro.dist.queue import WorkQueue
-from repro.obs.telemetry import Telemetry
 
 __all__ = ["WorkerStats", "run_worker"]
 
@@ -64,7 +63,6 @@ class WorkerStats:
     simulate_seconds: float = 0.0
     #: full pending-scan passes over the queue
     passes: int = 0
-    extra_counters: Dict[str, float] = field(default_factory=dict)
 
     def to_record(self) -> Dict[str, Any]:
         return {
@@ -78,7 +76,6 @@ class WorkerStats:
             "events_processed": self.events_processed,
             "simulate_seconds": round(self.simulate_seconds, 6),
             "passes": self.passes,
-            "counters": self.extra_counters,
         }
 
     def summary(self) -> str:
@@ -124,19 +121,17 @@ def run_worker(
     """
     broker = LeaseBroker(queue.leases_dir, ttl=ttl, owner=worker_id)
     stats = WorkerStats(worker_id=broker.owner)
-    telemetry = Telemetry()
     journal = queue.journal()
     journal.append(
         {"event": "dist.worker_start", "worker": stats.worker_id, "ttl": ttl},
         durable=True,
     )
     try:
-        _drain(queue, store, broker, stats, telemetry, journal, once,
+        _drain(queue, store, broker, stats, journal, once,
                poll_interval, max_units, progress)
     finally:
         stats.contended = broker.contended
         stats.reclaimed = broker.reclaimed
-        stats.extra_counters = telemetry.as_counters()
         queue.write_worker_stats(stats.worker_id, stats.to_record())
         journal.append(
             {
@@ -156,7 +151,6 @@ def _drain(
     store: ResultStore,
     broker: LeaseBroker,
     stats: WorkerStats,
-    telemetry: Telemetry,
     journal,
     once: bool,
     poll_interval: float,
@@ -179,9 +173,6 @@ def _drain(
             reclaimed_before = broker.reclaimed
             lease = broker.acquire(key)
             if broker.reclaimed > reclaimed_before:
-                telemetry.counter("dist.lease_expired").inc(
-                    broker.reclaimed - reclaimed_before
-                )
                 journal.append(
                     {"event": "dist.lease_expired", "worker": stats.worker_id,
                      "key": key}
@@ -189,7 +180,6 @@ def _drain(
             if lease is None:
                 continue
             stats.claimed += 1
-            telemetry.counter("dist.claim").inc()
             try:
                 # The store, not the lease, is the source of truth for
                 # "done": someone may have finished this key between our
@@ -222,7 +212,6 @@ def _drain(
                 stats.events_processed += int(
                     entry.report.counters.get("events_processed", 0)
                 )
-                telemetry.counter("dist.units_simulated").inc()
                 progressed = True
                 journal.append(
                     {"event": "dist.unit_done", "worker": stats.worker_id,

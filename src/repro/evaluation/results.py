@@ -134,9 +134,12 @@ class SimulationResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: ids of the jobs that never finished: still queued, or still waiting on
     #: a predecessor, when the events ran out.  With the jobs skipped as too
-    #: wide, finished + unfinished accounts for every submitted job.  Only
-    #: :class:`~repro.evaluation.simulator.MachineSimulation` fills it so
-    #: far; grid sites and the gang simulator leave it empty.
+    #: wide, finished + unfinished accounts for every submitted job.
+    #: :class:`~repro.evaluation.simulator.MachineSimulation` and each grid
+    #: site's result fill it (a site lists its local jobs; meta jobs are in
+    #: ``GridResult.unfinished_meta_jobs``).  A merged grid result counts the
+    #: sites' lists in ``metadata["unfinished"]``, since local ids repeat
+    #: across sites; the gang simulator leaves it empty.
     unfinished: List[int] = field(default_factory=list)
 
     def __len__(self) -> int:

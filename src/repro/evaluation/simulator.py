@@ -180,16 +180,14 @@ class MachineSimulation:
     ) -> None:
         self.workload = workload
         self.scheduler = scheduler
-        size = machine_size or workload.header.max_nodes or workload.max_processors()
-        if not size:
-            raise ValueError("machine size is unknown: pass machine_size explicitly")
+        size = workload.resolve_machine_size(machine_size)
         self.outages = outages if outages is not None else OutageLog([])
         self.honor_dependencies = honor_dependencies
         self.restart_failed_jobs = restart_failed_jobs
         self.max_restarts = max_restarts
 
         self.sim = Simulator()
-        self._space = SpaceSharedMachine(Machine(size=int(size)), scheduler, self.sim)
+        self._space = SpaceSharedMachine(Machine(size=size), scheduler, self.sim)
         self.machine = self._space.machine
         self._results: List[JobResult] = []
         #: job id -> sequence number of each running job's completion event;

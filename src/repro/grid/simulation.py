@@ -149,6 +149,8 @@ class _SiteState:
         self.reservations: List[List[float]] = []
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
+        #: local jobs no processor count fits on this site
+        self.skipped_too_large = 0
 
     def view(self, now: float) -> SiteView:
         space = self.space
@@ -211,7 +213,9 @@ class GridSimulation:
             workload = state.site.local_workload
             if workload is not None:
                 name = state.site.name
-                requests = usable_requests(workload, state.site.machine_size)[0]
+                requests, state.skipped_too_large = usable_requests(
+                    workload, state.site.machine_size
+                )
                 arrivals.extend((r.submit_time, (name, r)) for r in requests)
         arrivals.extend((job.submit_time, (None, job)) for job in self.meta_jobs)
         arrivals.sort(key=itemgetter(0))
@@ -432,8 +436,12 @@ class GridSimulation:
                 scheduler_name=f"{state.site.scheduler.name}@{name}",
                 machine_size=state.site.machine_size,
                 jobs=sorted(state.local_results, key=lambda j: j.job_id),
-                metadata={"site": name},
+                metadata={"site": name, "skipped_too_large": state.skipped_too_large},
                 counters=dict(sorted(state.space.counters().items())),
+                # queued meta components are in unfinished_meta_jobs
+                unfinished=sorted(
+                    r.job_id for r in state.space.queue if r.job_id < _META_ID_BASE
+                ),
             )
         finished = {r.job.job_id for r in self._meta_results}
         unfinished = [

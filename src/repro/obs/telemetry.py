@@ -1,8 +1,7 @@
 """Zero-dependency telemetry primitives: counters, gauges and histograms.
 
-The serve daemon and the dist workers record into a :class:`Telemetry`
-registry: labelled counters, gauges and latency histograms, rendered for
-Prometheus or flattened by :meth:`Telemetry.as_counters`.  A simulation's
+The serve daemon records into a :class:`Telemetry` registry: labelled
+counters, gauges and latency histograms, rendered for Prometheus.  A simulation's
 own counters (events, passes, shadow scans, slot splits) are not kept
 here: they are a plain dict the driver owns and hands to the policy as
 ``SchedulerState.counts`` (see :mod:`repro.evaluation.simulator`).
@@ -99,12 +98,6 @@ class GaugeFamily(_Family):
 
     def dec(self, amount: float = 1, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def set_max(self, value: float, **labels: object) -> None:
-        """High-water mark: keep the largest value ever seen."""
-        key = _label_key(labels)
-        if key not in self._series or value > self._series[key]:
-            self._series[key] = value
 
     def value(self, **labels: object) -> float:
         return self._series.get(_label_key(labels), 0)
@@ -222,19 +215,3 @@ class Telemetry:
         """Families in deterministic (name) order."""
         for name in sorted(self._families):
             yield self._families[name]
-
-    def as_counters(self) -> Dict[str, float]:
-        """Unlabelled counter and gauge values as one flat dict.
-
-        Integral values come back as ``int`` so the dict serializes to the
-        same JSON text on every run (a dist worker's ``extra_counters``).
-        """
-        snapshot: Dict[str, float] = {}
-        for family in self.families():
-            if isinstance(family, (CounterFamily, GaugeFamily)):
-                if () not in family._series:  # labelled-only family
-                    continue
-                value = family.value()
-                snapshot[family.name] = int(value) if value == int(value) else value
-        return snapshot
-

@@ -97,10 +97,7 @@ class GangSimulation:
         if not 0.0 <= context_switch_overhead < 1.0:
             raise ValueError("context_switch_overhead must be in [0, 1)")
         self.workload = workload
-        size = machine_size or workload.header.max_nodes or workload.max_processors()
-        if not size:
-            raise ValueError("machine size is unknown: pass machine_size explicitly")
-        self.machine_size = int(size)
+        self.machine_size = workload.resolve_machine_size(machine_size)
         self.max_slots = max_slots
         self.overhead = context_switch_overhead
 

@@ -25,51 +25,22 @@ Attributes load lazily (PEP 562, same idiom as :mod:`repro.api`).
 
 from __future__ import annotations
 
-from typing import Any
+from repro.util import lazy_exports
 
-__all__ = [
-    # service
-    "EvaluationService",
-    "Evaluation",
-    "Job",
-    "Response",
-    "SubmissionError",
-    "QueueFull",
-    "ServiceDraining",
-    "resolve_submission",
-    # daemon
-    "ServeConfig",
-    "ReproServer",
-    "serve",
-    # html
-    "render_report",
-]
-
-_SERVICE_NAMES = {
-    "EvaluationService",
-    "Evaluation",
-    "Job",
-    "Response",
-    "SubmissionError",
-    "QueueFull",
-    "ServiceDraining",
-    "resolve_submission",
-}
-_DAEMON_NAMES = {"ServeConfig", "ReproServer", "serve"}
-_HTML_NAMES = {"render_report"}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SERVICE_NAMES:
-        from repro.serve import service as module
-    elif name in _DAEMON_NAMES:
-        from repro.serve import daemon as module
-    elif name in _HTML_NAMES:
-        from repro.serve import html as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
-
-def __dir__() -> list:
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "service": (
+            "EvaluationService",
+            "Evaluation",
+            "Job",
+            "Response",
+            "SubmissionError",
+            "QueueFull",
+            "ServiceDraining",
+            "resolve_submission",
+        ),
+        "daemon": ("ServeConfig", "ReproServer", "serve"),
+        "html": ("render_report",),
+    },
+)

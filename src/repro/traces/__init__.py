@@ -22,90 +22,40 @@ Attributes load lazily (PEP 562, same idiom as :mod:`repro.api`).
 
 from __future__ import annotations
 
-from typing import Any
+from repro.util import lazy_exports
 
-__all__ = [
-    # handle
-    "Trace",
-    "TRACE_FORMAT",
-    # sources
-    "TraceSource",
-    "ArchiveSource",
-    "SwfFileSource",
-    "ModelSource",
-    "file_content_digest",
-    # transforms
-    "TraceTransform",
-    "ScaleToLoad",
-    "ScaleRate",
-    "TimeSlice",
-    "FieldFilter",
-    "Resample",
-    "RescaleMachine",
-    "Head",
-    "parse_duration",
-    "format_duration",
-    # catalog + spec grammar
-    "trace_registry",
-    "register_trace",
-    "trace_names",
-    "split_trace_spec",
-    "trace_from_spec",
-    "trace_for_scenario",
-    "TRACE_SPEC_PREFIX",
-    # cache
-    "TraceCache",
-    "CACHE_ENV_VAR",
-    "default_cache_root",
-]
-
-_TRACE_NAMES = {"Trace", "TRACE_FORMAT"}
-_SOURCE_NAMES = {
-    "TraceSource",
-    "ArchiveSource",
-    "SwfFileSource",
-    "ModelSource",
-    "file_content_digest",
-}
-_TRANSFORM_NAMES = {
-    "TraceTransform",
-    "ScaleToLoad",
-    "ScaleRate",
-    "TimeSlice",
-    "FieldFilter",
-    "Resample",
-    "RescaleMachine",
-    "Head",
-    "parse_duration",
-    "format_duration",
-}
-_CATALOG_NAMES = {
-    "trace_registry",
-    "register_trace",
-    "trace_names",
-    "split_trace_spec",
-    "trace_from_spec",
-    "trace_for_scenario",
-    "TRACE_SPEC_PREFIX",
-}
-_CACHE_NAMES = {"TraceCache", "CACHE_ENV_VAR", "default_cache_root"}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _TRACE_NAMES:
-        from repro.traces import trace as module
-    elif name in _SOURCE_NAMES:
-        from repro.traces import sources as module
-    elif name in _TRANSFORM_NAMES:
-        from repro.traces import transforms as module
-    elif name in _CATALOG_NAMES:
-        from repro.traces import catalog as module
-    elif name in _CACHE_NAMES:
-        from repro.traces import cache as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
-
-def __dir__() -> list:
-    return sorted(__all__)
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "trace": ("Trace", "TRACE_FORMAT"),
+        "sources": (
+            "TraceSource",
+            "ArchiveSource",
+            "SwfFileSource",
+            "ModelSource",
+            "file_content_digest",
+        ),
+        "transforms": (
+            "TraceTransform",
+            "ScaleToLoad",
+            "ScaleRate",
+            "TimeSlice",
+            "FieldFilter",
+            "Resample",
+            "RescaleMachine",
+            "Head",
+            "parse_duration",
+            "format_duration",
+        ),
+        "catalog": (
+            "trace_registry",
+            "register_trace",
+            "trace_names",
+            "split_trace_spec",
+            "trace_from_spec",
+            "trace_for_scenario",
+            "TRACE_SPEC_PREFIX",
+        ),
+        "cache": ("TraceCache", "CACHE_ENV_VAR", "default_cache_root"),
+    },
+)

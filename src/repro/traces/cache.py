@@ -104,7 +104,6 @@ class TraceCache:
         from repro.traces.trace import TRACE_FORMAT
 
         path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(path, canonical_swf_bytes(workload))
         meta = {
             "digest": digest,

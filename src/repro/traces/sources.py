@@ -1,10 +1,12 @@
 """Where a trace's bytes come from: archives, SWF files, workload models.
 
 A :class:`TraceSource` is the base of a :class:`~repro.traces.trace.Trace`
-pipeline.  Every source must be *content-stable*: the same source identity
-must always materialize to the same canonical SWF bytes, because the trace
-digest — the key of the on-disk cache and of benchmark-store entries — is
-derived from that identity.
+pipeline, and the only code that turns a workload spec into a base
+:class:`Workload`: :func:`repro.api.runner.resolve_workload` builds one for
+plain model, archive and SWF-path specs too.  Every source must be
+*content-stable*: the same source identity must always materialize to the
+same canonical SWF bytes, because the trace digest — the key of the on-disk
+cache and of benchmark-store entries — is derived from that identity.
 
 * :class:`ArchiveSource` — a synthetic Parallel-Workloads-Archive stand-in
   (:mod:`repro.data.archives`); deterministic per ``(key, jobs, seed)``.
@@ -13,10 +15,10 @@ derived from that identity.
   so the digest tracks trace *content*: editing the file changes the digest
   (and forces benchmark cache misses), while alignment whitespace and
   newline conventions do not.
-* :class:`ModelSource` — a registered workload model.  A ``None`` seed is
-  canonicalized to 0 rather than drawing entropy: a trace is a pinned
-  artifact, which is exactly what distinguishes ``trace:lublin99`` from the
-  plain ``lublin99`` model spec.
+* :class:`ModelSource` — a registered workload model.  The catalog
+  canonicalizes a ``None`` seed to 0 rather than drawing entropy: a trace is
+  a pinned artifact, which is exactly what distinguishes ``trace:lublin99``
+  from the plain ``lublin99`` model spec, whose unseeded source draws fresh.
 """
 
 from __future__ import annotations
@@ -170,9 +172,7 @@ class SwfFileSource(TraceSource):
                 f"built (content {current[:12]} != pinned {self.content[:12]}); "
                 "rebuild the Trace to adopt the new content"
             )
-        workload = parse_swf(self.path)
-        workload.name = self.label
-        return workload
+        return parse_swf(self.path)
 
     def spec_token(self) -> Tuple[str, Dict[str, str]]:
         return self.path, {}

@@ -126,17 +126,7 @@ class ScaleToLoad(TraceTransform):
             raise ValueError("load target must be positive")
 
     def apply(self, workload: Workload) -> Workload:
-        machine = workload.header.max_nodes or workload.max_processors()
-        base = workload.offered_load(machine)
-        if base <= 0:
-            raise ValueError(
-                f"cannot rescale {workload.name!r} to load {self.target}: the "
-                "trace has no measurable offered load (too few jobs, or no "
-                "known machine size)"
-            )
-        return workload.scale_load(
-            self.target / base, name=f"{workload.name}@{self.target:g}"
-        )
+        return workload.scale_to_load(self.target, name=f"{workload.name}@{self.target:g}")
 
     def identity(self) -> Dict[str, Any]:
         return {"op": self.op, "target": self.target}
@@ -355,13 +345,7 @@ class RescaleMachine(TraceTransform):
             raise ValueError("machine size must be >= 1")
 
     def apply(self, workload: Workload) -> Workload:
-        current = workload.header.max_nodes or workload.max_processors()
-        if not current:
-            raise ValueError(
-                f"cannot rescale {workload.name!r}: no machine size in the "
-                "header and no job declares a size"
-            )
-        factor = self.nodes / current
+        factor = self.nodes / workload.resolve_machine_size()
 
         def rescale(value: int) -> int:
             if value == MISSING:

@@ -282,11 +282,14 @@ class WorkloadModel(ABC):
         target_load: float,
         seed: Optional[int] = None,
     ) -> Workload:
-        """Generate and then rescale arrivals to hit a target offered load."""
+        """Generate and then rescale arrivals to hit a target offered load.
+
+        Raises :class:`ValueError` when the generated workload has no offered
+        load to rescale (fewer than two jobs).
+        """
         if not 0 < target_load:
             raise ValueError("target_load must be positive")
         workload = self.generate(jobs, seed=seed)
-        current = workload.offered_load(self.machine_size)
-        if current <= 0:
-            return workload
-        return workload.scale_load(target_load / current, name=f"{workload.name}@{target_load:.2f}")
+        return workload.scale_to_load(
+            target_load, self.machine_size, name=f"{workload.name}@{target_load:.2f}"
+        )

@@ -53,11 +53,60 @@ class TestWorkloadResolution:
         assert scaled.offered_load(64) == pytest.approx(0.8, rel=0.05)
         assert base.offered_load(64) != pytest.approx(0.8, rel=0.05)
 
+    def test_load_on_a_headerless_trace_measures_the_widest_job(self, tmp_path):
+        from repro.core.swf import Workload
+
+        path = tmp_path / "bare.swf"
+        jobs = [make_job(i, submit=i * 50, processors=2 * i) for i in range(1, 4)]
+        write_swf(Workload(jobs, name="bare"), path)
+        scaled = resolve_workload(Scenario(workload=str(path), load=0.5))
+        assert scaled.offered_load(6) == pytest.approx(0.5, rel=1e-2)
+
     def test_unknown_workload_suggests(self):
         from repro.api.registry import UnknownNameError
 
         with pytest.raises(UnknownNameError, match="did you mean"):
             resolve_workload(Scenario(workload="lublin9"))
+        with pytest.raises(UnknownNameError, match="did you mean 'ctc-sp2'"):
+            resolve_workload(Scenario(workload="ctc-sp"))
+
+    def test_archive_spec_rejects_model_kwargs(self):
+        with pytest.raises(ValueError, match="accepts only jobs/seed"):
+            resolve_workload(Scenario(workload="ctc-sp2:machine_size=8"))
+
+    def test_specs_resolve_through_the_trace_sources(self, tmp_path):
+        from repro.data.archives import synthetic_archive
+        from repro.traces import ModelSource, SwfFileSource, trace_for_scenario
+        from repro.workloads import Lublin99Model
+
+        model = resolve_workload(Scenario(workload="lublin99:jobs=50,seed=3", machine_size=32))
+        assert model == ModelSource("lublin99", jobs=50, seed=3, machine_size=32).materialize()
+        assert model == Lublin99Model(machine_size=32).generate(50, seed=3)
+        archive = resolve_workload(Scenario(workload="ctc-sp2", jobs=30, seed=1))
+        assert archive == synthetic_archive("ctc-sp2", jobs=30, seed=1)
+        path = tmp_path / "trace.swf"
+        write_swf(model, path)
+        from_path = resolve_workload(Scenario(workload=str(path)))
+        assert from_path == SwfFileSource(str(path)).materialize() == model
+        # Plain model and archive specs are no trace-catalog workloads: the
+        # store keys of every suite over them depend on this staying None.
+        for spec in ("lublin99:jobs=50,seed=3", "ctc-sp2"):
+            assert trace_for_scenario(Scenario(workload=spec)) is None
+
+    def test_workload_names_by_spec_kind(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+        path = tmp_path / "trace.swf"
+        write_swf(make_workload([make_job(i, submit=i * 60) for i in range(1, 6)]), path)
+        names = {
+            "lublin99:jobs=40,seed=1": "lublin99",
+            "ctc-sp2:jobs=40,seed=1": "ctc-sp2",
+            "trace:ctc-sp2,jobs=40,load=0.9": "ctc-sp2,load=0.9",
+            str(path): "trace",
+        }
+        for spec, name in names.items():
+            assert resolve_workload(Scenario(workload=spec)).name == name
+        loaded = resolve_workload(Scenario(workload="lublin99:jobs=40,seed=1", load=0.8))
+        assert loaded.name == "lublin99@0.80"
 
 
 class TestRunDispatch:

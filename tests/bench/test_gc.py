@@ -124,3 +124,44 @@ class TestResultStoreGC:
         assert "scanned 5" in text and "kept 3" in text
         assert "1 expired" in text and "1 stale" in text
         assert "2.0 KiB" in text
+
+
+class TestPutRacingGc:
+    """A ``gc`` may remove an emptied shard between ``put``'s mkdir and its temp file."""
+
+    @staticmethod
+    def remove_dir_before_mkstemp(monkeypatch, times: int) -> list:
+        import repro.util
+
+        real_mkstemp = repro.util.tempfile.mkstemp
+        removed = []
+
+        def racing_mkstemp(*args, dir, **kwargs):
+            if len(removed) < times:
+                os.rmdir(dir)  # what gc does to a shard it emptied
+                removed.append(dir)
+            return real_mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(repro.util.tempfile, "mkstemp", racing_mkstemp)
+        return removed
+
+    def test_put_retries_when_its_shard_vanishes(self, tmp_path, report, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        removed = self.remove_dir_before_mkstemp(monkeypatch, times=1)
+        key = put_entry(store, 1, report)
+        assert len(removed) == 1
+        assert store.get(key) is not None
+        assert not list(store.path_for(key).parent.glob("*.tmp"))
+
+    def test_a_second_removal_is_raised(self, tmp_path, report, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        self.remove_dir_before_mkstemp(monkeypatch, times=2)
+        with pytest.raises(FileNotFoundError):
+            put_entry(store, 1, report)
+
+    def test_atomic_write_creates_missing_parents(self, tmp_path):
+        from repro.util import atomic_write
+
+        target = tmp_path / "a" / "b" / "file.json"
+        atomic_write(target, b"{}")
+        assert target.read_bytes() == b"{}"

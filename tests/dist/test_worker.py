@@ -115,7 +115,7 @@ class TestWorkerEndToEnd:
         record = queue.worker_stats()["w0"]
         assert record["simulated"] == enq.units
         assert record["events_processed"] == stats.events_processed
-        assert record["counters"]["dist.claim"] == enq.units
+        assert record["claimed"] == enq.units
 
     @pytest.mark.parametrize("kind", sorted(PARITY_SUITES))
     def test_distributed_store_is_bit_identical_to_serial(

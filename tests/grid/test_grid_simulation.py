@@ -22,7 +22,7 @@ from repro.bench.seeds import derive_seeds
 from repro.evaluation import simulate
 from repro.schedulers import ConservativeBackfillScheduler, EasyBackfillScheduler, FCFSScheduler
 from repro.workloads import Lublin99Model
-from tests.conftest import simulate_one_site_grid
+from tests.conftest import make_job, make_workload, simulate_one_site_grid
 
 
 def make_sites(count=2, size=64, local_jobs=0, load=0.5, seed=100, outage_aware=True):
@@ -232,3 +232,38 @@ class TestSiteTelemetry:
         assert actual == expected
         for site_result in result.site_results.values():
             assert site_result.counters["profile_builds"] == 1
+
+
+class TestEveryLocalJobAccountedFor:
+    def test_stranded_local_jobs_are_listed_per_site(self):
+        # Co-allocated components hold processors while their partners wait,
+        # so local jobs strand; each site must list what it never finished.
+        scenario = Scenario(
+            workload="lublin99:jobs=200,seed=3",
+            policy="grid:meta=earliest-start,sites=3,reservations=true,local=conservative",
+            machine_size=64,
+        )
+        result = run(scenario)
+        unfinished = skipped = 0
+        for site_result in result.grid.site_results.values():
+            done = {j.job_id for j in site_result.jobs}
+            assert not done & set(site_result.unfinished)
+            assert all(job_id < 10_000_000 for job_id in site_result.unfinished)
+            site_skipped = site_result.metadata["skipped_too_large"]
+            assert len(done) + site_skipped + len(site_result.unfinished) == 200
+            unfinished += len(site_result.unfinished)
+            skipped += site_skipped
+        assert unfinished > 0
+        assert result.result.metadata["unfinished"] == unfinished
+        assert result.result.metadata["skipped_too_large"] == skipped
+        assert len(result.result.jobs) + skipped + unfinished == 600
+
+    def test_too_wide_local_jobs_are_counted_as_skipped(self):
+        workload = make_workload(
+            [make_job(i, submit=i * 10, runtime=50, processors=4 * i) for i in range(1, 7)]
+        )
+        site = Site(name="s0", machine_size=12, scheduler=FCFSScheduler(), local_workload=workload)
+        site_result = GridSimulation([site], [], LeastLoadedMetaScheduler()).run().site_results["s0"]
+        assert [j.job_id for j in site_result.jobs] == [1, 2, 3]
+        assert site_result.metadata["skipped_too_large"] == 3
+        assert site_result.unfinished == []

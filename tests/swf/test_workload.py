@@ -58,6 +58,19 @@ class TestDerivedQuantities:
         assert make_workload([make_job(1)]).offered_load(32) == 0.0
         assert make_workload([]).offered_load(32) == 0.0
 
+    def test_resolve_machine_size_falls_back_header_then_widest_job(self, tiny_workload):
+        assert tiny_workload.resolve_machine_size(64) == 64
+        assert tiny_workload.resolve_machine_size() == 32
+        headerless = Workload(list(tiny_workload), name="bare")
+        assert headerless.resolve_machine_size() == 32
+
+    def test_resolve_machine_size_unknown_raises(self):
+        bare = Workload([make_job(1).replace(allocated_processors=MISSING,
+                                              requested_processors=MISSING)])
+        with pytest.raises(ValueError, match="machine size is unknown"):
+            bare.resolve_machine_size()
+        assert bare.resolve_machine_size(8) == 8
+
     def test_max_processors_and_populations(self, tiny_workload):
         assert tiny_workload.max_processors() == 32
         assert tiny_workload.users() == [1]
@@ -91,6 +104,19 @@ class TestTransformations:
         scaled = lublin_workload.scale_load(1.5)
         assert scaled.offered_load(64) == pytest.approx(1.5 * base, rel=0.05)
         assert len(scaled) == len(lublin_workload)
+
+    def test_scale_to_load_hits_the_target(self, lublin_workload):
+        scaled = lublin_workload.scale_to_load(0.9, name="at-0.9")
+        assert scaled.offered_load(64) == pytest.approx(0.9, rel=1e-3)
+        assert scaled.name == "at-0.9"
+        wider = lublin_workload.scale_to_load(0.9, machine_size=128)
+        assert wider.offered_load(128) == pytest.approx(0.9, rel=1e-3)
+
+    def test_scale_to_load_without_offered_load_raises(self):
+        with pytest.raises(ValueError, match="offered load"):
+            make_workload([make_job(1)]).scale_to_load(0.5)
+        with pytest.raises(ValueError, match="offered load"):
+            make_workload([make_job(1), make_job(2)]).scale_to_load(0.5)
 
     def test_scale_load_requires_positive_factor(self, tiny_workload):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import repro
@@ -14,6 +16,15 @@ class TestPublicApi:
     def test_top_level_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+        # The lazily loading packages: one export table each.
+        for package_name in ("repro.api", "repro.bench", "repro.traces", "repro.serve"):
+            package = importlib.import_module(package_name)
+            assert len(set(package.__all__)) == len(package.__all__)
+            for name in package.__all__:
+                assert getattr(package, name) is not None, (package.__name__, name)
+            assert dir(package) == sorted(package.__all__)
+            with pytest.raises(AttributeError, match="no_such_name"):
+                getattr(package, "no_such_name")
 
     def test_version_is_exposed(self):
         assert repro.__version__.count(".") == 2

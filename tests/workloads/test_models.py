@@ -122,6 +122,11 @@ class TestLoadControl:
         with pytest.raises(ValueError):
             Lublin99Model().generate_with_load(10, target_load=0.0)
 
+    def test_generate_with_load_without_offered_load_raises(self):
+        # One job has no submit-time span; this used to return it unscaled.
+        with pytest.raises(ValueError, match="offered load"):
+            UniformModel(machine_size=16).generate_with_load(1, target_load=0.5, seed=1)
+
     def test_daily_cycle_concentrates_daytime_arrivals(self):
         workload = Lublin99Model(machine_size=64, peak_to_trough=6.0).generate(2000, seed=11)
         hours = np.array([(j.submit_time / 3600.0) % 24 for j in workload])
