@@ -3,12 +3,17 @@
 * FCFS and first-fit baselines,
 * priority re-ordering policies (SJF, LJF, narrowest/widest first, WFP),
 * EASY and conservative backfilling,
+* adaptive allocation for moldable jobs,
 * gang scheduling (time slicing, fluid Ousterhout-matrix model).
 
 All space-sharing policies implement the
 :class:`~repro.schedulers.base.Scheduler` interface consumed by
 :func:`repro.evaluation.simulate`; gang scheduling ships its own simulator
-because it time-slices rather than space-shares.
+because it time-slices rather than space-shares.  FCFS, first-fit, the
+priority orders and EASY's first phase share one start rule,
+:meth:`Scheduler.start_in_order <repro.schedulers.base.Scheduler.start_in_order>`:
+walk the jobs in an order and start each that fits now, stopping at the
+first misfit when strict.
 """
 
 from repro.schedulers.base import (
@@ -53,9 +58,3 @@ __all__ = [
     "simulate_gang",
 ]
 
-#: The standard roster of policies the experiments compare.
-DEFAULT_POLICIES = (
-    FCFSScheduler,
-    EasyBackfillScheduler,
-    ConservativeBackfillScheduler,
-)

@@ -5,7 +5,9 @@ space-shared machines, and the policy whose evaluation most needs standard
 workloads (its benefit depends on the distribution of job sizes, runtimes,
 and user estimates).
 
-* **EASY backfilling** (Lifka's Argonne scheduler): jobs start in FCFS order;
+* **EASY backfilling** (Lifka's Argonne scheduler): jobs start in FCFS order
+  (the shared strict start rule,
+  :meth:`Scheduler.start_in_order <repro.schedulers.base.Scheduler.start_in_order>`);
   when the queue head does not fit, it receives a *reservation* at the
   earliest time enough processors will be free (the "shadow time"), and
   shorter/narrower jobs further back may start out of order provided they do
@@ -47,29 +49,17 @@ class EasyBackfillScheduler(Scheduler):
 
     name = "easy-backfill"
 
-    def __init__(self, outage_aware: bool = False) -> None:
-        self.outage_aware = outage_aware
-
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        started: List[JobRequest] = []
-        free = state.free_processors
+        # Phase 1: start jobs in FCFS order while they fit.
+        started = self.start_in_order(state, state.queue, True)
         queue = state.queue
-
-        # Phase 1: start jobs in FCFS order while they fit (an index walk —
-        # popping the head of a list re-shifts the whole queue each time).
-        head_index = 0
-        for head in queue:
-            if not self.job_fits_now(state, head, free):
-                break
-            started.append(head)
-            free -= head.processors
-            head_index += 1
-
+        head_index = len(started)
         if head_index >= len(queue):
             return started
 
         # Phase 2: the head does not fit.  Compute its shadow time and the
         # number of extra processors, then backfill behind it.
+        free = state.free_processors - sum(request.processors for request in started)
         head = queue[head_index]
         shadow_time, extra = self._shadow(state, started, head, free)
 
@@ -156,7 +146,7 @@ class ConservativeBackfillScheduler(Scheduler):
     name = "conservative-backfill"
 
     def __init__(self, outage_aware: bool = False, horizon: float = 365 * 24 * 3600.0) -> None:
-        self.outage_aware = outage_aware
+        super().__init__(outage_aware)
         #: how far ahead the availability profile is clamped by announced outages
         self.horizon = horizon
 

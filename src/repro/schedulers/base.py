@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Collection, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
@@ -216,6 +216,10 @@ class Scheduler(ABC):
     processors reported by the state; the driver enforces this and raises if
     a policy misbehaves, so policy bugs surface in tests rather than as
     silently wrong results.
+
+    The list policies (FCFS, first-fit, the priority orders, and EASY's
+    first phase) share one start rule, :meth:`start_in_order`: walk the jobs
+    in some order and start each that fits now.
     """
 
     #: human-readable policy name (used in experiment tables)
@@ -228,6 +232,9 @@ class Scheduler(ABC):
     #: if True, the policy consults the announced capacity (``state.calendar``)
     outage_aware: bool = False
 
+    def __init__(self, outage_aware: bool = False) -> None:
+        self.outage_aware = outage_aware
+
     @abstractmethod
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
         """Return the queued jobs to start at ``state.now``."""
@@ -235,6 +242,28 @@ class Scheduler(ABC):
     # ------------------------------------------------------------------
     # helpers shared by concrete policies
     # ------------------------------------------------------------------
+    def start_in_order(
+        self, state: SchedulerState, ordered: Iterable[JobRequest], strict: bool
+    ) -> List[JobRequest]:
+        """The jobs of ``ordered`` that start now, walked in that order.
+
+        Each job that :meth:`job_fits_now` in the processors the jobs before
+        it left free starts.  A strict walk stops at the first job that does
+        not fit, which then blocks everything behind it: the started jobs are
+        exactly the first ``len(started)`` of ``ordered``.  A greedy walk
+        skips the misfit and goes on.
+        """
+        started: List[JobRequest] = []
+        free = state.free_processors
+        fits = self.job_fits_now
+        for request in ordered:
+            if fits(state, request, free):
+                started.append(request)
+                free -= request.processors
+            elif strict:
+                break
+        return started
+
     def job_fits_now(self, state: SchedulerState, request: JobRequest, free: int) -> bool:
         """Whether ``request`` can start now given ``free`` processors.
 
@@ -253,4 +282,3 @@ class Scheduler(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-

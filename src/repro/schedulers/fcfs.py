@@ -7,6 +7,11 @@ the blocking: any queued job that fits may start, still scanning in arrival
 order — this is "FCFS with first-fit backfilling without reservations",
 which improves utilization but can starve large jobs (the reason EASY adds a
 reservation for the head job).
+
+Both are the shared start rule,
+:meth:`Scheduler.start_in_order <repro.schedulers.base.Scheduler.start_in_order>`,
+walked over the queue in arrival order: strict for FCFS, greedy for
+first-fit.
 """
 
 from __future__ import annotations
@@ -25,19 +30,8 @@ class FCFSScheduler(Scheduler):
 
     name = "fcfs"
 
-    def __init__(self, outage_aware: bool = False) -> None:
-        self.outage_aware = outage_aware
-
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        started: List[JobRequest] = []
-        free = state.free_processors
-        for request in state.queue:
-            if self.job_fits_now(state, request, free):
-                started.append(request)
-                free -= request.processors
-            else:
-                break  # strict FCFS: do not look past the blocked head
-        return started
+        return self.start_in_order(state, state.queue, True)
 
 
 @register_scheduler("first-fit")
@@ -46,14 +40,5 @@ class FirstFitScheduler(Scheduler):
 
     name = "first-fit"
 
-    def __init__(self, outage_aware: bool = False) -> None:
-        self.outage_aware = outage_aware
-
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        started: List[JobRequest] = []
-        free = state.free_processors
-        for request in state.queue:
-            if self.job_fits_now(state, request, free):
-                started.append(request)
-                free -= request.processors
-        return started
+        return self.start_in_order(state, state.queue, False)

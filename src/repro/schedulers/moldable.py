@@ -46,6 +46,7 @@ class MoldableScheduler(Scheduler):
         estimate_factor: float = 2.0,
         outage_aware: bool = False,
     ) -> None:
+        super().__init__(outage_aware)
         if not 0 < efficiency_threshold <= 1.0:
             raise ValueError("efficiency_threshold must be in (0, 1]")
         if estimate_factor < 1.0:
@@ -53,7 +54,6 @@ class MoldableScheduler(Scheduler):
         self.moldable_jobs = dict(moldable_jobs)
         self.efficiency_threshold = efficiency_threshold
         self.estimate_factor = estimate_factor
-        self.outage_aware = outage_aware
 
     # ------------------------------------------------------------------
     def _choose_allocation(self, moldable: MoldableJob, free: int) -> Optional[int]:

@@ -2,15 +2,19 @@
 
 These policies re-order the wait queue by a priority key before applying the
 same start rule as FCFS (strict: the highest-priority job blocks) or
-first-fit (greedy).  They exist mainly as comparison points for the metric-
-and objective-sensitivity experiments (E3/E4): re-ordering policies trade the
+first-fit (greedy),
+:meth:`Scheduler.start_in_order <repro.schedulers.base.Scheduler.start_in_order>`.
+Each order is one :meth:`PriorityScheduler.key` method and a class-level
+``name``.  They exist mainly as comparison points for the metric- and
+objective-sensitivity experiments (E3/E4): re-ordering policies trade the
 fairness of FCFS for better packing or better mean response time, and which
 of them "wins" depends strongly on the metric — which is the paper's point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from abc import abstractmethod
+from typing import List
 
 from repro.api.registry import register_scheduler
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
@@ -27,113 +31,80 @@ __all__ = [
 
 
 class PriorityScheduler(Scheduler):
-    """Order the queue by ``key`` (ascending) and start jobs greedily or strictly.
+    """Order the queue by :meth:`key` (ascending) and start jobs greedily or strictly.
 
     Parameters
     ----------
-    key:
-        Priority function of a :class:`JobRequest` and the current state;
-        smaller values start earlier.
     strict:
         If true, the highest-priority unstartable job blocks the rest of the
         queue (like FCFS); if false, later jobs that fit may start (greedy).
-    name:
-        Policy name for reports.
+    outage_aware:
+        As for every :class:`~repro.schedulers.base.Scheduler`.
     """
 
-    def __init__(
-        self,
-        key: Callable[[JobRequest, SchedulerState], float],
-        strict: bool = False,
-        name: str = "priority",
-        outage_aware: bool = False,
-    ) -> None:
-        self._key = key
+    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
+        super().__init__(outage_aware)
         self.strict = strict
-        self.name = name
-        self.outage_aware = outage_aware
 
-    def ordered_queue(self, state: SchedulerState) -> List[JobRequest]:
-        """The queue sorted by priority (ties broken by arrival order)."""
-        return sorted(
-            state.queue, key=lambda r: (self._key(r, state), r.submit_time, r.job_id)
-        )
+    @abstractmethod
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        """The job's priority; smaller values start earlier."""
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        started: List[JobRequest] = []
-        free = state.free_processors
-        for request in self.ordered_queue(state):
-            if self.job_fits_now(state, request, free):
-                started.append(request)
-                free -= request.processors
-            elif self.strict:
-                break
-        return started
+        key = self.key
+        # Ties are broken by arrival order.
+        ordered = sorted(state.queue, key=lambda r: (key(r, state), r.submit_time, r.job_id))
+        return self.start_in_order(state, ordered, self.strict)
 
 
 @register_scheduler("sjf")
 class ShortestJobFirstScheduler(PriorityScheduler):
     """Shortest estimated runtime first (classic SJF on user estimates)."""
 
-    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
-        super().__init__(
-            key=lambda r, s: r.estimate,
-            strict=strict,
-            name="sjf",
-            outage_aware=outage_aware,
-        )
+    name = "sjf"
+
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        return request.estimate
 
 
 @register_scheduler("ljf")
 class LongestJobFirstScheduler(PriorityScheduler):
     """Longest estimated runtime first (the adversarial counterpart of SJF)."""
 
-    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
-        super().__init__(
-            key=lambda r, s: -r.estimate,
-            strict=strict,
-            name="ljf",
-            outage_aware=outage_aware,
-        )
+    name = "ljf"
+
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        return -request.estimate
 
 
 @register_scheduler("narrowest-first")
 class NarrowestFirstScheduler(PriorityScheduler):
     """Fewest requested processors first (favours small jobs, packs well)."""
 
-    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
-        super().__init__(
-            key=lambda r, s: r.processors,
-            strict=strict,
-            name="narrowest-first",
-            outage_aware=outage_aware,
-        )
+    name = "narrowest-first"
+
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        return request.processors
 
 
 @register_scheduler("widest-first")
 class WidestFirstScheduler(PriorityScheduler):
     """Most requested processors first (drains large jobs early)."""
 
-    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
-        super().__init__(
-            key=lambda r, s: -r.processors,
-            strict=strict,
-            name="widest-first",
-            outage_aware=outage_aware,
-        )
+    name = "widest-first"
+
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        return -request.processors
 
 
 @register_scheduler("smallest-area-first")
 class SmallestAreaFirstScheduler(PriorityScheduler):
     """Smallest processors x estimated-runtime product first."""
 
-    def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:
-        super().__init__(
-            key=lambda r, s: r.processors * max(r.estimate, 1),
-            strict=strict,
-            name="smallest-area-first",
-            outage_aware=outage_aware,
-        )
+    name = "smallest-area-first"
+
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
+        return request.processors * max(request.estimate, 1)
 
 
 @register_scheduler("wfp")
@@ -148,15 +119,11 @@ class WFPScheduler(PriorityScheduler):
     """
 
     def __init__(self, exponent: float = 3.0, strict: bool = False, outage_aware: bool = False) -> None:
+        super().__init__(strict, outage_aware)
         self.exponent = exponent
-        super().__init__(
-            key=self._priority,
-            strict=strict,
-            name=f"wfp{exponent:g}",
-            outage_aware=outage_aware,
-        )
+        self.name = f"wfp{exponent:g}"
 
-    def _priority(self, request: JobRequest, state: SchedulerState) -> float:
+    def key(self, request: JobRequest, state: SchedulerState) -> float:
         waited = max(state.now - request.submit_time, 0.0)
         estimate = max(request.estimate, 1.0)
         score = ((waited / estimate) ** self.exponent) * (1.0 / max(request.processors, 1))
