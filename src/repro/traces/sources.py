@@ -46,6 +46,15 @@ _FILE_DIGEST_MEMO: Dict[Tuple[str, int, int], str] = {}
 
 def file_content_digest(path: str) -> str:
     """sha256 hex digest of the canonical bytes of the SWF file at ``path``."""
+    return _digest_and_parse(path)[0]
+
+
+def _digest_and_parse(path: str) -> Tuple[str, Optional[Workload]]:
+    """(digest, workload) of the SWF file at ``path``.
+
+    The workload is the parse the digest was computed from, or ``None`` when
+    the digest came from the memo and nothing was parsed.
+    """
     from repro.core.swf.parser import parse_swf
     from repro.core.swf.writer import canonical_swf_bytes
 
@@ -54,10 +63,11 @@ def file_content_digest(path: str) -> str:
     memo_key = (real, stat.st_mtime_ns, stat.st_size)
     cached = _FILE_DIGEST_MEMO.get(memo_key)
     if cached is not None:
-        return cached
-    digest = hashlib.sha256(canonical_swf_bytes(parse_swf(path))).hexdigest()
+        return cached, None
+    workload = parse_swf(path)
+    digest = hashlib.sha256(canonical_swf_bytes(workload)).hexdigest()
     _FILE_DIGEST_MEMO[memo_key] = digest
-    return digest
+    return digest, workload
 
 
 class TraceSource:
@@ -139,6 +149,8 @@ class SwfFileSource(TraceSource):
     at construction: a :class:`~repro.traces.trace.Trace` handle therefore
     pins the content it was built against, and rebuilding the handle after
     the file changed yields a different digest (never a stale cache hit).
+    When pinning the content parses the file, the first :meth:`materialize`
+    returns that parse instead of reading the file again, and drops it.
     """
 
     path: str
@@ -150,7 +162,15 @@ class SwfFileSource(TraceSource):
 
     def __post_init__(self) -> None:
         if not self.content:
-            object.__setattr__(self, "content", file_content_digest(self.path))
+            content, parsed = _digest_and_parse(self.path)
+            object.__setattr__(self, "content", content)
+            object.__setattr__(self, "_parsed", parsed)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The pinned parse is a one-time handoff, not part of the handle.
+        state = dict(self.__dict__)
+        state.pop("_parsed", None)
+        return state
 
     @property
     def label(self) -> str:
@@ -172,7 +192,8 @@ class SwfFileSource(TraceSource):
                 f"built (content {current[:12]} != pinned {self.content[:12]}); "
                 "rebuild the Trace to adopt the new content"
             )
-        return parse_swf(self.path)
+        parsed = self.__dict__.pop("_parsed", None)
+        return parsed if parsed is not None else parse_swf(self.path)
 
     def spec_token(self) -> Tuple[str, Dict[str, str]]:
         return self.path, {}

@@ -105,3 +105,29 @@ class TestFileContentAddressing:
         write_swf(edited, trace_file)
         with pytest.raises(ValueError, match="changed since"):
             handle.build()
+
+    def test_path_spec_is_parsed_once(self, trace_file, monkeypatch):
+        # Pinning the content parses the file; materializing hands that
+        # parse over instead of reading the file a second time.
+        from repro.api import Scenario, resolve_workload
+        from repro.core.swf import parser
+        from repro.traces import sources
+
+        calls = []
+        original = parser.parse_swf_stream
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_swf_stream", counting)
+        monkeypatch.setattr(sources, "_FILE_DIGEST_MEMO", {})
+        workload = resolve_workload(Scenario(workload=str(trace_file), load=None))
+        assert len(calls) == 1
+        assert workload == parse_swf(trace_file)
+
+    def test_handed_over_parse_is_dropped(self, trace_file):
+        source = SwfFileSource(str(trace_file))
+        first = source.materialize()
+        second = source.materialize()
+        assert first == second and first is not second
