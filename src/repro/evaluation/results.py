@@ -9,7 +9,7 @@ uniformly.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -19,7 +19,23 @@ from repro.core.swf.records import SWFJob
 __all__ = ["JobResult", "ResultColumns", "SimulationResult"]
 
 
-@dataclass(slots=True)
+def _slotted(cls: type) -> type:
+    """``cls`` rebuilt with ``__slots__`` for its fields.
+
+    What ``dataclass(slots=True)`` does, which Python 3.9 lacks: the class
+    attributes holding field defaults would clash with the slots, so they
+    are dropped; the generated ``__init__`` carries the defaults itself.
+    """
+    names = tuple(f.name for f in fields(cls))
+    namespace = {k: v for k, v in cls.__dict__.items() if k not in names}
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    namespace["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+
+@_slotted
+@dataclass
 class JobResult:
     """Outcome of one job in a simulation.
 
