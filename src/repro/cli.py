@@ -559,6 +559,15 @@ def _print_reports(results, metrics: Optional[str]) -> None:
     else:
         rows = [sr.row() for sr in results]
     print(format_table(rows))
+    for sr in results:
+        # A grid run counts its sites' unfinished jobs in its metadata.
+        stranded = sr.result.metadata.get("unfinished", len(sr.result.unfinished))
+        if stranded:
+            print(
+                f"{sr.scenario.label}: {stranded} jobs never finished; "
+                "the table counts finished jobs only",
+                file=sys.stderr,
+            )
 
 
 def _cmd_simulate(args) -> int:

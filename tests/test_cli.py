@@ -136,6 +136,44 @@ class TestGenerateAndSimulate:
         assert "did you mean" in capsys.readouterr().err
 
 
+class TestStrandedJobs:
+    GRID = "grid:meta=earliest-start,sites=3,reservations=true,local=conservative"
+
+    def test_simulate_reports_a_grid_runs_stranded_jobs(self, capsys):
+        # The sites never finish 426 of their local jobs; the table counts
+        # the finished ones only, so the count goes to stderr.
+        code = main(["simulate", "lublin99:jobs=200,seed=3", "--policy", self.GRID,
+                     "--machine-size", "64"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"lublin99:jobs=200,seed=3/{self.GRID}: 426 jobs never finished; "
+            "the table counts finished jobs only"
+        ]
+
+    def test_run_reports_each_stranding_scenario(self, tmp_path, capsys):
+        # Jobs 1 and 2 each wait for the other, so with dependencies honoured
+        # neither ever arrives.
+        trace = tmp_path / "cycle.swf"
+        write_swf(make_workload([make_job(1, preceding_job=2, think_time=0),
+                                 make_job(2, preceding_job=1, think_time=0),
+                                 make_job(3)]), trace)
+        scenarios = [
+            {"workload": str(trace), "policy": "fcfs", "name": "cycle",
+             "honor_dependencies": True},
+            {"workload": str(trace), "policy": "fcfs", "name": "plain"},
+        ]
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(scenarios))
+        assert main(["run", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["cycle: 2 jobs never finished; the table counts finished jobs only"]
+
+    def test_nothing_stranded_prints_nothing_to_stderr(self, trace_path, capsys):
+        assert main(["simulate", str(trace_path), "--policy", "easy"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRunScenarios:
     def test_run_scenario_file(self, trace_path, tmp_path, capsys):
         scenarios = [
