@@ -20,18 +20,15 @@ __all__ = ["JobResult", "ResultColumns", "SimulationResult"]
 
 
 def _slotted(cls: type) -> type:
-    """``cls`` rebuilt with ``__slots__`` for its fields.
+    """``cls`` rebuilt with slots for its fields, as 3.10's ``dataclass(slots=True)`` does.
 
-    What ``dataclass(slots=True)`` does, which Python 3.9 lacks: the class
-    attributes holding field defaults would clash with the slots, so they
-    are dropped; the generated ``__init__`` carries the defaults itself.
+    The class attributes holding field defaults would clash with the slots;
+    the generated ``__init__`` carries the defaults itself.
     """
     names = tuple(f.name for f in fields(cls))
-    namespace = {k: v for k, v in cls.__dict__.items() if k not in names}
-    namespace.pop("__dict__", None)
-    namespace.pop("__weakref__", None)
-    namespace["__slots__"] = names
-    return type(cls)(cls.__name__, cls.__bases__, namespace)
+    dropped = names + ("__dict__", "__weakref__")
+    namespace = {k: v for k, v in cls.__dict__.items() if k not in dropped}
+    return type(cls)(cls.__name__, cls.__bases__, dict(namespace, __slots__=names))
 
 
 @_slotted

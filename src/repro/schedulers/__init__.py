@@ -11,9 +11,7 @@ All space-sharing policies implement the
 :func:`repro.evaluation.simulate`; gang scheduling ships its own simulator
 because it time-slices rather than space-shares.  FCFS, first-fit, the
 priority orders and EASY's first phase share one start rule,
-:meth:`Scheduler.start_in_order <repro.schedulers.base.Scheduler.start_in_order>`:
-walk the jobs in an order and start each that fits now, stopping at the
-first misfit when strict.
+:meth:`~repro.schedulers.base.Scheduler.start_in_order`.
 """
 
 from repro.schedulers.base import (

@@ -216,10 +216,6 @@ class Scheduler(ABC):
     processors reported by the state; the driver enforces this and raises if
     a policy misbehaves, so policy bugs surface in tests rather than as
     silently wrong results.
-
-    The list policies (FCFS, first-fit, the priority orders, and EASY's
-    first phase) share one start rule, :meth:`start_in_order`: walk the jobs
-    in some order and start each that fits now.
     """
 
     #: human-readable policy name (used in experiment tables)
@@ -229,10 +225,9 @@ class Scheduler(ABC):
     #: registered policy classes declare ``"gang"`` or ``"grid"`` and are
     #: dispatched by :func:`repro.api.runner.run` to their own simulators.
     mode: str = "space"
-    #: if True, the policy consults the announced capacity (``state.calendar``)
-    outage_aware: bool = False
 
     def __init__(self, outage_aware: bool = False) -> None:
+        #: if True, the policy consults the announced capacity (``state.calendar``)
         self.outage_aware = outage_aware
 
     @abstractmethod
@@ -245,19 +240,16 @@ class Scheduler(ABC):
     def start_in_order(
         self, state: SchedulerState, ordered: Iterable[JobRequest], strict: bool
     ) -> List[JobRequest]:
-        """The jobs of ``ordered`` that start now, walked in that order.
+        """The start rule of the list policies: walk ``ordered``, start each job that fits now.
 
-        Each job that :meth:`job_fits_now` in the processors the jobs before
-        it left free starts.  A strict walk stops at the first job that does
-        not fit, which then blocks everything behind it: the started jobs are
-        exactly the first ``len(started)`` of ``ordered``.  A greedy walk
-        skips the misfit and goes on.
+        A job fits (:meth:`job_fits_now`) in what the jobs started before it
+        left free.  A strict walk stops at the first misfit, so the started
+        jobs are the first ``len(started)`` of ``ordered``; a greedy one skips it.
         """
         started: List[JobRequest] = []
         free = state.free_processors
-        fits = self.job_fits_now
         for request in ordered:
-            if fits(state, request, free):
+            if self.job_fits_now(state, request, free):
                 started.append(request)
                 free -= request.processors
             elif strict:

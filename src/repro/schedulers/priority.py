@@ -38,8 +38,6 @@ class PriorityScheduler(Scheduler):
     strict:
         If true, the highest-priority unstartable job blocks the rest of the
         queue (like FCFS); if false, later jobs that fit may start (greedy).
-    outage_aware:
-        As for every :class:`~repro.schedulers.base.Scheduler`.
     """
 
     def __init__(self, strict: bool = False, outage_aware: bool = False) -> None:

@@ -166,12 +166,6 @@ class SwfFileSource(TraceSource):
             object.__setattr__(self, "content", content)
             object.__setattr__(self, "_parsed", parsed)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # The pinned parse is a one-time handoff, not part of the handle.
-        state = dict(self.__dict__)
-        state.pop("_parsed", None)
-        return state
-
     @property
     def label(self) -> str:
         base = os.path.basename(self.path)
