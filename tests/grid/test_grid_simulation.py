@@ -267,3 +267,31 @@ class TestEveryLocalJobAccountedFor:
         assert [j.job_id for j in site_result.jobs] == [1, 2, 3]
         assert site_result.metadata["skipped_too_large"] == 3
         assert site_result.unfinished == []
+
+    @pytest.mark.parametrize("local", ["conservative", "easy"])
+    def test_every_grid_job_is_done_skipped_rejected_or_unfinished(self, local):
+        # The CI grid step's scenarios; with local conservative scheduling the
+        # co-allocation circular wait strands jobs, so ``unfinished`` may be
+        # nonzero, but no job may go missing.
+        result = run(
+            Scenario(
+                workload="lublin99:jobs=200,seed=3",
+                policy=f"grid:meta=earliest-start,sites=3,reservations=true,local={local}",
+                machine_size=64,
+            )
+        )
+        grid = result.grid
+        for site_result in grid.site_results.values():
+            accounted = (
+                len(site_result.jobs)
+                + site_result.metadata["skipped_too_large"]
+                + len(site_result.unfinished)
+            )
+            assert accounted == 200
+        accounted = (
+            len(grid.meta_results) + len(grid.rejected_meta_jobs) + len(grid.unfinished_meta_jobs)
+        )
+        assert accounted == 120
+        done = {r.job.job_id for r in grid.meta_results}
+        assert not done & set(grid.rejected_meta_jobs)
+        assert not done & set(grid.unfinished_meta_jobs)
