@@ -164,7 +164,7 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
 
     trace = trace_for_scenario(scenario, seed=seed)
     if trace is not None:
-        source = trace if scenario.workload.startswith("trace:") else trace.source
+        source = _trace_source(scenario, trace)
     else:
         name, kwargs = parse_spec(scenario.workload)
         jobs = kwargs.pop("jobs", scenario.jobs)
@@ -189,6 +189,15 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
                 "workload", name, model_registry.names() + sorted(ARCHIVES)
             )
     return _at_load(scenario, source.materialize())
+
+
+def _trace_source(scenario: Scenario, trace):
+    """What materializes ``trace`` for this scenario.
+
+    A ``trace:`` spec goes through the trace itself (and its cache), an SWF
+    path through its file source.
+    """
+    return trace if scenario.workload.startswith("trace:") else trace.source
 
 
 def _at_load(scenario: Scenario, workload: Workload) -> Workload:
@@ -236,7 +245,12 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
         key = ("trace", trace.digest)
     workload = _SHARED_WORKLOADS.get(key)
     if workload is None:
-        workload = resolve_workload(scenario.with_(load=None))
+        # Materialize through the handle the key came from: an SWF path's
+        # source hands over the parse its content pin already made.
+        if trace is not None:
+            workload = _trace_source(scenario, trace).materialize()
+        else:
+            workload = resolve_workload(scenario.with_(load=None))
         _SHARED_WORKLOADS[key] = workload
         held = sum(len(w) for w in _SHARED_WORKLOADS.values())
         while held > _SHARED_WORKLOADS_MAX_JOBS and len(_SHARED_WORKLOADS) > 1:
@@ -299,19 +313,23 @@ def run(
                     f"which does not support: {', '.join(unsupported)}"
                 )
 
-        if mode == "grid":
-            return _run_grid(scenario, policy, workload)
-
         timings: Dict[str, float] = {}
         phase_started = time.perf_counter()
         with trace_span("run.materialize", workload=scenario.workload):
-            materialized = (
-                resolve_workload(scenario) if workload is None else _at_load(scenario, workload)
-            )
+            if mode == "grid":
+                simulation = _grid_simulation(scenario, policy, workload)
+            else:
+                materialized = (
+                    resolve_workload(scenario) if workload is None else _at_load(scenario, workload)
+                )
         timings["materialize_seconds"] = time.perf_counter() - phase_started
         phase_started = time.perf_counter()
+        grid = None
         with trace_span("run.simulate", mode=mode):
-            if mode == "gang":
+            if mode == "grid":
+                grid = simulation.run()
+                result = _grid_merged_result(policy, grid)
+            elif mode == "gang":
                 result = simulate_gang(
                     materialized,
                     machine_size=scenario.machine_size,
@@ -347,14 +365,15 @@ def run(
             scenario=scenario,
             result=result,
             report=report,
+            grid=grid,
             timings=timings,
         )
 
 
-def _run_grid(
+def _grid_simulation(
     scenario: Scenario, policy: GridPolicy, workload: Optional[Workload]
-) -> ScenarioResult:
-    """Dispatch a grid-mode scenario to the multi-site simulator."""
+):
+    """A grid scenario's sites and meta stream, ready to run: its materialize phase."""
     from repro.grid.metaschedulers import (
         EarliestStartMetaScheduler,
         LeastLoadedMetaScheduler,
@@ -368,8 +387,6 @@ def _run_grid(
     from repro.grid.site import Site
     from repro.grid.workload import generate_meta_jobs
 
-    timings: Dict[str, float] = {}
-    phase_started = time.perf_counter()
     meta_classes = {
         "least-loaded": LeastLoadedMetaScheduler,
         "earliest-start": EarliestStartMetaScheduler,
@@ -407,7 +424,7 @@ def _run_grid(
         max_component_processors=max(1, machine_size // 2),
         seed=base_seed + _META_SEED_OFFSET,
     )
-    simulation = GridSimulation(
+    return GridSimulation(
         sites,
         meta_stream,
         meta_scheduler,
@@ -419,41 +436,28 @@ def _run_grid(
             "profile": ProfilePredictor,
         },
     )
-    timings["materialize_seconds"] = time.perf_counter() - phase_started
-    phase_started = time.perf_counter()
-    with trace_span("run.simulate", mode="grid"):
-        grid_result = simulation.run()
-    timings["simulate_seconds"] = time.perf_counter() - phase_started
 
+
+def _grid_merged_result(policy: GridPolicy, grid) -> SimulationResult:
+    """Every site's local jobs as one result, with the grid totals in its metadata."""
+    site_results = grid.site_results.values()
     merged_jobs = sorted(
-        (job for site in grid_result.site_results.values() for job in site.jobs),
+        (job for site in site_results for job in site.jobs),
         key=lambda j: (j.job_id, j.site or ""),
     )
-    result = SimulationResult(
+    return SimulationResult(
         scheduler_name=policy.name,
-        machine_size=sum(s.machine_size for s in sites),
+        machine_size=sum(site.machine_size for site in site_results),
         jobs=merged_jobs,
         metadata={
             "sites": policy.sites,
-            "meta_jobs_done": len(grid_result.meta_results),
-            "meta_unfinished": len(grid_result.unfinished_meta_jobs),
-            "skipped_too_large": sum(
-                site.metadata["skipped_too_large"] for site in grid_result.site_results.values()
-            ),
-            "unfinished": sum(len(site.unfinished) for site in grid_result.site_results.values()),
-            "mean_meta_wait": grid_result.mean_meta_wait(),
-            "wasted_node_seconds": grid_result.total_wasted_node_seconds(),
+            "meta_jobs_done": len(grid.meta_results),
+            "meta_unfinished": len(grid.unfinished_meta_jobs),
+            "skipped_too_large": sum(site.metadata["skipped_too_large"] for site in site_results),
+            "unfinished": sum(len(site.unfinished) for site in site_results),
+            "mean_meta_wait": grid.mean_meta_wait(),
+            "wasted_node_seconds": grid.total_wasted_node_seconds(),
         },
-    )
-    phase_started = time.perf_counter()
-    report = compute_metrics(result, tau=scenario.tau)
-    timings["metrics_seconds"] = time.perf_counter() - phase_started
-    return ScenarioResult(
-        scenario=scenario,
-        result=result,
-        report=report,
-        grid=grid_result,
-        timings=timings,
     )
 
 

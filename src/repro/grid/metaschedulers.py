@@ -7,8 +7,9 @@ information they use:
 * :class:`LeastLoadedMetaScheduler` — send the job to the site with the most
   free processors (ties broken by shortest queue); information-poor but
   cheap, the baseline;
-* :class:`EarliestStartMetaScheduler` — ask a queue-wait predictor for each
-  site and send the job where it is predicted to start soonest ("the
+* :class:`EarliestStartMetaScheduler` — ask the
+  :class:`~repro.grid.prediction.ProfilePredictor` for each site's wait and
+  send the job where it is predicted to start soonest ("the
   meta-scheduler needs information on how the machine schedulers are going to
   deal with its requests");
 * co-allocation planning, used by both policies: pick the sites for each
@@ -22,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.grid.prediction import WaitPredictor, ProfilePredictor
+from repro.grid.prediction import ProfilePredictor
 from repro.grid.site import MetaComponent, MetaJob
 from repro.schedulers.base import JobRequest, RunningJobInfo
 from repro.schedulers.freespace import FreeSpace
@@ -41,7 +42,9 @@ class SiteView:
     ``expected_end`` can lie before ``now`` for a meta component held for
     its partners; :meth:`FreeSpace.from_running
     <repro.schedulers.freespace.FreeSpace.from_running>` clamps it), and the
-    reservation calendar (as (start, end, processors) triples).
+    site's reservation calendar, the only record of its advance
+    reservations: a :class:`FreeSpace` whose slots below ``total`` are the
+    reserved processors.
     """
 
     name: str
@@ -51,13 +54,31 @@ class SiteView:
     now: float
     queued: List[JobRequest]
     running: List[RunningJobInfo]
-    reservations: List[Tuple[float, float, int]]
+    calendar: FreeSpace
 
     def guaranteed_profile(self) -> FreeSpace:
         """Future free-processor profile from running-job estimates and reservations."""
         profile = FreeSpace.from_running(self.total_processors, self.now, self.running)
-        for start, end, processors in self.reservations:
-            profile.reserve(start, end, processors)
+        total = self.calendar.total
+        for start, end, free in self.calendar.slots():
+            if free < total:
+                profile.reserve(start, end, total - free)
+        return profile
+
+    def queue_profile(self, reservations: bool) -> FreeSpace:
+        """The running profile with every queued job placed, in queue order.
+
+        Queued jobs hold earlier positions (the conservative assumption),
+        each clamped to the machine.  With ``reservations`` the walk starts
+        from :meth:`guaranteed_profile`, so the calendar is subtracted too.
+        """
+        total = self.total_processors
+        if reservations:
+            profile = self.guaranteed_profile()
+        else:
+            profile = FreeSpace.from_running(total, self.now, self.running)
+        for request in self.queued:
+            profile.place(min(request.processors, total), max(request.estimate, 1))
         return profile
 
     def earliest_guaranteed_start(self, processors: int, estimate: int) -> float:
@@ -69,10 +90,7 @@ class SiteView:
         """
         if processors > self.total_processors:
             return float("inf")
-        profile = self.guaranteed_profile()
-        for request in self.queued:
-            profile.place(min(request.processors, self.total_processors), max(request.estimate, 1))
-        return profile.earliest_start(processors, max(estimate, 1))
+        return self.queue_profile(reservations=True).earliest_start(processors, max(estimate, 1))
 
 
 class MetaScheduler(ABC):
@@ -107,10 +125,9 @@ class MetaScheduler(ABC):
                 f"meta job {job.job_id} needs {len(components)} sites but only "
                 f"{len(sites)} exist"
             )
-        eligible = [s for s in sites]
         mapping: Dict[str, MetaComponent] = {}
         if not use_reservations:
-            ordered = sorted(eligible, key=lambda s: (-s.free_processors, len(s.queued)))
+            ordered = sorted(sites, key=lambda s: (-s.free_processors, len(s.queued)))
             for component, site in zip(components, ordered):
                 if component.processors > site.total_processors:
                     raise ValueError(
@@ -124,7 +141,7 @@ class MetaScheduler(ABC):
         # site offering the earliest guaranteed start, then reserve at the
         # latest of those starts (everyone must begin together).
         starts: Dict[str, float] = {}
-        remaining = list(eligible)
+        remaining = list(sites)
         for component in components:
             best_site = None
             best_start = float("inf")
@@ -161,15 +178,8 @@ class EarliestStartMetaScheduler(MetaScheduler):
 
     name = "earliest-start"
 
-    def __init__(self, predictor_factory=ProfilePredictor) -> None:
-        self._predictor_factory = predictor_factory
-        self._predictors: Dict[str, WaitPredictor] = {}
-
-    def predictor_for(self, site_name: str) -> WaitPredictor:
-        """The per-site predictor (created on first use, learns from observations)."""
-        if site_name not in self._predictors:
-            self._predictors[site_name] = self._predictor_factory()
-        return self._predictors[site_name]
+    #: stateless, so one instance serves every site
+    _predictor = ProfilePredictor()
 
     def choose_site(self, job: MetaJob, sites: Sequence[SiteView]) -> str:
         component = job.components[0]
@@ -179,16 +189,7 @@ class EarliestStartMetaScheduler(MetaScheduler):
         best_site = eligible[0]
         best_wait = float("inf")
         for site in eligible:
-            predictor = self.predictor_for(site.name)
-            wait = predictor.predict_wait(
-                component.processors,
-                job.estimate,
-                site.now,
-                site.total_processors,
-                site.free_processors,
-                site.running,
-                site.queued,
-            )
+            wait = self._predictor.predict_wait(component.processors, job.estimate, site)
             if wait < best_wait:
                 best_wait = wait
                 best_site = site

@@ -16,8 +16,10 @@ least to most informed:
   estimates and the queued jobs ahead, and report when the hypothetical job
   would start under conservative-backfilling assumptions.
 
-Every predictor answers :meth:`predict_wait` and is updated with observed
-(job, wait) outcomes so E9 can score their accuracy.
+Every predictor answers ``predict_wait(processors, estimate, site)``, where
+``site`` is the :class:`~repro.grid.metaschedulers.SiteView` snapshot the
+meta-scheduler sees, and is updated with observed (job, wait) outcomes so E9
+can score their accuracy.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Tuple
 
-from repro.schedulers.base import JobRequest, RunningJobInfo
-from repro.schedulers.freespace import FreeSpace
+if TYPE_CHECKING:
+    from repro.grid.metaschedulers import SiteView
 
 __all__ = [
     "WaitPredictor",
@@ -45,17 +47,8 @@ class WaitPredictor(ABC):
     name: str = "predictor"
 
     @abstractmethod
-    def predict_wait(
-        self,
-        processors: int,
-        estimate: int,
-        now: float,
-        total_processors: int,
-        free_processors: int,
-        running: List[RunningJobInfo],
-        queued: List[JobRequest],
-    ) -> float:
-        """Predicted wait (seconds) for a job of ``processors``/``estimate`` submitted now."""
+    def predict_wait(self, processors: int, estimate: int, site: "SiteView") -> float:
+        """Predicted wait (seconds) of a ``processors``/``estimate`` job sent to ``site`` now."""
 
     def observe(self, processors: int, estimate: int, wait: float) -> None:
         """Record an observed (job, wait) outcome.  Default: no learning."""
@@ -71,7 +64,7 @@ class MeanWaitPredictor(WaitPredictor):
             raise ValueError("window must be >= 1")
         self._waits: Deque[float] = deque(maxlen=window)
 
-    def predict_wait(self, processors, estimate, now, total_processors, free_processors, running, queued) -> float:
+    def predict_wait(self, processors, estimate, site) -> float:
         if not self._waits:
             return 0.0
         return float(sum(self._waits) / len(self._waits))
@@ -100,7 +93,7 @@ class CategoryMeanPredictor(WaitPredictor):
         estimate_class = int(math.log10(max(estimate, 1)))
         return size_class, estimate_class
 
-    def predict_wait(self, processors, estimate, now, total_processors, free_processors, running, queued) -> float:
+    def predict_wait(self, processors, estimate, site) -> float:
         key = self._category(processors, estimate)
         if self._counts[key] > 0:
             return self._sums[key] / self._counts[key]
@@ -127,12 +120,10 @@ class ProfilePredictor(WaitPredictor):
 
     name = "profile"
 
-    def predict_wait(self, processors, estimate, now, total_processors, free_processors, running, queued) -> float:
-        profile = FreeSpace.from_running(total_processors, now, running)
-        for request in queued:
-            profile.place(min(request.processors, total_processors), max(request.estimate, 1))
-        start = profile.earliest_start(min(processors, total_processors), max(estimate, 1))
-        return max(0.0, start - now)
+    def predict_wait(self, processors, estimate, site) -> float:
+        profile = site.queue_profile(reservations=False)
+        start = profile.earliest_start(min(processors, site.total_processors), max(estimate, 1))
+        return max(0.0, start - site.now)
 
 
 def prediction_error_summary(pairs: List[Tuple[float, float]]) -> Dict[str, float]:

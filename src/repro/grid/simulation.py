@@ -27,7 +27,9 @@ outage-aware policies use (a reservation is, to the local scheduler,
 indistinguishable from an announced outage of the reserved processors): a
 reservation is reserved on the site's calendar when it is negotiated and
 released when it is claimed, just as the driver keeps its announced
-outages.
+outages.  The calendar is the only record of a reservation: the
+meta-scheduler reads it as ``SiteView.calendar``, and a claim releases the
+window its meta job's ``planned_start`` and ``estimate`` span.
 """
 
 from __future__ import annotations
@@ -73,14 +75,6 @@ class MetaJobResult:
     @property
     def wait_time(self) -> float:
         return self.start_time - self.submit_time
-
-    @property
-    def response_time(self) -> float:
-        return self.end_time - self.submit_time
-
-    def bounded_slowdown(self, tau: float = 10.0) -> float:
-        runtime = self.end_time - self.start_time
-        return max(1.0, self.response_time / max(runtime, tau))
 
     @property
     def reservation_late(self) -> bool:
@@ -144,9 +138,6 @@ class _SiteState:
         self.space = SpaceSharedMachine(
             Machine(size=site.machine_size), site.scheduler, sim
         )
-        #: (start, end, processors, meta_id) reservation calendar, each entry
-        #: also reserved on ``space.calendar`` until its claim
-        self.reservations: List[List[float]] = []
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
         #: local jobs no processor count fits on this site
@@ -162,7 +153,7 @@ class _SiteState:
             now=now,
             queued=space.queue,
             running=list(space.running.values()),
-            reservations=[(s, e, p) for s, e, p, _ in self.reservations],
+            calendar=space.calendar,
         )
 
 
@@ -306,20 +297,13 @@ class GridSimulation:
             for pname, per_site in self._predictors.items():
                 predictor = per_site[site_name]
                 meta_state.predictions[pname] = predictor.predict_wait(
-                    component.processors,
-                    job.estimate,
-                    view.now,
-                    view.total_processors,
-                    view.free_processors,
-                    view.running,
-                    view.queued,
+                    component.processors, job.estimate, view
                 )
 
         if meta_state.use_reservation and planned_start is not None:
             end = planned_start + job.estimate
             for site_name, component in mapping.items():
                 state = self.sites[site_name]
-                state.reservations.append([planned_start, end, component.processors, job.job_id])
                 state.space.calendar.reserve(planned_start, end, component.processors)
                 self._schedule_pass(site_name)
             self.sim.schedule_at(
@@ -337,15 +321,11 @@ class GridSimulation:
     def _on_reservation_claim(self, meta_id: int) -> None:
         """At the negotiated start time, convert reservations into queued components."""
         meta_state = self._meta_states[meta_id]
+        start = meta_state.planned_start
+        end = start + meta_state.job.estimate
         for site_name, component in meta_state.mapping.items():
             state = self.sites[site_name]
-            kept = []
-            for reservation in state.reservations:
-                if reservation[3] == meta_id:
-                    state.space.calendar.release(*reservation[:3])
-                else:
-                    kept.append(reservation)
-            state.reservations = kept
+            state.space.calendar.release(start, end, component.processors)
             # Reservation-backed components go to the head of the queue: the
             # site already drained capacity for them.
             state.space.submit(self._meta_request(meta_state.job, component, state.site), front=True)

@@ -1,11 +1,11 @@
 """repro.obs — zero-dependency observability: metrics, logs, profiles.
 
-Three small modules, one purpose — make every layer of the pipeline
+Six small modules, one purpose — make every layer of the pipeline
 measurable without adding a dependency:
 
 * :mod:`repro.obs.telemetry` — a :class:`Telemetry` registry of labelled
-  counters / gauges / fixed-bucket histograms for the serve daemon and the
-  dist workers.  A simulation's counters are a plain dict its driver owns.
+  counters / gauges / fixed-bucket histograms for the serve daemon.  A
+  simulation's counters are a plain dict its driver owns.
 * :mod:`repro.obs.prometheus` — text exposition (format 0.0.4) for the
   serve daemon's ``GET /v1/metrics``.
 * :mod:`repro.obs.log` — structured ``key=value`` (or JSON-lines) logging

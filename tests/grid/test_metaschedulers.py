@@ -9,13 +9,18 @@ from repro.grid import (
     LeastLoadedMetaScheduler,
     MetaComponent,
     MetaJob,
+    ProfilePredictor,
     SiteView,
 )
 from repro.schedulers.base import RunningJobInfo
+from repro.schedulers.freespace import FreeSpace
 from tests.schedulers.util import make_request
 
 
 def view(name, total=64, free=64, queued=(), running=(), reservations=(), now=0.0):
+    calendar = FreeSpace(total, now)
+    for start, end, processors in reservations:
+        calendar.reserve(start, end, processors)
     return SiteView(
         name=name,
         total_processors=total,
@@ -24,7 +29,7 @@ def view(name, total=64, free=64, queued=(), running=(), reservations=(), now=0.
         now=now,
         queued=list(queued),
         running=list(running),
-        reservations=list(reservations),
+        calendar=calendar,
     )
 
 
@@ -98,13 +103,6 @@ class TestEarliestStart:
         idle = view("idle", free=64)
         assert EarliestStartMetaScheduler().choose_site(meta_job(), [busy, idle]) == "idle"
 
-    def test_predictors_are_per_site(self):
-        scheduler = EarliestStartMetaScheduler()
-        a = scheduler.predictor_for("a")
-        b = scheduler.predictor_for("b")
-        assert a is not b
-        assert scheduler.predictor_for("a") is a
-
 
 class TestCoallocationPlanning:
     def test_without_reservations_assigns_distinct_sites(self):
@@ -165,3 +163,13 @@ class TestSiteViewProfiles:
 
     def test_infeasible_component_returns_infinity(self):
         assert view("a", total=16).earliest_guaranteed_start(32, 100) == float("inf")
+
+    def test_guarantee_subtracts_the_calendar_and_prediction_does_not(self):
+        # Overlapping holds: 40 + 40 of 64 processors reserved over [0, 500).
+        site = view("a", reservations=[(0.0, 500.0, 40), (100.0, 500.0, 40)])
+        assert site.earliest_guaranteed_start(32, 100) == pytest.approx(500.0)
+        assert ProfilePredictor().predict_wait(32, 100, site) == 0.0
+        queued = [make_request(1, 64, estimate=1000)]
+        site = view("b", queued=queued, reservations=[(1000.0, 1500.0, 48)])
+        assert site.earliest_guaranteed_start(32, 100) == pytest.approx(1500.0)
+        assert ProfilePredictor().predict_wait(32, 100, site) == pytest.approx(1000.0)

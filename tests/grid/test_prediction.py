@@ -8,22 +8,26 @@ from repro.grid import (
     CategoryMeanPredictor,
     MeanWaitPredictor,
     ProfilePredictor,
+    SiteView,
     prediction_error_summary,
 )
+from repro.schedulers.freespace import FreeSpace
 from tests.schedulers.util import make_request, make_state
 
 
 def predict(predictor, processors=8, estimate=600, state=None):
     state = state if state is not None else make_state(64)
-    return predictor.predict_wait(
-        processors,
-        estimate,
-        state.now,
-        state.total_processors,
-        state.free_processors,
-        state.running,
-        state.queue,
+    site = SiteView(
+        name="s",
+        total_processors=state.total_processors,
+        free_processors=state.free_processors,
+        speed=1.0,
+        now=state.now,
+        queued=list(state.queue),
+        running=list(state.running),
+        calendar=FreeSpace(state.total_processors, state.now),
     )
+    return predictor.predict_wait(processors, estimate, site)
 
 
 class TestMeanWaitPredictor:

@@ -587,9 +587,13 @@ class TestAnnouncedCapacity:
             class Recording(policy):
                 def select_jobs(self, state):
                     inner = state.min_capacity
-                    calendar = [tuple(r[:3]) for r in grid.sites[site_name].reservations]
-                    # The site keeps its calendar across passes; it must hold
-                    # what a rebuild from the reservation list would.
+                    calendar = [
+                        (start, end, size - free)
+                        for start, end, free in grid.sites[site_name].space.calendar.slots()
+                        if free < size
+                    ]
+                    # The site keeps its calendar across passes, advanced to
+                    # the pass; it must hold what a rebuild from its holds would.
                     rebuilt = FreeSpace(size, state.now)
                     for start, end, processors in calendar:
                         rebuilt.reserve(start, end, processors)

@@ -126,6 +126,29 @@ class TestFileContentAddressing:
         assert len(calls) == 1
         assert workload == parse_swf(trace_file)
 
+    def test_path_spec_is_parsed_once_on_the_suite_path(self, trace_file, monkeypatch):
+        # The memo key's handle pins the content; the workload is
+        # materialized through that same handle, not a second one.
+        from repro.api import Scenario, runner
+        from repro.core.swf import parser
+        from repro.traces import sources
+
+        calls = []
+        original = parser.parse_swf_stream
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_swf_stream", counting)
+        monkeypatch.setattr(sources, "_FILE_DIGEST_MEMO", {})
+        monkeypatch.setattr(runner, "_SHARED_WORKLOADS", {})
+        scenario = Scenario(workload=str(trace_file), load=0.5, machine_size=64)
+        workload = runner.resolve_workload_shared(scenario)
+        assert runner.resolve_workload_shared(scenario) is workload
+        assert len(calls) == 1
+        assert workload == parse_swf(trace_file)
+
     def test_handed_over_parse_is_dropped(self, trace_file):
         source = SwfFileSource(str(trace_file))
         first = source.materialize()
