@@ -164,7 +164,7 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
 
     trace = trace_for_scenario(scenario, seed=seed)
     if trace is not None:
-        source = _trace_source(scenario, trace)
+        source = trace if scenario.workload.startswith("trace:") else trace.source
     else:
         name, kwargs = parse_spec(scenario.workload)
         jobs = kwargs.pop("jobs", scenario.jobs)
@@ -189,15 +189,6 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
                 "workload", name, model_registry.names() + sorted(ARCHIVES)
             )
     return _at_load(scenario, source.materialize())
-
-
-def _trace_source(scenario: Scenario, trace):
-    """What materializes ``trace`` for this scenario.
-
-    A ``trace:`` spec goes through the trace itself (and its cache), an SWF
-    path through its file source.
-    """
-    return trace if scenario.workload.startswith("trace:") else trace.source
 
 
 def _at_load(scenario: Scenario, workload: Workload) -> Workload:
@@ -245,10 +236,10 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
         key = ("trace", trace.digest)
     workload = _SHARED_WORKLOADS.get(key)
     if workload is None:
-        # Materialize through the handle the key came from: an SWF path's
-        # source hands over the parse its content pin already made.
-        if trace is not None:
-            workload = _trace_source(scenario, trace).materialize()
+        if trace is not None and not scenario.workload.startswith("trace:"):
+            # An SWF path: materialize through the handle the key came from,
+            # whose source hands over the parse its content pin made.
+            workload = trace.source.materialize()
         else:
             workload = resolve_workload(scenario.with_(load=None))
         _SHARED_WORKLOADS[key] = workload
