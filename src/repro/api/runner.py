@@ -238,7 +238,9 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
     if workload is None:
         if trace is not None and not scenario.workload.startswith("trace:"):
             # An SWF path: materialize through the handle the key came from,
-            # whose source hands over the parse its content pin made.
+            # whose source hands over the parse its content pin made.  Other
+            # specs go through resolve_workload, the function perfbench's
+            # traced runs time as workload generation.
             workload = trace.source.materialize()
         else:
             workload = resolve_workload(scenario.with_(load=None))
