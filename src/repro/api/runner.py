@@ -150,7 +150,7 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
     The trace sources build the base workload.  A ``trace:`` spec
     materializes its :class:`~repro.traces.Trace` through the
     content-addressed trace cache, so repeated runs (and run_many workers)
-    parse one canonical SWF file instead of regenerating, bit for bit
+    load one cached trace instead of regenerating, bit for bit
     identically.  An SWF path is read by its file source; a model or archive
     spec builds its source from the name, ``jobs`` and ``seed``.
 

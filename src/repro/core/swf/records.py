@@ -11,8 +11,9 @@ and a job costs one small allocation.  There are two ways in.  The public
 constructor (``SWFJob(...)``, :meth:`SWFJob.from_fields`,
 :meth:`SWFJob.replace`, unpickling) coerces and checks every field;
 :meth:`SWFJob._from_trusted_fields` wraps 18 values that the caller has
-already validated — the parser, which checks each line once, and the
-transforms that derive fields from existing jobs.
+already validated — the parser, which checks each line once, the
+transforms that derive fields from existing jobs, and the trace cache's
+fields sidecar, which holds the fields of a strict parse.
 
 Besides the raw fields the class provides the derived quantities every
 evaluation needs (start time, end time, response time, slowdown, bounded
@@ -90,8 +91,9 @@ class SWFJob(_SWFFields):
 
         Skips every check — the caller must guarantee exactly 18 plain
         Python ints and a positive job number.  This is the hot-path
-        constructor for the parser and for columnar transforms, which derive
-        every value from fields of already-validated jobs.
+        constructor for the parser, for columnar transforms, which derive
+        every value from fields of already-validated jobs, and for the trace
+        cache's fields sidecar, which records a strict parse.
         """
         return tuple.__new__(cls, values)
 

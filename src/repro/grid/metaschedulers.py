@@ -20,7 +20,7 @@ information they use:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.grid.prediction import ProfilePredictor
@@ -45,6 +45,10 @@ class SiteView:
     site's reservation calendar, the only record of its advance
     reservations: a :class:`FreeSpace` whose slots below ``total`` are the
     reserved processors.
+
+    A view is built per meta arrival and not changed afterwards, so each
+    :meth:`queue_profile` walk is made once per flag and shared by every
+    caller that scores the view (site choice, then the wait predictors).
     """
 
     name: str
@@ -55,6 +59,9 @@ class SiteView:
     queued: List[JobRequest]
     running: List[RunningJobInfo]
     calendar: FreeSpace
+    _profiles: Dict[bool, FreeSpace] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def guaranteed_profile(self) -> FreeSpace:
         """Future free-processor profile from running-job estimates and reservations."""
@@ -71,7 +78,11 @@ class SiteView:
         Queued jobs hold earlier positions (the conservative assumption),
         each clamped to the machine.  With ``reservations`` the walk starts
         from :meth:`guaranteed_profile`, so the calendar is subtracted too.
+        The profile is memoized on the view: callers only query it.
         """
+        cached = self._profiles.get(reservations)
+        if cached is not None:
+            return cached
         total = self.total_processors
         if reservations:
             profile = self.guaranteed_profile()
@@ -79,6 +90,7 @@ class SiteView:
             profile = FreeSpace.from_running(total, self.now, self.running)
         for request in self.queued:
             profile.place(min(request.processors, total), max(request.estimate, 1))
+        self._profiles[reservations] = profile
         return profile
 
     def earliest_guaranteed_start(self, processors: int, estimate: int) -> float:

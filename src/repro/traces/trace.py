@@ -152,10 +152,11 @@ class Trace:
 
         ``cache=None`` uses the default cache (``$REPRO_TRACE_CACHE`` or
         ``~/.cache/repro-traces``); ``use_cache=False`` builds fresh and
-        leaves the cache untouched.  A hit parses the cached canonical SWF
-        file, which the round-trip property guarantees equals the freshly
-        built workload job-for-job — so cached and uncached runs simulate
-        identically.
+        leaves the cache untouched.  A hit serves the cached canonical SWF
+        file: loaded from its fields sidecar when one matches the file's
+        bytes, else parsed (which rewrites the sidecar).  The round-trip
+        property guarantees either equals the freshly built workload
+        job-for-job — so cached and uncached runs simulate identically.
         """
         if not use_cache:
             return self.build()

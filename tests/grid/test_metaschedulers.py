@@ -173,3 +173,23 @@ class TestSiteViewProfiles:
         site = view("b", queued=queued, reservations=[(1000.0, 1500.0, 48)])
         assert site.earliest_guaranteed_start(32, 100) == pytest.approx(1500.0)
         assert ProfilePredictor().predict_wait(32, 100, site) == pytest.approx(1000.0)
+
+    def test_each_queue_walk_is_made_once_per_view(self, monkeypatch):
+        walks = []
+        real = FreeSpace.from_running
+
+        def counting(*args, **kwargs):
+            walks.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(FreeSpace, "from_running", counting)
+        site = view("a", queued=[make_request(1, 64, estimate=1000)])
+        job = meta_job(components=(32,), estimate=100)
+        # Site choice, then the scoring predictor, on one arrival's view.
+        assert EarliestStartMetaScheduler().choose_site(job, [site]) == "a"
+        assert ProfilePredictor().predict_wait(32, 100, site) == pytest.approx(1000.0)
+        assert len(walks) == 1
+        assert site.earliest_guaranteed_start(32, 100) == pytest.approx(1000.0)
+        assert site.earliest_guaranteed_start(16, 100) == pytest.approx(1000.0)
+        assert len(walks) == 2
+        assert site.queue_profile(reservations=False) is site.queue_profile(reservations=False)
