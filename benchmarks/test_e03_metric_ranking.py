@@ -24,4 +24,4 @@ def test_e03_metric_dependent_ranking(run_once, show_table):
 
     # Shape: the two metrics do not always induce the same ranking (the
     # paper's motivating observation for standardizing the objective).
-    assert result.rankings_ever_disagree() or min(result.ranking_agreement.values()) < 1.0
+    assert min(result.ranking_agreement.values()) < 1.0

@@ -57,17 +57,6 @@ class GraphExecutionResult:
             return 0.0
         return max(e.finish for e in self.executions.values())
 
-    @property
-    def total_compute_seconds(self) -> float:
-        return sum(e.duration for e in self.executions.values())
-
-    def resource_busy_seconds(self) -> Dict[str, float]:
-        """Busy processor-seconds per resource."""
-        busy: Dict[str, float] = {}
-        for execution in self.executions.values():
-            busy[execution.resource] = busy.get(execution.resource, 0.0) + execution.duration
-        return busy
-
     def speedup_over_sequential(self, graph: ProgramGraph, system: MetaSystem) -> float:
         """Sequential time on the fastest single processor divided by the makespan."""
         fastest = max(r.speed for r in system.resources)

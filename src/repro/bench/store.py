@@ -21,19 +21,17 @@ releases never serve stale entries.
 from __future__ import annotations
 
 import json
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.api.scenario import Scenario
 from repro.metrics.basic import MetricsReport
-from repro.util import atomic_write, canonical_hash as _canonical_hash
+from repro.util import GCStats, atomic_write, default_root, gc_sweep
+from repro.util import canonical_hash as _canonical_hash
 
 __all__ = [
     "STORE_VERSION",
-    "GCStats",
     "ResultStore",
     "StoredResult",
     "result_key",
@@ -42,37 +40,6 @@ __all__ = [
     "default_store_root",
 ]
 
-
-@dataclass
-class GCStats:
-    """What one garbage-collection pass over a content store did.
-
-    Shared by the benchmark result store and the trace cache (both grow
-    without bound otherwise); ``removed`` maps each evicted key to the
-    reason it went (``stale``, ``expired``, ``corrupt``).
-    """
-
-    scanned: int = 0
-    kept: int = 0
-    freed_bytes: int = 0
-    removed: Dict[str, str] = field(default_factory=dict)
-    dry_run: bool = False
-
-    def summary(self) -> str:
-        reasons: Dict[str, int] = {}
-        for reason in self.removed.values():
-            reasons[reason] = reasons.get(reason, 0) + 1
-        breakdown = (
-            " (" + ", ".join(f"{n} {r}" for r, n in sorted(reasons.items())) + ")"
-            if reasons
-            else ""
-        )
-        verb = "would remove" if self.dry_run else "removed"
-        return (
-            f"scanned {self.scanned} entries: kept {self.kept}, {verb} "
-            f"{len(self.removed)}{breakdown}, "
-            f"{self.freed_bytes / 1024:.1f} KiB freed"
-        )
 
 #: Cache-format / simulator-semantics version; bump to invalidate the store.
 #: v2: MetricsReport gained the per-run ``counters`` dict — older entries
@@ -96,10 +63,7 @@ def code_version() -> str:
 
 def default_store_root() -> Path:
     """``$REPRO_BENCH_STORE`` if set, else ``~/.cache/repro-bench``."""
-    override = os.environ.get(STORE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-bench"
+    return default_root(STORE_ENV_VAR, "repro-bench")
 
 
 def result_key(scenario: Scenario, extra: Optional[Dict[str, Any]] = None) -> str:
@@ -164,8 +128,7 @@ class StoredResult:
 
     def to_record(self) -> Dict[str, Any]:
         # Preserve the recorded code version when re-serializing a loaded
-        # entry (the index rebuild does this); only stamp the current
-        # version on freshly produced results.
+        # entry; only stamp the current version on freshly produced results.
         return {
             "format": STORE_VERSION,
             "code": self.code or code_version(),
@@ -195,32 +158,17 @@ class StoredResult:
 class ResultStore:
     """Flat content-addressed file store: ``root/<key[:2]>/<key>.json``.
 
-    Writes go through a same-directory temp file + ``os.replace`` so a
-    killed run can never leave a half-written entry that later poisons the
-    cache.
-
-    Store-wide reads (``bench report``) go through an **index file**
-    (``root/index.json``) holding every entry's full record in one place,
-    so a report is one file read instead of thousands.  The index is
-    rebuilt lazily: ``put`` never touches it (concurrent writers would
-    race), and staleness is detected from shard-directory mtimes — any
-    entry written, rewritten, or deleted after the index bumps its shard's
-    mtime past the index's, and the next :meth:`entries` call rescans and
-    rewrites.
+    Each entry is exactly one file, and that file is its only record: no
+    store-wide index copies it, so nothing can disagree with it.  Writes go
+    through a same-directory temp file + ``os.replace`` so a killed run can
+    never leave a half-written entry that later poisons the cache.
     """
-
-    #: Name of the store-wide index file (lives directly under the root).
-    INDEX_NAME = "index.json"
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_store_root()
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
 
     def get(self, key: str) -> Optional[StoredResult]:
         """The stored result under ``key``, or None on miss/corrupt entry."""
@@ -241,10 +189,7 @@ class ResultStore:
 
         Atomic per-key publication means two processes sharing a store and
         racing on the same key each write a complete record — last replace
-        wins — instead of interleaving.  The index is deliberately *not*
-        updated here (concurrent writers would race on it); the write bumps
-        the shard directory's mtime, which the next :meth:`entries` call
-        detects as staleness.
+        wins — instead of interleaving.
         """
         path = self.path_for(entry.key)
         atomic_write(
@@ -266,97 +211,27 @@ class ResultStore:
     def __len__(self) -> int:
         """Number of entry files, counted directly off the shard directories.
 
-        Deliberately *not* ``entries()``: that forces a full index rebuild
-        (decoding every record) just to produce a count, which turns an
-        O(1)-ish progress probe into an O(store) scan — pathological once
-        multiple workers poll a shared store.  Corrupt files count here
-        (they occupy a key slot on disk); decode-level truth is what
-        ``__contains__`` and :meth:`entries` are for.
+        Deliberately *not* ``entries()``: that decodes every record just to
+        produce a count, which turns a cheap progress probe into an
+        O(store) scan — pathological once multiple workers poll a shared
+        store.  Corrupt files count here (they occupy a key slot on disk);
+        decode-level truth is what ``__contains__`` and :meth:`entries` are
+        for.
         """
-        if not self.root.is_dir():
-            return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
-    # ------------------------------------------------------------------
-    # store-wide reads via the lazy index
-    # ------------------------------------------------------------------
-    def _shard_mtimes(self) -> Dict[str, int]:
-        """Current ``{shard name: mtime_ns}`` of every two-character shard dir."""
-        if not self.root.is_dir():
-            return {}
-        mtimes: Dict[str, int] = {}
-        for path in self.root.iterdir():
-            if not path.is_dir() or len(path.name) != 2:
-                continue
-            try:
-                mtimes[path.name] = path.stat().st_mtime_ns
-            except OSError:  # deleted mid-listing: count it as churn
-                mtimes[path.name] = -1
-        return mtimes
+    def entries(self) -> Iterator[StoredResult]:
+        """Every readable entry in the store, in key order (``bench report`` input).
 
-    def _load_fresh_index(self) -> Optional[list]:
-        """The index records, or None when absent/stale/unreadable.
-
-        The index records the exact shard mtime map observed *before* its
-        scan started; it is fresh iff the current map is identical.  Any
-        entry written, rewritten, or deleted after that snapshot — including
-        one that lands mid-rebuild — changes its shard's mtime (or the shard
-        set) and invalidates the index, so a concurrent ``put`` can delay an
-        index's usefulness but never hide an entry behind a "fresh" one.
+        A scan of the entry files through :meth:`get`, so it sees every
+        ``put`` and deletion made before it and skips a corrupt entry
+        exactly as ``get`` would.
         """
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                index = json.load(handle)
-            records = index["entries"]
-            shards = index["shards"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if index.get("format") != STORE_VERSION or not isinstance(shards, dict):
-            return None
-        if self._shard_mtimes() != shards:
-            return None
-        return records
-
-    def rebuild_index(self) -> list:
-        """Scan every entry file and (re)write the index; returns the records."""
-        # Snapshot before scanning: a write that races the scan makes the
-        # recorded map stale relative to the post-write reality, forcing the
-        # next read to rescan instead of trusting a possibly-partial index.
-        shards = self._shard_mtimes()
-        records = []
         for path in sorted(self.root.glob("*/*.json")):
             entry = self.get(path.stem)
             if entry is not None:
-                records.append(entry.to_record())
-        index = {
-            "format": STORE_VERSION,
-            "shards": shards,
-            "entries": records,
-        }
-        atomic_write(self.index_path, json.dumps(index, sort_keys=True).encode("utf-8"))
-        return records
+                yield entry
 
-    def entries(self) -> Iterator[StoredResult]:
-        """Every readable entry in the store (``bench report`` input).
-
-        Served from the store-wide index when it is fresh; otherwise the
-        store is rescanned and the index rewritten.  A record that fails to
-        decode is skipped, exactly like a corrupt entry file.
-        """
-        if not self.root.is_dir():
-            return
-        records = self._load_fresh_index()
-        if records is None:
-            records = self.rebuild_index()
-        for record in records:
-            try:
-                yield StoredResult.from_record(record)
-            except (ValueError, KeyError, TypeError):
-                continue
-
-    # ------------------------------------------------------------------
-    # garbage collection
-    # ------------------------------------------------------------------
     def gc(
         self,
         max_age_days: Optional[float] = None,
@@ -370,51 +245,22 @@ class ResultStore:
         bump) — such entries can never be cache hits again, their keys embed
         the version; (b) ``max_age_days`` is set and the entry file is older;
         or (c) the file no longer parses.  ``dry_run`` reports without
-        deleting.  Empty shard directories are pruned, and the store-wide
-        index self-invalidates through the shard mtimes the deletions bump.
+        deleting.  The sweep itself is :func:`repro.util.gc_sweep`.
         """
-        stats = GCStats(dry_run=dry_run)
-        if not self.root.is_dir():
-            return stats
-        cutoff = (
-            time.time() - max_age_days * 86400.0
-            if max_age_days is not None
-            else None
-        )
         current = code_version()
-        shards: List[Path] = []
-        for path in sorted(self.root.glob("*/*.json")):
-            stats.scanned += 1
-            reason = None
+
+        def reason(path: Path) -> Optional[str]:
             entry = self.get(path.stem)
             if entry is None:
-                reason = "corrupt"
-            elif drop_stale and entry.code != current:
-                reason = "stale"
-            elif cutoff is not None:
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        reason = "expired"
-                except OSError:
-                    reason = "corrupt"
-            if reason is None:
-                stats.kept += 1
-                continue
-            stats.removed[path.stem] = reason
-            try:
-                stats.freed_bytes += path.stat().st_size
-            except OSError:
-                pass
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                shards.append(path.parent)
-        if not dry_run:
-            for shard in set(shards):
-                try:
-                    shard.rmdir()  # only succeeds when the shard emptied
-                except OSError:
-                    pass
-        return stats
+                return "corrupt"
+            if drop_stale and entry.code != current:
+                return "stale"
+            return None
+
+        return gc_sweep(
+            GCStats(dry_run=dry_run),
+            sorted(self.root.glob("*/*.json")),
+            reason,
+            lambda path: (path,),
+            max_age_days,
+        )

@@ -192,18 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="build fresh; leave the cache untouched"
     )
 
+    def _gc_common(sub_parser, things: str, generations: str) -> None:
+        sub_parser.add_argument(
+            "--max-age-days", type=float, default=None,
+            help=f"also evict {things} older than this many days",
+        )
+        sub_parser.add_argument(
+            "--keep-stale", action="store_true",
+            help=f"keep {things} from other {generations}",
+        )
+        sub_parser.add_argument("--dry-run", action="store_true", help="report without deleting")
+
     t_gc = trace_sub.add_parser(
         "gc", help="evict cached trace artifacts by age and stale format version"
     )
-    t_gc.add_argument(
-        "--max-age-days", type=float, default=None,
-        help="also evict artifacts older than this many days",
-    )
-    t_gc.add_argument(
-        "--keep-stale", action="store_true",
-        help="keep artifacts from other TRACE_FORMAT versions",
-    )
-    t_gc.add_argument("--dry-run", action="store_true", help="report without deleting")
+    _gc_common(t_gc, "artifacts", "TRACE_FORMAT versions")
     t_gc.add_argument(
         "--cache", default=None,
         help="trace-cache directory (default: $REPRO_TRACE_CACHE or ~/.cache/repro-traces)",
@@ -302,15 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     b_gc = bench_sub.add_parser(
         "gc", help="evict result-store entries by age and stale code version"
     )
-    b_gc.add_argument(
-        "--max-age-days", type=float, default=None,
-        help="also evict entries older than this many days",
-    )
-    b_gc.add_argument(
-        "--keep-stale", action="store_true",
-        help="keep entries from other code/STORE_VERSION generations",
-    )
-    b_gc.add_argument("--dry-run", action="store_true", help="report without deleting")
+    _gc_common(b_gc, "entries", "code/STORE_VERSION generations")
     b_gc.add_argument(
         "--store", default=None,
         help="result-store directory (default: $REPRO_BENCH_STORE or ~/.cache/repro-bench)",
@@ -613,19 +608,23 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
+def _gc(store, label: str, args) -> int:
+    """Run ``store.gc`` (result store or trace cache) with the shared gc flags."""
+    stats = store.gc(
+        max_age_days=args.max_age_days,
+        drop_stale=not args.keep_stale,
+        dry_run=args.dry_run,
+    )
+    print(f"{label} {store.root}: {stats.summary()}")
+    return 0
+
+
 def _cmd_trace(args) -> int:
     from repro.traces import TraceCache, trace_from_spec, trace_names, trace_registry
 
     try:
         if args.trace_command == "gc":
-            cache = TraceCache(args.cache)
-            stats = cache.gc(
-                max_age_days=args.max_age_days,
-                drop_stale=not args.keep_stale,
-                dry_run=args.dry_run,
-            )
-            print(f"trace cache {cache.root}: {stats.summary()}")
-            return 0
+            return _gc(TraceCache(args.cache), "trace cache", args)
 
         if args.trace_command == "ls":
             rows = []
@@ -811,12 +810,7 @@ def _cmd_bench(args) -> int:
             _write_text(args.json_out, to_json_text(comparison_json(result)))
             _write_text(args.markdown_out, comparison_markdown(result))
         elif args.bench_command == "gc":
-            stats = store.gc(
-                max_age_days=args.max_age_days,
-                drop_stale=not args.keep_stale,
-                dry_run=args.dry_run,
-            )
-            print(f"bench store {store.root}: {stats.summary()}")
+            _gc(store, "bench store", args)
         else:  # report
             text = report_from_store(
                 store,

@@ -21,6 +21,7 @@ useful when ingesting historical archive files with known quirks.
 
 from __future__ import annotations
 
+import gzip
 import io
 import os
 from dataclasses import dataclass, field
@@ -151,12 +152,14 @@ def parse_swf(
     strict: bool = True,
     with_report: bool = False,
 ):
-    """Parse an SWF file from disk.
+    """Parse an SWF file from disk; a ``.gz`` file is decompressed as it is read.
 
     Parameters
     ----------
     path:
-        File to read.
+        File to read (``.swf``, or ``.swf.gz`` as the Parallel Workloads
+        Archive ships them).  The workload is named after the file, less its
+        ``.swf``/``.swf.gz`` extension.
     strict:
         If true (default) malformed job lines raise :class:`SWFParseError`;
         otherwise they are skipped and recorded in the report.
@@ -164,8 +167,10 @@ def parse_swf(
         If true, return ``(workload, report)`` instead of just the workload.
     """
     path = os.fspath(path)
-    name = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as handle:
+    name = os.path.basename(path)
+    name = name[: -len(".swf.gz")] if name.endswith(".swf.gz") else os.path.splitext(name)[0]
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as handle:
         workload, report = parse_swf_stream(handle, name=name, strict=strict)
     if with_report:
         return workload, report

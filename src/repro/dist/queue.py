@@ -28,7 +28,6 @@ nothing but a rescan for missing keys.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -37,7 +36,7 @@ from repro.bench.runner import WorkUnit, _distinct, _expand
 from repro.bench.store import ResultStore
 from repro.bench.suite import BenchmarkSuite, get_suite
 from repro.obs.journal import JobJournal
-from repro.util import atomic_write
+from repro.util import atomic_write, default_root
 
 __all__ = [
     "QUEUE_ENV_VAR",
@@ -53,10 +52,7 @@ QUEUE_ENV_VAR = "REPRO_DIST_QUEUE"
 
 def default_queue_root() -> Path:
     """``$REPRO_DIST_QUEUE`` if set, else ``~/.cache/repro-dist``."""
-    override = os.environ.get(QUEUE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-dist"
+    return default_root(QUEUE_ENV_VAR, "repro-dist")
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,6 @@ class MetricRankingResult:
                 )
         return rows
 
-    def rankings_ever_disagree(self) -> bool:
-        """True if, at any load, the two metrics order the policies differently."""
-        return any(tau < 1.0 for tau in self.ranking_agreement.values())
-
     def backfilling_speedup_over_fcfs(self, load: float) -> float:
         """FCFS mean bounded slowdown divided by EASY's at the given load."""
         reports = {r.scheduler: r for r in self.reports[load]}

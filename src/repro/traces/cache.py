@@ -6,7 +6,11 @@ digest has up to three files:
 * ``<digest>.swf`` — the canonical SWF bytes: the file of record, and what
   the digest addresses;
 * ``<digest>.json`` — the meta file, recording the spec and name that
-  produced the entry (documentation for humans; the digest alone is the key);
+  produced the entry, its ``TRACE_FORMAT``, and the sha256 of the ``.swf``
+  bytes :meth:`TraceCache.put` wrote.  A hit serves the ``.swf`` only when
+  its bytes hash to that value, so a truncated, emptied or edited ``.swf``
+  — or a meta that is missing, unreadable or has no hash — is a miss, and
+  the entry is rebuilt;
 * ``<digest>.fields`` — the fields sidecar, a ``marshal`` blob of the header
   entries and job fields of the strict parse of the ``.swf``, stamped with
   its layout, ``TRACE_FORMAT``, ``marshal.version`` and the sha256 of the
@@ -20,7 +24,8 @@ digest has up to three files:
 Writes are atomic (same-directory temp file + ``os.replace``), so two
 processes materializing the same trace concurrently — exactly what
 ``run_many(workers=N)`` over a cold cache does — each publish a complete
-file and the last writer wins with identical bytes.
+file and the last writer wins with identical bytes.  :meth:`TraceCache.gc`
+evicts through the sweep the result store uses, :func:`repro.util.gc_sweep`.
 
 The root defaults to ``$REPRO_TRACE_CACHE`` or ``~/.cache/repro-traces``.
 """
@@ -33,7 +38,6 @@ import marshal
 import mmap
 import os
 import sys
-import time
 from array import array
 from itertools import chain
 from pathlib import Path
@@ -45,7 +49,7 @@ from repro.core.swf.parser import parse_swf_text
 from repro.core.swf.records import SWFJob
 from repro.core.swf.workload import Workload
 from repro.core.swf.writer import canonical_swf_bytes
-from repro.util import atomic_write
+from repro.util import GCStats, atomic_write, default_root, gc_sweep
 
 __all__ = ["TraceCache", "CACHE_ENV_VAR", "default_cache_root"]
 
@@ -55,10 +59,7 @@ CACHE_ENV_VAR = "REPRO_TRACE_CACHE"
 
 def default_cache_root() -> Path:
     """``$REPRO_TRACE_CACHE`` if set, else ``~/.cache/repro-traces``."""
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-traces"
+    return default_root(CACHE_ENV_VAR, "repro-traces")
 
 
 #: Layout of a fields sidecar's rows: one native-order int64 per field.  The
@@ -129,41 +130,58 @@ class TraceCache:
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).is_file()
 
+    def _read_meta(self, digest: str) -> Optional[dict]:
+        """The meta record of ``digest``, or None when it is missing or unreadable."""
+        try:
+            with open(self.meta_path_for(digest), "r", encoding="utf-8") as handle:
+                meta = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        return meta if isinstance(meta, dict) else None
+
     def get(self, digest: str, name: Optional[str] = None) -> Optional[Workload]:
         """The cached workload under ``digest``, or None on miss.
 
-        A cache file that fails to parse is treated as a miss (the caller
-        rebuilds and overwrites it), never as an error: a torn or truncated
-        entry must not be able to wedge every later run.
+        The ``.swf`` is served only when its bytes hash to the sha256 its
+        meta file records; anything else — a torn, truncated or edited
+        file, or a meta that is missing, unreadable or has no hash — is a
+        miss (the caller rebuilds and overwrites the entry), never an error
+        and never a wrong workload.
 
         The file is read through ``mmap``: canonical SWF bytes enter the OS
         page cache once per digest and are shared by every process on the
         host that maps them — a fleet of distributed workers replaying the
-        same trace pays for one resident copy, not one per worker.  Its
-        hash picks the fields sidecar, if one matches, over a parse.
+        same trace pays for one resident copy, not one per worker.  The
+        same hash picks the fields sidecar, if one matches, over a parse.
         """
-        path = self.path_for(digest)
+        meta = self._read_meta(digest)
+        recorded_sha = meta.get("sha256") if meta is not None else None
+        if not recorded_sha:
+            return None
         try:
-            with open(path, "rb") as handle:
+            with open(self.path_for(digest), "rb") as handle:
                 if os.fstat(handle.fileno()).st_size == 0:
                     # mmap cannot map an empty file.
-                    workload = self._load(digest, b"")
+                    workload = self._load(digest, b"", recorded_sha)
                 else:
                     with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                        workload = self._load(digest, view)
+                        workload = self._load(digest, view, recorded_sha)
         except (OSError, ValueError):
             return None
-        workload.name = name if name is not None else self._cached_name(digest)
+        workload.name = name if name is not None else str(meta.get("name", digest[:12]))
         self.hits += 1
         return workload
 
-    def _load(self, digest: str, swf) -> Workload:
+    def _load(self, digest: str, swf, recorded_sha: str) -> Workload:
         """The workload in ``swf`` (the entry's bytes): from the fields sidecar, else parsed.
 
-        A parse rewrites the sidecar from its result, so the next read of
-        the same bytes loads it.
+        Raises ``ValueError`` unless the bytes hash to ``recorded_sha``.  A
+        parse rewrites the sidecar from its result, so the next read of the
+        same bytes loads it.
         """
         swf_sha = hashlib.sha256(swf).hexdigest()
+        if swf_sha != recorded_sha:
+            raise ValueError(f"trace {digest[:12]}: .swf bytes do not match its meta file")
         fields_path = self.fields_path_for(digest)
         workload = _read_fields(fields_path, swf_sha)
         if workload is None:
@@ -171,24 +189,23 @@ class TraceCache:
             _write_fields(fields_path, swf_sha, workload)
         return workload
 
-    def _cached_name(self, digest: str) -> str:
-        try:
-            with open(self.meta_path_for(digest), "r", encoding="utf-8") as handle:
-                return str(json.load(handle).get("name", digest[:12]))
-        except (OSError, ValueError):
-            return digest[:12]
-
     def put(self, digest: str, workload: Workload, spec: str = "") -> Path:
-        """Persist ``workload`` in canonical form under ``digest``."""
+        """Persist ``workload`` in canonical form under ``digest``.
+
+        The meta file, which records the hash of the ``.swf`` bytes, is
+        written second: a ``.swf`` that lands without it is a miss.
+        """
         from repro.traces.trace import TRACE_FORMAT
 
         path = self.path_for(digest)
-        atomic_write(path, canonical_swf_bytes(workload))
+        data = canonical_swf_bytes(workload)
+        atomic_write(path, data)
         meta = {
             "digest": digest,
             "name": workload.name,
             "spec": spec,
             "format": TRACE_FORMAT,
+            "sha256": hashlib.sha256(data).hexdigest(),
         }
         atomic_write(
             self.meta_path_for(digest),
@@ -197,15 +214,12 @@ class TraceCache:
         self.misses += 1
         return path
 
-    # ------------------------------------------------------------------
-    # garbage collection
-    # ------------------------------------------------------------------
     def gc(
         self,
         max_age_days: Optional[float] = None,
         drop_stale: bool = True,
         dry_run: bool = False,
-    ):
+    ) -> GCStats:
         """Evict materialized traces by age and by stale ``TRACE_FORMAT``.
 
         A digest embeds the format version, so an artifact recorded under an
@@ -214,70 +228,34 @@ class TraceCache:
         ``drop_stale`` reclaims those.  ``max_age_days`` additionally evicts
         artifacts whose SWF file is older.  An evicted trace takes its meta
         file and fields sidecar with it, and a sidecar whose ``.swf`` is
-        gone is always removed (reason ``orphan``): nothing reads it.
-        Returns :class:`~repro.bench.store.GCStats`; ``dry_run`` only
-        reports.
+        gone is always removed (reason ``orphan``) by a second sweep:
+        nothing reads it.  ``dry_run`` only reports.  The sweep itself is
+        :func:`repro.util.gc_sweep`.
         """
-        from repro.bench.store import GCStats
         from repro.traces.trace import TRACE_FORMAT
 
-        stats = GCStats(dry_run=dry_run)
-        if not self.root.is_dir():
-            return stats
-        cutoff = (
-            time.time() - max_age_days * 86400.0
-            if max_age_days is not None
-            else None
-        )
-        for path in sorted(self.root.glob("*/*.swf")):
-            stats.scanned += 1
-            digest = path.stem
-            reason = None
-            try:
-                with open(self.meta_path_for(digest), "r", encoding="utf-8") as handle:
-                    meta = json.load(handle)
-                if not isinstance(meta, dict):
-                    raise ValueError("meta file is not an object")
-            except (OSError, ValueError):
-                if drop_stale:
-                    reason = "corrupt"
-            else:
-                if drop_stale and meta.get("format") != TRACE_FORMAT:
-                    reason = "stale"
-            if reason is None and cutoff is not None:
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        reason = "expired"
-                except OSError:
-                    reason = "corrupt"
-            if reason is None:
-                stats.kept += 1
-                continue
-            self._evict(stats, digest, reason)
-        for path in sorted(self.root.glob("*/*.fields")):
-            digest = path.stem
-            if digest in stats.removed or self.path_for(digest).exists():
-                continue
-            stats.scanned += 1
-            self._evict(stats, digest, "orphan")
-        return stats
+        def reason(path: Path) -> Optional[str]:
+            if not drop_stale:
+                return None
+            meta = self._read_meta(path.stem)
+            if meta is None:
+                return "corrupt"
+            return "stale" if meta.get("format") != TRACE_FORMAT else None
 
-    def _evict(self, stats, digest: str, reason: str) -> None:
-        """Remove every file of ``digest`` (unless ``stats.dry_run``), counting its bytes."""
-        stats.removed[digest] = reason
-        swf = self.path_for(digest)
-        for victim in (swf, self.meta_path_for(digest), self.fields_path_for(digest)):
-            try:
-                stats.freed_bytes += victim.stat().st_size
-            except OSError:
-                continue
-            if not stats.dry_run:
-                try:
-                    victim.unlink()
-                except OSError:
-                    pass
-        if not stats.dry_run:
-            try:
-                swf.parent.rmdir()  # only succeeds when the shard emptied
-            except OSError:
-                pass
+        def files(path: Path) -> tuple:
+            digest = path.stem
+            return (self.path_for(digest), self.meta_path_for(digest), self.fields_path_for(digest))
+
+        stats = gc_sweep(
+            GCStats(dry_run=dry_run),
+            sorted(self.root.glob("*/*.swf")),
+            reason,
+            files,
+            max_age_days,
+        )
+        orphans = [
+            path
+            for path in sorted(self.root.glob("*/*.fields"))
+            if path.stem not in stats.removed and not self.path_for(path.stem).exists()
+        ]
+        return gc_sweep(stats, orphans, lambda path: "orphan", files)

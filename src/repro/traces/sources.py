@@ -169,7 +169,10 @@ class SwfFileSource(TraceSource):
     @property
     def label(self) -> str:
         base = os.path.basename(self.path)
-        return base[: -len(".swf")] if base.endswith(".swf") else base
+        for extension in (".swf.gz", ".swf"):
+            if base.endswith(extension):
+                return base[: -len(extension)]
+        return base
 
     def identity(self, include_seed: bool = True) -> Dict[str, Any]:
         # Deliberately path-free: two copies of one trace share a digest,

@@ -1,8 +1,10 @@
-"""Small shared utilities: atomic writes, canonical hashing, path specs, lazy exports.
+"""Small shared utilities: content-store roots, atomic writes, gc sweeps,
+canonical hashing, path specs, lazy exports.
 
 These used to be re-implemented privately by the benchmark store, the trace
-cache, the runner and the lazy package ``__init__`` files; one copy each means a future fix (fsync discipline, a
-new trace extension) lands everywhere at once.
+cache, the work queue, the runner and the lazy package ``__init__`` files;
+one copy each means a future fix (fsync discipline, a new trace extension)
+lands everywhere at once.
 """
 
 from __future__ import annotations
@@ -12,10 +14,28 @@ import importlib
 import json
 import os
 import tempfile
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["atomic_write", "canonical_hash", "looks_like_swf_path", "lazy_exports"]
+__all__ = [
+    "default_root",
+    "atomic_write",
+    "GCStats",
+    "gc_sweep",
+    "canonical_hash",
+    "looks_like_swf_path",
+    "lazy_exports",
+]
+
+
+def default_root(env_var: str, name: str) -> Path:
+    """``$<env_var>`` if set, else ``~/.cache/<name>``: where a content store lives."""
+    override = os.environ.get(env_var)
+    if override:
+        return Path(override)
+    return Path.home() / ".cache" / name
 
 
 def atomic_write(path: Union[str, Path], data: bytes) -> None:
@@ -50,6 +70,89 @@ def atomic_write(path: Union[str, Path], data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+@dataclass
+class GCStats:
+    """What one garbage-collection pass over a content store did.
+
+    Shared by the benchmark result store and the trace cache (both grow
+    without bound otherwise); ``removed`` maps each evicted key to the
+    reason it went (``stale``, ``expired``, ``corrupt``, ``orphan``).
+    """
+
+    scanned: int = 0
+    kept: int = 0
+    freed_bytes: int = 0
+    removed: Dict[str, str] = field(default_factory=dict)
+    dry_run: bool = False
+
+    def summary(self) -> str:
+        reasons: Dict[str, int] = {}
+        for reason in self.removed.values():
+            reasons[reason] = reasons.get(reason, 0) + 1
+        breakdown = (
+            " (" + ", ".join(f"{n} {r}" for r, n in sorted(reasons.items())) + ")"
+            if reasons
+            else ""
+        )
+        verb = "would remove" if self.dry_run else "removed"
+        return (
+            f"scanned {self.scanned} entries: kept {self.kept}, {verb} "
+            f"{len(self.removed)}{breakdown}, "
+            f"{self.freed_bytes / 1024:.1f} KiB freed"
+        )
+
+
+def gc_sweep(
+    stats: GCStats,
+    paths: Iterable[Path],
+    reason: Callable[[Path], Optional[str]],
+    files: Callable[[Path], Sequence[Path]],
+    max_age_days: Optional[float] = None,
+) -> GCStats:
+    """Evict the store entries at ``paths``, recording what went in ``stats``.
+
+    Each path is one entry's file of record, named ``<key>.<ext>`` inside a
+    shard directory.  ``reason(path)`` says why the entry goes (``None``
+    keeps it); a kept entry whose file is older than ``max_age_days`` goes
+    as ``expired``.  An evicted entry takes every file in ``files(path)``
+    with it, and their sizes count as freed.  ``stats.dry_run`` only
+    records.  Shard directories the sweep empties are removed.
+    """
+    cutoff = time.time() - max_age_days * 86400.0 if max_age_days is not None else None
+    shards = set()
+    for path in paths:
+        stats.scanned += 1
+        why = reason(path)
+        if why is None and cutoff is not None:
+            try:
+                if path.stat().st_mtime < cutoff:
+                    why = "expired"
+            except OSError:
+                why = "corrupt"
+        if why is None:
+            stats.kept += 1
+            continue
+        stats.removed[path.stem] = why
+        for victim in files(path):
+            try:
+                stats.freed_bytes += victim.stat().st_size
+            except OSError:
+                continue
+            if not stats.dry_run:
+                try:
+                    victim.unlink()
+                except OSError:
+                    pass
+        shards.add(path.parent)
+    if not stats.dry_run:
+        for shard in shards:
+            try:
+                shard.rmdir()  # only succeeds when the shard emptied
+            except OSError:
+                pass
+    return stats
 
 
 def canonical_hash(material: Dict[str, Any]) -> str:

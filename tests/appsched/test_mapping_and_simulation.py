@@ -164,8 +164,6 @@ class TestExecutionSimulator:
         system = two_resource_system()
         result = simulate_mapping(graph, system, MinMinMapper().map(graph, system))
         assert result.speedup_over_sequential(graph, system) >= 1.0
-        busy = result.resource_busy_seconds()
-        assert sum(busy.values()) == pytest.approx(result.total_compute_seconds)
 
     def test_makespan_never_below_critical_path_on_reference_speed(self):
         graph = master_worker(workers=6)

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from repro.api import Scenario, run
-from repro.bench.store import GCStats, ResultStore, StoredResult, result_key
+from repro.bench.store import ResultStore, StoredResult, result_key
+from repro.util import GCStats
 
 
 @pytest.fixture(scope="module")

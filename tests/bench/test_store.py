@@ -147,7 +147,9 @@ class TestMetricsReportJson:
             type(report).from_json(incomplete)
 
 
-class TestStoreIndex:
+class TestEntries:
+    """``entries()`` scans the entry files: each entry is stored once, in its file."""
+
     def _put(self, store, scenario, report, seed):
         key = result_key(scenario.with_(seed=seed))
         store.put(
@@ -158,24 +160,7 @@ class TestStoreIndex:
         )
         return key
 
-    def test_entries_builds_the_index_lazily(self, tmp_path, scenario_and_report):
-        scenario, report = scenario_and_report
-        store = ResultStore(tmp_path)
-        keys = {self._put(store, scenario, report, seed) for seed in (1, 2, 3)}
-        assert not store.index_path.exists()
-        assert {e.key for e in store.entries()} == keys
-        assert store.index_path.exists()
-
-    def test_fresh_index_is_reused_not_rebuilt(self, tmp_path, scenario_and_report):
-        scenario, report = scenario_and_report
-        store = ResultStore(tmp_path)
-        self._put(store, scenario, report, 1)
-        list(store.entries())
-        stamp = store.index_path.stat().st_mtime_ns
-        assert len(list(store.entries())) == 1
-        assert store.index_path.stat().st_mtime_ns == stamp
-
-    def test_new_entry_staleness_is_detected(self, tmp_path, scenario_and_report):
+    def test_entries_sees_a_put_at_once(self, tmp_path, scenario_and_report):
         scenario, report = scenario_and_report
         store = ResultStore(tmp_path)
         self._put(store, scenario, report, 1)
@@ -183,7 +168,7 @@ class TestStoreIndex:
         key = self._put(store, scenario, report, 2)
         assert key in {e.key for e in store.entries()}
 
-    def test_deleted_entry_staleness_is_detected(self, tmp_path, scenario_and_report):
+    def test_entries_sees_a_deletion_at_once(self, tmp_path, scenario_and_report):
         import os
 
         scenario, report = scenario_and_report
@@ -194,46 +179,31 @@ class TestStoreIndex:
         os.unlink(store.path_for(drop))
         assert {e.key for e in store.entries()} == {keep}
 
-    def test_corrupt_index_triggers_rescan(self, tmp_path, scenario_and_report):
+    def test_entries_match_a_direct_scan(self, tmp_path, scenario_and_report):
+        scenario, report = scenario_and_report
+        store = ResultStore(tmp_path)
+        keys = sorted(self._put(store, scenario, report, seed) for seed in (7, 8, 9))
+        scanned = list(store.entries())
+        assert [e.key for e in scanned] == keys
+        assert scanned == [store.get(key) for key in keys]
+
+    def test_one_file_per_entry_and_no_store_wide_file(self, tmp_path, scenario_and_report):
+        scenario, report = scenario_and_report
+        store = ResultStore(tmp_path)
+        keys = {self._put(store, scenario, report, seed) for seed in (1, 2, 3)}
+        list(store.entries())
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert sorted(files) == sorted(store.path_for(key) for key in keys)
+
+    def test_corrupt_entries_and_a_stray_root_file_are_skipped(self, tmp_path, scenario_and_report):
         scenario, report = scenario_and_report
         store = ResultStore(tmp_path)
         key = self._put(store, scenario, report, 1)
-        list(store.entries())
-        store.index_path.write_text("{broken", encoding="utf-8")
+        broken = self._put(store, scenario, report, 2)
+        store.path_for(broken).write_text("{broken", encoding="utf-8")
+        (tmp_path / "index.json").write_text("{}", encoding="utf-8")
         assert [e.key for e in store.entries()] == [key]
 
-    def test_index_content_matches_a_direct_scan(self, tmp_path, scenario_and_report):
-        scenario, report = scenario_and_report
-        store = ResultStore(tmp_path)
-        self._put(store, scenario, report, 7)
-        indexed = list(store.entries())
-        direct = [store.get(e.key) for e in indexed]
-        assert indexed == direct
-
-    def test_recorded_shard_mtimes_must_match_current(self, tmp_path, scenario_and_report):
-        # The index snapshots shard mtimes before scanning; an entry that
-        # lands mid-rebuild leaves the recorded map stale relative to the
-        # current one, which must force a rescan (never a "fresh" index that
-        # silently hides the entry).
-        scenario, report = scenario_and_report
-        store = ResultStore(tmp_path)
-        key = self._put(store, scenario, report, 1)
-        list(store.entries())
-        index = json.loads(store.index_path.read_text())
-        index["shards"] = {name: mtime - 1 for name, mtime in index["shards"].items()}
-        store.index_path.write_text(json.dumps(index))
-        assert store._load_fresh_index() is None
-        assert [e.key for e in store.entries()] == [key]
-
-    def test_rebuild_preserves_recorded_code_versions(self, tmp_path, scenario_and_report, monkeypatch):
-        scenario, report = scenario_and_report
-        store = ResultStore(tmp_path)
-        key = self._put(store, scenario, report, 1)
-        original = store.get(key).code
-        store.rebuild_index()
-        monkeypatch.setattr("repro.bench.store.STORE_VERSION", "v999")
-        # Re-serializing a loaded entry must keep its original code version,
-        # not launder it into the current one.
-        entry = next(iter(StoredResult.from_record(r) for r in json.loads(
-            store.index_path.read_text())["entries"]))
-        assert entry.code == original
+    def test_missing_root_has_no_entries(self, tmp_path):
+        store = ResultStore(tmp_path / "never-created")
+        assert list(store.entries()) == [] and len(store) == 0

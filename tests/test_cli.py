@@ -102,6 +102,20 @@ class TestGenerateAndSimulate:
         assert "easy-backfill" in out
         assert "utilization" in out
 
+    def test_simulate_reads_a_gzipped_trace(self, trace_path, tmp_path, capsys):
+        import gzip
+
+        packed = tmp_path / "trace.swf.gz"
+        packed.write_bytes(gzip.compress(trace_path.read_bytes()))
+        def rows():
+            # Every cell after the scenario label, which names the file.
+            return [line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:]]
+
+        assert main(["simulate", str(trace_path), "--policy", "fcfs"]) == 0
+        plain = rows()
+        assert main(["simulate", str(packed), "--policy", "fcfs"]) == 0
+        assert rows() == plain and len(plain) == 1
+
     def test_simulate_scheduler_flag_is_an_alias(self, trace_path, capsys):
         assert main(["simulate", str(trace_path), "--scheduler", "fcfs"]) == 0
         assert "fcfs" in capsys.readouterr().out

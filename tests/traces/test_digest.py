@@ -149,6 +149,25 @@ class TestFileContentAddressing:
         assert len(calls) == 1
         assert workload == parse_swf(trace_file)
 
+    def test_gzipped_copy_parses_equal_and_shares_the_digest(self, trace_file, tmp_path):
+        import gzip
+
+        from repro.api import Scenario, run
+        from repro.traces.sources import file_content_digest
+
+        packed = tmp_path / "trace.swf.gz"
+        packed.write_bytes(gzip.compress(trace_file.read_bytes()))
+        plain, unpacked = parse_swf(trace_file), parse_swf(packed)
+        assert unpacked == plain and unpacked.header.entries == plain.header.entries
+        assert unpacked.name == plain.name == "trace"
+        assert SwfFileSource(str(packed)).label == SwfFileSource(str(trace_file)).label == "trace"
+        assert file_content_digest(str(packed)) == file_content_digest(str(trace_file))
+        scenario = Scenario(workload=str(trace_file), policy="fcfs", load=None)
+        assert (
+            run(scenario.with_(workload=str(packed))).report.to_json()
+            == run(scenario).report.to_json()
+        )
+
     def test_handed_over_parse_is_dropped(self, trace_file):
         source = SwfFileSource(str(trace_file))
         first = source.materialize()

@@ -101,6 +101,70 @@ class TestMaterialization:
         assert meta["digest"] == trace.digest
 
 
+class TestSwfHashCheck:
+    """The meta file records the ``.swf``'s sha256; a ``.swf`` that does not match it is a miss."""
+
+    def _assert_rebuilt(self, cache, trace):
+        assert cache.get(trace.digest) is None
+        hits, misses = cache.hits, cache.misses
+        rebuilt = trace.materialize(cache=cache)
+        assert (cache.hits, cache.misses) == (hits, misses + 1)
+        assert rebuilt == trace.build()
+        assert rebuilt.header.entries == trace.build().header.entries
+        # The rebuild rewrote the entry, so it is a hit again.
+        assert cache.get(trace.digest) == rebuilt
+
+    def test_put_records_the_hash_of_the_swf_bytes(self, cache):
+        import hashlib
+        import json
+
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        meta = json.loads(cache.meta_path_for(trace.digest).read_text())
+        swf = cache.path_for(trace.digest).read_bytes()
+        assert meta["sha256"] == hashlib.sha256(swf).hexdigest()
+
+    @pytest.mark.parametrize("cut", [20, 1], ids=["last-20-lines", "last-line"])
+    def test_swf_truncated_at_a_line_boundary_is_a_miss(self, cache, cut):
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        cache.get(trace.digest)  # the fields sidecar of the whole file exists too
+        swf = cache.path_for(trace.digest)
+        lines = swf.read_text().splitlines(keepends=True)
+        swf.write_text("".join(lines[:-cut]))
+        assert parse_swf_text(swf.read_text())  # still a valid, shorter trace
+        self._assert_rebuilt(cache, trace)
+
+    def test_empty_swf_is_a_miss(self, cache):
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        cache.path_for(trace.digest).write_bytes(b"")
+        self._assert_rebuilt(cache, trace)
+
+    @pytest.mark.parametrize("meta_text", [None, "{broken", "[]"], ids=["missing", "unreadable", "not-an-object"])
+    def test_bad_meta_is_a_miss(self, cache, meta_text):
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        meta = cache.meta_path_for(trace.digest)
+        if meta_text is None:
+            meta.unlink()
+        else:
+            meta.write_text(meta_text)
+        self._assert_rebuilt(cache, trace)
+
+    def test_meta_without_a_hash_is_a_miss_and_rebuilt_with_one(self, cache):
+        import json
+
+        trace = trace_from_spec(SPEC)
+        trace.materialize(cache=cache)
+        meta_path = cache.meta_path_for(trace.digest)
+        meta = json.loads(meta_path.read_text())
+        del meta["sha256"]  # what entries written before the hash was recorded hold
+        meta_path.write_text(json.dumps(meta))
+        self._assert_rebuilt(cache, trace)
+        assert "sha256" in json.loads(meta_path.read_text())
+
+
 def _fresh_parse(cache, trace):
     """A strict parse of the entry's ``.swf`` as it is on disk now."""
     return parse_swf_text(cache.path_for(trace.digest).read_text(), name=trace.name)
@@ -171,7 +235,7 @@ class TestFieldsSidecar:
         _rewrite_record(cache.fields_path_for(trace.digest), index, value)
         self._assert_served_and_rewritten(cache, trace, parses)
 
-    def test_edited_swf_is_parsed_not_served_from_the_old_sidecar(self, cache, parses):
+    def test_edited_swf_is_a_miss_not_served_from_the_old_sidecar(self, cache, parses):
         trace = self._cached(cache)
         swf = cache.path_for(trace.digest)
         lines = swf.read_text().splitlines(keepends=True)
@@ -180,8 +244,11 @@ class TestFieldsSidecar:
         fields[4] = str(int(fields[4]) + 1)  # one job's processor count
         lines[job] = " ".join(fields) + "\n"
         swf.write_text("".join(lines))
-        self._assert_served_and_rewritten(cache, trace, parses)
-        assert cache.get(trace.digest) != trace.build()
+        before = len(parses)
+        assert cache.get(trace.digest) is None
+        assert len(parses) == before  # the hash check rejects it before any parse
+        assert trace.materialize(cache=cache) == trace.build()
+        assert cache.get(trace.digest) == trace.build()
 
     def test_sidecar_of_another_digest_is_a_sidecar_miss(self, cache, parses):
         trace = self._cached(cache)
