@@ -490,8 +490,11 @@ def _prewarm_traces(tasks) -> None:
     Without this, a cold trace cache makes every worker process rebuild and
     rewrite the same canonical SWF file (atomic writes keep that *correct*,
     but the build cost multiplies by the worker count).  Warming the cache in
-    the parent means workers only ever read.  Scenarios carrying an explicit
-    workload override never re-materialize, so they are skipped.
+    the parent means workers only ever read.  An entry counts as warm only
+    when :meth:`TraceCache.holds` it, the hash check a worker's read makes,
+    so a stale or truncated entry is rebuilt here, once.  Scenarios
+    carrying an explicit workload override never re-materialize, so they
+    are skipped.
     """
     cache = None
     warmed: set = set()
@@ -506,7 +509,7 @@ def _prewarm_traces(tasks) -> None:
         warmed.add(trace.digest)
         if cache is None:
             cache = TraceCache()
-        if trace.digest not in cache:
+        if not cache.holds(trace.digest):
             trace.materialize(cache=cache)
 
 

@@ -48,7 +48,10 @@ __all__ = [
 #: counter set changed (``slots_split``/``slots_merged``/``profile_patches``
 #: replace the per-pass ``profile_builds``) and metric aggregation moved to
 #: columnar float reductions, so cached reports differ in the last ulp.
-STORE_VERSION = "v3"
+#: v4: conservative backfilling keeps its plan across passes — schedules are
+#: bit-identical, but its ``slots_split``/``slots_merged``/``profile_patches``
+#: counts change and ``anchors_placed`` is new, under unchanged keys.
+STORE_VERSION = "v4"
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_BENCH_STORE"

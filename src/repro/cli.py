@@ -658,7 +658,7 @@ def _cmd_trace(args) -> int:
             return 2
         cache = TraceCache()
         if args.trace_command == "info":
-            cached = trace.digest in cache
+            cached = cache.holds(trace.digest)
             print(f"spec:    {trace.spec}")
             print(f"name:    {trace.name}")
             print(f"digest:  {trace.digest}")

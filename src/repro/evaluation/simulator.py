@@ -105,18 +105,13 @@ class SpaceSharedMachine:
             counters["jobs_started"] = self.jobs_started
         return counters
 
-    def profile(self) -> FreeSpace:
-        """The running set's free space from now: the tracked slot set, read-only."""
-        return self.tracker.sync(self.sim.now, self.running.values())
-
     def schedule_pass(self) -> List[RunningJobInfo]:
         """Ask the policy for jobs to start now; start them and return their records.
 
         Each pass hands the policy a fresh :class:`SchedulerState`, built
         positionally (the pass runs once or twice per job, and keyword
-        binding costs twice as much).  Its ``profile`` is ``self.profile``
-        bound per pass, never stored: a stored bound method would make this
-        object a reference cycle that outlives its run.
+        binding costs twice as much), with the tracker that its
+        ``profile`` syncs.
         """
         queue = self.queue
         if not queue:
@@ -128,7 +123,7 @@ class SpaceSharedMachine:
         machine = self.machine
         free = machine.free_count()
         state = SchedulerState(
-            now, machine.size, free, queue, self.running.values(), self.calendar, self.profile, self.counts
+            now, machine.size, free, queue, self.running.values(), self.calendar, self.tracker, self.counts
         )
         selected = self.scheduler.select_jobs(state)
         if not selected:

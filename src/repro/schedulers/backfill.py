@@ -18,10 +18,12 @@ and user estimates).
 * **Conservative backfilling** (Mu'alem & Feitelson): every queued job
   receives a reservation when it arrives, and a job may be backfilled only
   if it delays *no* existing reservation; reservations are compressed when
-  a job ends early.  Implemented by anchoring jobs in queue order on a
-  per-pass copy of the running jobs'
-  :class:`~repro.schedulers.freespace.FreeSpace` slot set
-  (``SchedulerState.profile``, which the driver keeps across passes).
+  a job ends early.  Implemented by anchoring jobs in queue order on the
+  running jobs' :class:`~repro.schedulers.freespace.FreeSpace` slot set
+  (``SchedulerState.profile``, which the driver keeps across passes).  A
+  pass continues from the previous pass's placements, kept on the
+  driver's tracker, until an early completion, a kill or an announced
+  dip can move an anchor; then it re-plans from a fresh copy.
 
 Both use the user estimate, not the actual runtime, to compute reservations —
 as in production systems, over-estimates create backfill opportunities.
@@ -30,11 +32,13 @@ as in production systems, over-estimates create backfill opportunities.
 from __future__ import annotations
 
 from heapq import merge
-from typing import List
+from itertools import accumulate
+from operator import is_
+from typing import List, Tuple
 
 from repro.api.registry import register_scheduler
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
-from repro.schedulers.freespace import report_slot_stats
+from repro.schedulers.freespace import FreeSpace, Plan, report_slot_stats
 
 __all__ = ["EasyBackfillScheduler", "ConservativeBackfillScheduler"]
 
@@ -133,14 +137,57 @@ class EasyBackfillScheduler(Scheduler):
 class ConservativeBackfillScheduler(Scheduler):
     """Conservative backfilling: every queued job holds a reservation.
 
-    Each pass takes an O(slots) copy of the running jobs' profile
-    (``state.profile``), clamps it to the announced capacity calendar when
-    outage-aware, and places the queue in order: each job takes the
-    earliest anchor that fits around the running jobs and the jobs queued
-    before it, and starts if that anchor is now.  That is a from-scratch
-    re-plan at every pass, which is what compresses reservations when a
-    job ends early.  The policy keeps nothing between passes but its
-    options.
+    A pass places the queue in order on the running jobs' profile
+    (``state.profile``, clamped to the announced capacity calendar when
+    outage-aware): each job takes the earliest anchor that fits around the
+    running jobs and the jobs queued before it, and starts if that anchor
+    is now and it fits.  Two shortcuts leave the started set as it was:
+
+    * a pass whose free processors are fewer than the narrowest queued
+      job needs starts nothing and returns before reading the profile;
+    * the walk stops at the first queue position from which no remaining
+      job fits in the processors still free, since no job behind it can
+      start and its anchor only constrains the jobs behind it.
+
+    **The kept plan.**  A pass leaves its working profile and each job it
+    placed but did not start, with its anchor, on the driver's
+    :class:`~repro.schedulers.freespace.FreeSpaceTracker` (a
+    :class:`~repro.schedulers.freespace.Plan`).  The next pass continues
+    from it, reading the kept jobs' anchors and placing only the jobs
+    behind them, when all of these hold:
+
+    1. no window came back early since the plan's pass (the tracker drops
+       the plan on an early completion or a kill);
+    2. the policy is not outage-aware, or the calendar offers full
+       capacity over ``[now, now + horizon)`` both now and at the plan's
+       pass, so neither profile is clamped;
+    3. no placement in the plan overdrew a slot (``FreeSpace.overdrawn``,
+       the walk's no-fit fallback; while 2 holds, the profile's last slot
+       offers the whole machine, so this guards the argument below rather
+       than firing) and none had an estimate below 1 (``place`` reserves
+       at least one second, the tracker the raw estimate);
+    4. the queue starts with the plan's jobs, the same objects in the same
+       order, and every kept anchor is at or after ``now``.
+
+    Any other pass re-plans from a fresh copy of the profile, which is
+    what compresses reservations when a job ends early.
+
+    Why a kept anchor is still the earliest: without releases or clamps,
+    today's profile is the plan's base with the plan's started jobs added,
+    advanced to ``now``.  Those jobs were placed in the plan too, so the
+    kept profile holds the same function; only the order differs, as a
+    job backfilled from behind a kept job now sits in the base that job
+    is placed on.  Adding it moves no kept anchor.  It started only after
+    fitting around every reservation ahead of it, and no slot of the plan
+    is below zero, so the kept job still fits at its anchor.  A window
+    that was infeasible before the anchor stays infeasible when more
+    capacity is reserved.  Anchors at or after ``now`` see the same slots
+    in both profiles, so they reproduce the from-scratch walk, and so do
+    the placements made after them.
+
+    The policy object keeps nothing between passes but its options; a
+    hand-built state, which has no tracker, re-plans from scratch.  A
+    pass adds the jobs it placed to the ``anchors_placed`` counter.
     """
 
     name = "conservative-backfill"
@@ -151,24 +198,80 @@ class ConservativeBackfillScheduler(Scheduler):
         self.horizon = horizon
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
-        now = state.now
-        profile = state.profile.copy()
-        if self.outage_aware and state.calendar is not None:
-            profile.clamp_capacity(state.calendar, now + self.horizon)
-        started: List[JobRequest] = []
+        queue = state.queue
         free = state.free_processors
+        # least[i]: the fewest processors any job from queue position i on needs
+        least = list(accumulate(reversed([request.processors for request in queue]), min))
+        if not least or least[-1] > free:
+            return []
+        least.reverse()
+        now = state.now
+        profile, kept, anchors, keep = self._plan(state)
+        started: List[JobRequest] = []
+        waiting: List[JobRequest] = []  # placed, not started: the next plan's jobs
+        held: List[float] = []  # their anchors
         blocked = False  # has any earlier-queued job been held back?
-        backfilled = 0
+        backfilled = placed = 0
         place = profile.place
-        for request in state.queue:
-            anchor = place(request.processors, max(request.estimate, 1))
+        n_kept = len(kept)
+        for i, request in enumerate(queue):
+            if least[i] > free:
+                break
+            if i < n_kept:
+                anchor = anchors[i]
+            else:
+                estimate = request.estimate
+                if estimate < 1:
+                    estimate, keep = 1, False
+                anchor = place(request.processors, estimate)
+                placed += 1
             if anchor <= now and self.job_fits_now(state, request, free):
                 backfilled += blocked
                 started.append(request)
                 free -= request.processors
             else:
                 blocked = True
+                waiting.append(request)
+                held.append(anchor)
+        walked = len(started) + len(waiting)
+        if walked < n_kept:
+            # Kept jobs behind the stop stay placed.
+            waiting += kept[walked:]
+            held += anchors[walked:]
+        if state.tracker is not None:
+            state.tracker.plan = Plan(profile, waiting, held) if keep and not profile.overdrawn else None
+        counts = state.counts
         if backfilled:
-            state.counts["jobs_backfilled"] += backfilled
-        report_slot_stats(state.counts, profile)
+            counts["jobs_backfilled"] += backfilled
+        if placed:
+            counts["anchors_placed"] += placed
+        report_slot_stats(counts, profile)
         return started
+
+    def _plan(self, state: SchedulerState) -> Tuple[FreeSpace, list, List[float], bool]:
+        """(profile, kept jobs, their anchors, whether this pass may keep its plan).
+
+        The tracker's plan when it still holds (see the class docstring),
+        else a fresh copy of ``state.profile`` with no kept jobs.
+        """
+        now = state.now
+        profile = state.profile  # a sync drops the plan if a window came back early
+        tracker, calendar = state.tracker, state.calendar
+        clamp = self.outage_aware and calendar is not None
+        keep = tracker is not None and (
+            not clamp or calendar.min_free(now, now + self.horizon) >= state.total_processors
+        )
+        if keep and tracker.plan is not None:
+            kept = tracker.plan
+            queue = state.queue
+            if (
+                len(kept.jobs) <= len(queue)
+                and all(map(is_, kept.jobs, queue))
+                and (not kept.anchors or min(kept.anchors) >= now)
+            ):
+                kept.profile.advance(now)
+                return kept.profile, kept.jobs, kept.anchors, True
+        profile = profile.copy()
+        if clamp:
+            profile.clamp_capacity(calendar, now + self.horizon)
+        return profile, [], [], keep

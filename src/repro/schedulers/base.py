@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
-from repro.schedulers.freespace import FreeSpace
+from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.swf.workload import Workload
@@ -145,9 +145,12 @@ class SchedulerState:
     ``profile`` is the running jobs' free processors over future time, a
     read-only :class:`~repro.schedulers.freespace.FreeSpace` from ``now``:
     the driver's tracked slot set, which a policy copies before reserving
-    into it.  The driver passes a zero-argument callable, so policies that
-    never read it never pay for it; a hand-built state builds it from
-    ``running``.
+    into it.  The driver passes its
+    :class:`~repro.schedulers.freespace.FreeSpaceTracker` as ``tracker``,
+    synced on the first read of ``profile``, so policies that never read
+    it never pay for it; the tracker also holds what conservative
+    backfilling keeps between passes.  A hand-built state has no tracker
+    and builds the profile from ``running``.
 
     ``counts`` is where a policy adds its deterministic work counters
     (``shadow_scans``, ``jobs_backfilled``, ``slots_split``, ...): the
@@ -165,7 +168,7 @@ class SchedulerState:
         queue: List[JobRequest],
         running: Collection[RunningJobInfo],
         calendar: Optional[FreeSpace] = None,
-        profile: Optional[Callable[[], FreeSpace]] = None,
+        tracker: Optional[FreeSpaceTracker] = None,
         counts: Optional[Counter] = None,
     ) -> None:
         self.now = now
@@ -177,7 +180,8 @@ class SchedulerState:
             calendar.capacity if calendar is not None else lambda start, end: total_processors
         )
         self.calendar = calendar
-        self._profile: Union[FreeSpace, Callable[[], FreeSpace], None] = profile
+        self.tracker = tracker
+        self._profile: Optional[FreeSpace] = None
         self._completions: Optional[List[Tuple[float, int]]] = None
         self.counts = counts if counts is not None else Counter()
 
@@ -186,10 +190,11 @@ class SchedulerState:
         """The running jobs' free space from ``now``; read-only."""
         profile = self._profile
         if profile is None:
-            profile = FreeSpace.from_running(self.total_processors, self.now, self.running)
-        elif callable(profile):
-            profile = profile()
-        self._profile = profile
+            if self.tracker is None:
+                profile = FreeSpace.from_running(self.total_processors, self.now, self.running)
+            else:
+                profile = self.tracker.sync(self.now, self.running)
+            self._profile = profile
         return profile
 
     def expected_completions(self) -> List[Tuple[float, int]]:

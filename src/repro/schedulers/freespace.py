@@ -22,7 +22,9 @@ the style of OAR3's ``kamelot`` scheduler:
   reports each start and each completion or kill as ``(processors,
   expected_end)``; a pass that reads the profile brings it to ``now`` by
   patching only those windows.  Policies read it as
-  ``SchedulerState.profile`` and copy it before reserving.
+  ``SchedulerState.profile`` and copy it before reserving.  It also keeps
+  conservative backfilling's :class:`Plan` between passes, and drops it
+  when a window comes back early.
 
 Every "capacity over a window" question in the repository is answered by
 a :class:`FreeSpace`: the policies' free-processor profiles, the driver's
@@ -36,10 +38,10 @@ in ``tests/schedulers/test_freespace.py`` against a verbatim copy of the
 old implementation.
 
 The tracker and the conservative policy add deterministic counters
-(``slots_split``, ``slots_merged``, ``profile_patches``) derived only from
-simulated facts to the driver's counts dict, so they ride in
-``MetricsReport.counters`` bit-identically across serial and parallel
-runs.  A :class:`FreeSpace` itself only tallies its splits and merges;
+(``slots_split``, ``slots_merged``, ``profile_patches``,
+``anchors_placed``) derived only from simulated facts to the driver's
+counts dict, so they ride in ``MetricsReport.counters`` bit-identically
+across serial and parallel runs.  A :class:`FreeSpace` itself only tallies its splits and merges;
 capacity calendars never report them.
 """
 
@@ -47,9 +49,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-__all__ = ["FreeSpace", "FreeSpaceTracker", "report_slot_stats"]
+__all__ = ["FreeSpace", "FreeSpaceTracker", "Plan", "report_slot_stats"]
 
 
 class FreeSpace:
@@ -63,7 +65,7 @@ class FreeSpace:
     than the number of operations ever applied.
     """
 
-    __slots__ = ("total", "now", "_times", "_free", "splits", "merges")
+    __slots__ = ("total", "now", "_times", "_free", "splits", "merges", "overdrawn")
 
     def __init__(self, total_processors: int, now: float) -> None:
         if total_processors < 1:
@@ -75,6 +77,8 @@ class FreeSpace:
         #: slot splits/merges performed since the last :meth:`take_stats`
         self.splits = 0
         self.merges = 0
+        #: whether a :meth:`place` found no fit and reserved past the last boundary
+        self.overdrawn = False
 
     @classmethod
     def from_running(
@@ -99,6 +103,7 @@ class FreeSpace:
         fs._free = self._free[:]
         fs.splits = 0
         fs.merges = 0
+        fs.overdrawn = self.overdrawn
         return fs
 
     def take_stats(self) -> Tuple[int, int]:
@@ -256,6 +261,10 @@ class FreeSpace:
         one walk: every anchor the walk tries is a slot start, so the
         reservation begins on a boundary, and the slot where the window
         scan stopped is where its end goes.
+
+        When nothing fits, the walk's fallback anchors the request on the
+        last boundary anyway; the reservation then drives a slot below
+        zero and sets :attr:`overdrawn`.
         """
         anchor, index, scan = self._walk(processors, duration, self.now)
         end = anchor + duration
@@ -264,6 +273,8 @@ class FreeSpace:
                 raise ValueError("processors must be non-negative")
             return anchor
         times, free = self._times, self._free
+        if free[index] < processors:
+            self.overdrawn = True
         n = len(times)
         if scan == n or times[scan] != end:
             times.insert(scan, end)
@@ -370,6 +381,19 @@ class FreeSpace:
         return indices
 
 
+class Plan(NamedTuple):
+    """A conservative pass's placements, kept for the next pass.
+
+    ``profile`` is the pass's working slot set after its placements;
+    ``jobs`` are the queued jobs it placed but did not start, in queue
+    order, and ``anchors`` their anchors.
+    """
+
+    profile: FreeSpace
+    jobs: list
+    anchors: List[float]
+
+
 class FreeSpaceTracker:
     """The running set's :class:`FreeSpace`, patched from reported windows.
 
@@ -384,6 +408,17 @@ class FreeSpaceTracker:
     would build: both hold the same function, and a slot set with no two
     equal neighbours is unique.  The property tests assert it.
 
+    The tracker also keeps a conservative pass's :class:`Plan` for the
+    next pass (``plan``, set by
+    :class:`~repro.schedulers.backfill.ConservativeBackfillScheduler`), so
+    the policy object itself keeps nothing between passes.  A sync drops
+    the plan when any window came back early: a job that ended before
+    its expected end, whether it completed early, was killed, or started
+    after the plan's pass and ended before this sync.  The plan reserved
+    that capacity, so its anchors may no longer be the earliest.  A window
+    whose expected end has passed by the sync frees nothing from ``now``
+    on and leaves the plan alone.
+
     Nothing is recorded before the first sync, so an owner whose policy
     never reads the profile pays one method call per start or end.
 
@@ -391,11 +426,13 @@ class FreeSpaceTracker:
     slot set's splits and merges to ``counts``, the owner's counts dict.
     """
 
-    __slots__ = ("total", "counts", "_fs", "_started", "_ended")
+    __slots__ = ("total", "counts", "plan", "_fs", "_started", "_ended")
 
     def __init__(self, total_processors: int, counts: Counter) -> None:
         self.total = total_processors
         self.counts = counts
+        #: the last conservative pass's placements, while they still hold
+        self.plan: Optional[Plan] = None
         self._fs: Optional[FreeSpace] = None
         self._started: List[Tuple[int, float]] = []
         self._ended: List[Tuple[int, float]] = []
@@ -422,10 +459,13 @@ class FreeSpaceTracker:
             self._started, self._ended = [], []
             patches = 0
             for window in ended:
+                early = window[1] > now
+                if early:
+                    self.plan = None
                 if window in windows:
                     # Started and ended since the last sync: the two cancel.
                     windows.remove(window)
-                elif window[1] > now:
+                elif early:
                     fs.release(now, window[1], window[0])
                     patches += 1
             for processors, end in windows:

@@ -128,7 +128,25 @@ class TraceCache:
         return self.root / digest[:2] / f"{digest}.fields"
 
     def __contains__(self, digest: str) -> bool:
+        """Whether a ``.swf`` file exists under ``digest``; see :meth:`holds`."""
         return self.path_for(digest).is_file()
+
+    def holds(self, digest: str) -> bool:
+        """Whether :meth:`get` would serve ``digest``: its ``.swf`` hashes to its meta's sha256.
+
+        ``digest in cache`` only checks that the file exists, so it also
+        answers yes for an entry ``get`` treats as a miss (a meta without a
+        hash, a truncated or edited ``.swf``).
+        """
+        meta = self._read_meta(digest)
+        recorded_sha = meta.get("sha256") if meta is not None else None
+        if not recorded_sha:
+            return False
+        try:
+            with open(self.path_for(digest), "rb") as handle:
+                return hashlib.sha256(handle.read()).hexdigest() == recorded_sha
+        except OSError:
+            return False
 
     def _read_meta(self, digest: str) -> Optional[dict]:
         """The meta record of ``digest``, or None when it is missing or unreadable."""

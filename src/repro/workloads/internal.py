@@ -80,11 +80,6 @@ class InternalStructure:
         if self.variance < 0:
             raise ValueError("variance must be non-negative")
 
-    @property
-    def is_fine_grained(self) -> bool:
-        """Fine-grained = barrier every second or faster (needs coscheduling)."""
-        return self.barriers > 0 and self.granularity_seconds <= 1.0
-
 
 def synchronization_stretch(
     structure: InternalStructure,

@@ -364,6 +364,40 @@ class TestTracePrewarm:
         _prewarm_traces(tasks)
         assert trace_from_spec(self.SPEC).digest in cache
 
+    def test_entry_get_would_miss_is_built_once_in_the_parent(self, tmp_path, monkeypatch):
+        import json
+        import os
+
+        from repro.traces import trace_from_spec
+        from repro.traces.trace import Trace
+
+        cache = self._cache(tmp_path, monkeypatch)
+        trace = trace_from_spec(self.SPEC)
+        trace.materialize(cache=cache)
+        meta_path = cache.meta_path_for(trace.digest)
+        meta = json.loads(meta_path.read_text())
+        del meta["sha256"]  # the file is there, but get() treats it as a miss
+        meta_path.write_text(json.dumps(meta))
+        assert trace.digest in cache
+
+        # Pool workers are forked, so they inherit the patch; the log file
+        # collects every process's builds.
+        log = tmp_path / "builds"
+        build = Trace.build
+
+        def logged_build(self):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return build(self)
+
+        monkeypatch.setattr(Trace, "build", logged_build)
+        scenarios = [
+            Scenario(workload=self.SPEC, policy=policy, machine_size=64)
+            for policy in ("fcfs", "easy")
+        ]
+        run_many(scenarios, workers=2)
+        assert log.read_text().split() == [str(os.getpid())]
+
     def test_prewarm_skips_overrides_and_plain_specs(self, tmp_path, monkeypatch):
         from repro.api.runner import _prewarm_traces
 

@@ -130,7 +130,8 @@ class TestCountsLandInTheState:
         state = self._blocked_head_state()
         assert [r.job_id for r in ConservativeBackfillScheduler().select_jobs(state)] == [2]
         counts = state.counts
-        assert set(counts) == {"jobs_backfilled", "slots_split", "slots_merged"}
+        assert set(counts) == {"anchors_placed", "jobs_backfilled", "slots_split", "slots_merged"}
+        assert counts["anchors_placed"] == 2
         assert counts["jobs_backfilled"] == 1
         assert counts["slots_split"] > 0 and counts["slots_merged"] > 0
 

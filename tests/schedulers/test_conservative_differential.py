@@ -14,24 +14,36 @@ here, not just one that changes a final schedule:
   verbatim in ``test_freespace.py``) must match whenever the policy is not
   outage-aware.  Clamped profiles can differ from it; see
   :class:`TestKnownDivergenceFromTheBreakpointProfile`.
+
+The production policy continues from the plan it kept on the driver's
+tracker whenever that plan still holds; handed the same state without the
+tracker, it re-plans from scratch.  The wrapper runs it both ways, and
+:class:`TestTheKeptPlan` drives each condition under which a plan must be
+dropped, by hand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.outage import OutageLog, OutageRecord, OutageType, generate_outages
 from repro.core.outage.generator import OutageModel
 from repro.evaluation import simulate
+from repro.evaluation.simulator import SpaceSharedMachine
+from repro.machine.cluster import Machine
 from repro.schedulers.backfill import ConservativeBackfillScheduler
 from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpace
+from repro.simulation.engine import Simulator
 from repro.workloads import Lublin99Model
 from tests.conftest import make_job, make_workload
 from tests.schedulers.test_freespace import ReferenceConservative, ReferenceProfile
+from tests.schedulers.util import make_request, make_state
 
 
 class FromScratch(Scheduler):
@@ -70,12 +82,20 @@ class Differential(Scheduler):
         self.scratch = FromScratch(outage_aware=outage_aware, horizon=horizon)
         self.reference = ReferenceConservative(outage_aware=outage_aware)
         self.passes = 0
+        #: the production policy's counts when every pass re-plans from scratch
+        self.replanned = Counter()
 
     def select_jobs(self, state: SchedulerState) -> List[JobRequest]:
         chosen = self.production.select_jobs(state)
         where = f"pass {self.passes} at t={state.now}"
         ids = [r.job_id for r in chosen]
         assert ids == [r.job_id for r in self.scratch.select_jobs(state)], where
+        # Without the driver's tracker there is no kept plan.
+        replanning = SchedulerState(
+            state.now, state.total_processors, state.free_processors, state.queue,
+            state.running, state.calendar, None, self.replanned,
+        )
+        assert ids == [r.job_id for r in self.production.select_jobs(replanning)], where
         if not self.outage_aware:
             assert ids == [r.job_id for r in self.reference.select_jobs(state)], where
         self.passes += 1
@@ -190,6 +210,161 @@ class TestEveryPassMatchesTheReference:
         assert policy.passes == result.counters["sched_passes"]
         starts = {j.job_id: j.start_time for j in result.jobs}
         assert starts[3] > 60
+
+
+def _differential(jobs, outages=(), outage_aware=False, horizon=365 * 24 * 3600.0):
+    """(policy, result) of a hand-built workload on a SIZE-node machine."""
+    policy = Differential(outage_aware=outage_aware, horizon=horizon)
+    result = simulate(
+        make_workload(jobs, machine_size=SIZE), policy, machine_size=SIZE, outages=OutageLog(list(outages))
+    )
+    assert policy.passes == result.counters["sched_passes"]
+    assert not result.unfinished
+    return policy, result
+
+
+def _starts(result):
+    return {j.job_id: j.start_time for j in result.jobs if not j.killed}
+
+
+def _kept_a_plan(policy, result):
+    """Whether some pass continued from a kept plan instead of re-planning."""
+    return result.counters["anchors_placed"] < policy.replanned["anchors_placed"]
+
+
+class TestTheKeptPlan:
+    """Each way a kept plan can go stale, on a hand-built workload.
+
+    Every pass is checked against the from-scratch planners; the final
+    starts pin what a stale plan would get wrong.
+    """
+
+    @pytest.mark.parametrize("outages", [False, True], ids=["plain", "outages"])
+    def test_lublin_runs_continue_from_kept_plans(self, outages):
+        size = 64
+        workload = Lublin99Model(machine_size=size).generate_with_load(250, 0.85, seed=6)
+        log = None
+        if outages:
+            model = OutageModel(
+                mtbf_seconds=12 * 3600.0,
+                maintenance_interval_seconds=2 * 24 * 3600,
+                maintenance_duration_seconds=4 * 3600,
+                maintenance_notice_seconds=24 * 3600,
+                maintenance_fraction=0.5,
+            )
+            log = generate_outages(size, int(workload.span()) + 1, model=model, seed=6)
+        policy = Differential(outage_aware=outages, horizon=6 * 3600.0)
+        result = simulate(workload, policy, machine_size=size, outages=log)
+        assert _kept_a_plan(policy, result)
+        if outages:
+            assert result.outage_kills > 0
+
+    def test_early_completion_right_after_a_kept_pass(self):
+        # The pass at t=3 keeps job 2's anchor at t=100 and backfills job 4.
+        # Job 1 then ends 50 s early, so at t=62 job 2 can start.
+        jobs = [
+            make_job(1, submit=0, runtime=50, processors=4, requested_time=100),
+            make_job(2, submit=1, runtime=50, processors=SIZE, requested_time=100),
+            make_job(3, submit=2, runtime=60, processors=3, requested_time=60),
+            make_job(4, submit=3, runtime=10, processors=1, requested_time=10),
+        ]
+        policy, result = _differential(jobs)
+        assert _starts(result) == {1: 0, 2: 62, 3: 2, 4: 3}
+        assert _kept_a_plan(policy, result)
+
+    def test_kill_then_restart(self):
+        jobs = [
+            make_job(1, submit=0, runtime=100, processors=SIZE, requested_time=100),
+            make_job(2, submit=1, runtime=50, processors=4, requested_time=50),
+        ]
+        failure = OutageRecord(10, 10, 15, OutageType.CPU_FAILURE, 1)
+        _policy, result = _differential(jobs, [failure])
+        # The kill frees the machine: job 2 starts now, the restart after it.
+        assert result.outage_kills == 1
+        assert _starts(result) == {1: 60, 2: 10}
+
+    def test_unannounced_failure_on_idle_nodes(self):
+        # Two idle nodes fail at t=5: free processors drop, the profile does
+        # not, and nothing is released.  At t=6 job 1 is anchored on t=6
+        # but cannot start, and job 2 behind it on t=16.  By t=50 both
+        # anchors have passed, so the plan is stale: job 2 must not start
+        # then just because it fits in the free processors.
+        jobs = [
+            make_job(1, submit=6, runtime=10, processors=SIZE, requested_time=10),
+            make_job(2, submit=6, runtime=1, processors=4, requested_time=1000),
+            make_job(3, submit=50, runtime=60, processors=4, requested_time=60),
+        ]
+        failure = OutageRecord(5, 5, 100, OutageType.CPU_FAILURE, 2)
+        _policy, result = _differential(jobs, [failure])
+        assert result.outage_kills == 0
+        assert _starts(result) == {1: 100, 2: 110, 3: 110}
+
+    def test_zero_estimate(self):
+        # Job 1 starts and ends at t=0.  Its placement held [0, 1); the
+        # running set never held anything, so job 2 starts at t=0 too.
+        jobs = [
+            make_job(1, submit=0, runtime=0, processors=SIZE, requested_time=0),
+            make_job(2, submit=0, runtime=10, processors=SIZE, requested_time=10),
+        ]
+        _policy, result = _differential(jobs)
+        assert _starts(result) == {1: 0, 2: 0}
+
+    def test_dip_announced_between_two_passes(self):
+        # The passes at t=1 anchor job 3 at t=200, when job 2 ends.  The dip
+        # announced at t=2 leaves 4 nodes over [210, 230), where job 1 holds
+        # 2, so by t=200 job 3 must wait for t=300 and job 5 backfills.
+        jobs = [
+            make_job(1, submit=0, runtime=300, processors=2, requested_time=300),
+            make_job(2, submit=0, runtime=200, processors=4, requested_time=200),
+            make_job(3, submit=1, runtime=50, processors=6, requested_time=50),
+            make_job(4, submit=1, runtime=10, processors=1, requested_time=10),
+            make_job(5, submit=200, runtime=100, processors=2, requested_time=100),
+            make_job(6, submit=1, runtime=5, processors=1, requested_time=5),
+        ]
+        dip = OutageRecord(2, 210, 230, OutageType.MAINTENANCE, 4)
+        policy, result = _differential(jobs, [dip], outage_aware=True)
+        assert result.outage_kills == 0
+        assert _starts(result) == {1: 0, 2: 0, 3: 300, 4: 1, 5: 200, 6: 1}
+        assert _kept_a_plan(policy, result)
+
+    def test_same_time_passes(self):
+        # Five arrivals at t=0 run five passes at one instant; the last two
+        # keep the plan and are backfilled into it.
+        jobs = [
+            make_job(1, submit=0, runtime=100, processors=4, requested_time=100),
+            make_job(2, submit=0, runtime=100, processors=SIZE, requested_time=100),
+            make_job(3, submit=0, runtime=50, processors=2, requested_time=50),
+            make_job(4, submit=0, runtime=100, processors=2, requested_time=100),
+            make_job(5, submit=0, runtime=10, processors=2, requested_time=10),
+        ]
+        policy, result = _differential(jobs)
+        assert _starts(result) == {1: 0, 2: 100, 3: 0, 4: 0, 5: 50}
+        assert _kept_a_plan(policy, result)
+
+    def test_a_job_queued_at_the_head_is_placed_first(self):
+        # A grid site queues a claimed reservation's components at the head,
+        # in front of the jobs a kept plan holds anchors for.
+        space = SpaceSharedMachine(Machine(size=SIZE), ConservativeBackfillScheduler(), Simulator())
+        space.submit(make_request(1, 4, estimate=100))
+        assert [r.request.job_id for r in space.schedule_pass()] == [1]
+        space.submit(make_request(2, SIZE, estimate=50))
+        space.submit(make_request(3, 1, estimate=1000))
+        assert space.schedule_pass() == []
+        assert space.tracker.plan.anchors == [100, 150]
+        space.submit(make_request(4, 4, estimate=10), front=True)
+        assert [r.request.job_id for r in space.schedule_pass()] == [4]
+
+    def test_policy_keeps_no_state_and_hand_built_states_replan(self):
+        policy = ConservativeBackfillScheduler(outage_aware=True, horizon=10.0)
+        simulate(_workload([(0, 4, 10, 5), (0, SIZE, 10, 0), (1, 2, 5, 0)]), policy, machine_size=SIZE)
+        assert vars(policy) == {"outage_aware": True, "horizon": 10.0}
+        counts = Counter()
+        running = [(make_request(99, 4, estimate=100), 0.0, 100.0)]
+        queue = [make_request(1, SIZE), make_request(2, 2)]
+        for _ in range(2):
+            state = make_state(SIZE, queue=queue, running=running, counts=counts)
+            assert [r.job_id for r in policy.select_jobs(state)] == [2]
+        assert counts["anchors_placed"] == 2 * len(queue)
 
 
 class TestSchedulerReuse:

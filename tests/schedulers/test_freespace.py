@@ -33,7 +33,7 @@ from repro.api import Scenario, run
 from repro.bench.store import result_key
 from repro.schedulers.backfill import ConservativeBackfillScheduler
 from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
-from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker, report_slot_stats
+from repro.schedulers.freespace import FreeSpace, FreeSpaceTracker, Plan, report_slot_stats
 from tests.schedulers.util import make_request, make_state
 
 
@@ -411,6 +411,50 @@ SCENARIOS = [
 ]
 
 
+class TestTrackerDropsThePlanWhenAWindowComesBackEarly:
+    """A sync keeps the plan unless a window ends before its expected end."""
+
+    @staticmethod
+    def _planned(now: float = 0.0) -> FreeSpaceTracker:
+        tracker = FreeSpaceTracker(8, Counter())
+        tracker.sync(now, [])
+        tracker.plan = Plan(FreeSpace(8, now), [], [])
+        return tracker
+
+    def test_an_on_time_end_keeps_it(self):
+        tracker = self._planned()
+        tracker.start(4, 10.0)
+        tracker.sync(0.0, [])
+        tracker.end(4, 10.0)
+        tracker.sync(10.0, [])
+        assert tracker.plan is not None
+
+    def test_an_early_end_drops_it(self):
+        tracker = self._planned()
+        tracker.start(4, 10.0)
+        tracker.sync(0.0, [])
+        tracker.end(4, 10.0)
+        tracker.sync(5.0, [])
+        assert tracker.plan is None
+
+    def test_a_start_and_early_end_between_two_syncs_drop_it(self):
+        # The two windows cancel in the profile, but the plan reserved it.
+        tracker = self._planned()
+        tracker.start(4, 10.0)
+        tracker.end(4, 10.0)
+        tracker.sync(5.0, [])
+        assert tracker.plan is None
+
+    def test_an_early_end_whose_window_passed_before_the_sync_keeps_it(self):
+        # Ended at t=5 but first synced at t=12: nothing from now on is freed.
+        tracker = self._planned()
+        tracker.start(4, 10.0)
+        tracker.sync(0.0, [])
+        tracker.end(4, 10.0)
+        tracker.sync(12.0, [])
+        assert tracker.plan is not None
+
+
 class TestReportSlotStats:
     def test_a_slot_set_without_churn_adds_no_key(self):
         counts: Counter = Counter()
@@ -570,8 +614,12 @@ class TestPlaceMatchesEarliestStartThenReserve:
         walked = fs.copy()
         anchor = walked.earliest_start(4, 100)
         walked.reserve(anchor, anchor + 100, 4)
+        assert not fs.overdrawn
         assert fs.place(4, 100) == anchor == 50.0
         assert fs.slots() == walked.slots()
+        # The reservation overdrew the tail; copies say so too.
+        assert fs.overdrawn and fs.copy().overdrawn
+        assert not walked.overdrawn
 
     def test_rejects_requests_wider_than_the_machine(self):
         with pytest.raises(ValueError):

@@ -316,6 +316,24 @@ class TestTraceCommands:
         out = capsys.readouterr().out
         assert "digest:" in out and "'op': 'load'" in out and "'op': 'slice'" in out
 
+    def test_info_calls_an_entry_get_would_miss_absent(self, capsys):
+        import json
+
+        from repro.traces import TraceCache, trace_from_spec
+
+        spec = "ctc-sp2,jobs=40"
+        cache = TraceCache()
+        trace = trace_from_spec(spec)
+        trace.materialize(cache=cache)
+        assert main(["trace", "info", spec]) == 0
+        assert "(present)" in capsys.readouterr().out
+        meta_path = cache.meta_path_for(trace.digest)
+        meta = json.loads(meta_path.read_text())
+        del meta["sha256"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(["trace", "info", spec]) == 0
+        assert "(absent)" in capsys.readouterr().out
+
     def test_build_reports_miss_then_hit(self, capsys):
         spec = "ctc-sp2,jobs=60,load=0.9"
         assert main(["trace", "build", spec]) == 0

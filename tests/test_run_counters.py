@@ -25,10 +25,10 @@ _LIST = {"events_processed": 300, "jobs_started": 150, "max_queue_depth": 6,
 _EASY = {"events_processed": 300, "jobs_backfilled": 93, "jobs_started": 150,
          "max_queue_depth": 24, "peak_event_queue": 7, "sched_passes": 259,
          "shadow_scans": 218}
-_CONSERVATIVE = {"events_processed": 300, "jobs_backfilled": 95, "jobs_started": 150,
-                 "max_queue_depth": 24, "peak_event_queue": 6, "profile_builds": 1,
-                 "profile_patches": 110, "sched_passes": 258, "slots_merged": 323,
-                 "slots_split": 1268}
+_CONSERVATIVE = {"anchors_placed": 482, "events_processed": 300, "jobs_backfilled": 95,
+                 "jobs_started": 150, "max_queue_depth": 24, "peak_event_queue": 6,
+                 "profile_builds": 1, "profile_patches": 97, "sched_passes": 258,
+                 "slots_merged": 104, "slots_split": 535}
 
 PINNED = {
     "fcfs": {"events_processed": 300, "jobs_started": 150, "max_queue_depth": 62,
@@ -66,15 +66,16 @@ PINNED_UNDER_OUTAGES = {
                                 "jobs_started": 167, "max_queue_depth": 15,
                                 "peak_event_queue": 29, "sched_passes": 302,
                                 "shadow_scans": 278}, 17),
-    "conservative": ({"events_processed": 324, "jobs_backfilled": 118, "jobs_started": 166,
-                      "max_queue_depth": 23, "peak_event_queue": 29, "profile_builds": 1,
-                      "profile_patches": 154, "sched_passes": 286, "slots_merged": 127,
-                      "slots_split": 1443}, 16),
-    "conservative:outage_aware=true": ({"events_processed": 324, "jobs_backfilled": 117,
-                                        "jobs_started": 165, "max_queue_depth": 23,
-                                        "peak_event_queue": 29, "profile_builds": 1,
-                                        "profile_patches": 152, "sched_passes": 286,
-                                        "slots_merged": 129, "slots_split": 1438}, 15),
+    "conservative": ({"anchors_placed": 662, "events_processed": 324, "jobs_backfilled": 118,
+                      "jobs_started": 166, "max_queue_depth": 23, "peak_event_queue": 29,
+                      "profile_builds": 1, "profile_patches": 138, "sched_passes": 286,
+                      "slots_merged": 81, "slots_split": 734}, 16),
+    "conservative:outage_aware=true": ({"anchors_placed": 776, "events_processed": 324,
+                                        "jobs_backfilled": 117, "jobs_started": 165,
+                                        "max_queue_depth": 23, "peak_event_queue": 29,
+                                        "profile_builds": 1, "profile_patches": 138,
+                                        "sched_passes": 286, "slots_merged": 89,
+                                        "slots_split": 848}, 15),
 }
 
 
@@ -109,12 +110,12 @@ PINNED_SITES = {
                    "sched_passes": 422, "shadow_scans": 417},
     },
     "conservative": {
-        "site-1": {"jobs_backfilled": 127, "jobs_started": 154, "max_queue_depth": 116,
-                   "profile_builds": 1, "profile_patches": 187, "sched_passes": 379,
-                   "slots_merged": 6170, "slots_split": 15034},
-        "site-2": {"jobs_backfilled": 52, "jobs_started": 82, "max_queue_depth": 118,
-                   "profile_builds": 1, "profile_patches": 108, "sched_passes": 311,
-                   "slots_merged": 2578, "slots_split": 10637},
+        "site-1": {"anchors_placed": 13940, "jobs_backfilled": 127, "jobs_started": 154,
+                   "max_queue_depth": 116, "profile_builds": 1, "profile_patches": 185,
+                   "sched_passes": 379, "slots_merged": 5654, "slots_split": 14035},
+        "site-2": {"anchors_placed": 3595, "jobs_backfilled": 52, "jobs_started": 82,
+                   "max_queue_depth": 118, "profile_builds": 1, "profile_patches": 105,
+                   "sched_passes": 311, "slots_merged": 863, "slots_split": 3650},
     },
 }
 

@@ -105,6 +105,8 @@ class TestSwfHashCheck:
     """The meta file records the ``.swf``'s sha256; a ``.swf`` that does not match it is a miss."""
 
     def _assert_rebuilt(self, cache, trace):
+        # holds() is the same check without the load.
+        assert not cache.holds(trace.digest)
         assert cache.get(trace.digest) is None
         hits, misses = cache.hits, cache.misses
         rebuilt = trace.materialize(cache=cache)
@@ -112,6 +114,7 @@ class TestSwfHashCheck:
         assert rebuilt == trace.build()
         assert rebuilt.header.entries == trace.build().header.entries
         # The rebuild rewrote the entry, so it is a hit again.
+        assert cache.holds(trace.digest)
         assert cache.get(trace.digest) == rebuilt
 
     def test_put_records_the_hash_of_the_swf_bytes(self, cache):

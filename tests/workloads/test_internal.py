@@ -19,14 +19,6 @@ from repro.workloads import (
 
 
 class TestInternalStructure:
-    def test_fine_grained_classification(self):
-        fine = InternalStructure(processes=16, barriers=1000, granularity_seconds=0.01, variance=0.5)
-        coarse = InternalStructure(processes=16, barriers=10, granularity_seconds=300, variance=0.5)
-        serial = InternalStructure(processes=1, barriers=0, granularity_seconds=0.0, variance=0.0)
-        assert fine.is_fine_grained
-        assert not coarse.is_fine_grained
-        assert not serial.is_fine_grained
-
     def test_validation(self):
         with pytest.raises(ValueError):
             InternalStructure(processes=0, barriers=1, granularity_seconds=1.0, variance=0.1)
