@@ -22,7 +22,7 @@ Features required by the paper's extensions are built in:
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -54,7 +54,8 @@ class SpaceSharedMachine:
     :class:`~repro.schedulers.freespace.FreeSpaceTracker` told of every
     start, completion and kill, so a policy that reads
     ``SchedulerState.profile`` gets it patched rather than rebuilt), and
-    the announced-capacity ``calendar`` policies see.  An owner on a
+    the announced-capacity ``calendar``, all of which policies see through
+    the machine's one :class:`SchedulerState`, ``state``.  An owner on a
     :class:`Simulator` (a :class:`MachineSimulation`, or one site of a grid
     simulation) submits arrivals, ends jobs, keeps ``calendar`` current,
     calls :meth:`schedule_pass` and schedules the completions of the
@@ -74,10 +75,11 @@ class SpaceSharedMachine:
         self.counts: Counter = Counter()
         self.sched_passes = self.jobs_started = self.max_queue_depth = 0
         self.queue: List[JobRequest] = []
-        self._queued_ids: set = set()
         self.running: Dict[int, RunningJobInfo] = {}
         self.calendar = FreeSpace(machine.size, 0)
         self.tracker = FreeSpaceTracker(machine.size, self.counts)
+        self.state = SchedulerState(0.0, machine.size, machine.size, self.queue, self.running.values(),
+                                    self.calendar, self.tracker, self.counts)
 
     def submit(self, request: JobRequest, front: bool = False) -> None:
         """Queue ``request`` at the tail, or at the head with ``front``."""
@@ -85,7 +87,6 @@ class SpaceSharedMachine:
             self.queue.insert(0, request)
         else:
             self.queue.append(request)
-        self._queued_ids.add(request.job_id)
 
     def end(self, job_id: int) -> Optional[RunningJobInfo]:
         """Take ``job_id`` off the machine; ``None`` if it is not running."""
@@ -108,40 +109,48 @@ class SpaceSharedMachine:
     def schedule_pass(self) -> List[RunningJobInfo]:
         """Ask the policy for jobs to start now; start them and return their records.
 
-        Each pass hands the policy a fresh :class:`SchedulerState`, built
-        positionally (the pass runs once or twice per job, and keyword
-        binding costs twice as much), with the tracker that its
-        ``profile`` syncs.
+        One ``select_jobs`` call on the refreshed ``state``.  A selection
+        that is the queue's prefix, request for request by identity, is
+        distinct queued jobs, removed with one ``del``; any other is checked
+        for unknown and duplicate ids against the queue's ids, then
+        filtered out.  Either way its processors must be free.
         """
         queue = self.queue
-        if not queue:
+        depth = len(queue)
+        if not depth:
             return []
         self.sched_passes += 1
-        if len(queue) > self.max_queue_depth:
-            self.max_queue_depth = len(queue)
-        now = self.sim.now
-        machine = self.machine
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
+        now, machine = self.sim.now, self.machine
         free = machine.free_count()
-        state = SchedulerState(
-            now, machine.size, free, queue, self.running.values(), self.calendar, self.tracker, self.counts
-        )
-        selected = self.scheduler.select_jobs(state)
+        self.state.refresh(now, free, queue)
+        selected = self.scheduler.select_jobs(self.state)
         if not selected:
             return []
-        queued_ids, selected_ids, total_requested = self._queued_ids, set(), 0
+        count = len(selected)
+        prefix = count <= depth and all(map(is_, selected, queue))
+        if not prefix:
+            queued_ids, selected_ids = {r.job_id for r in queue}, set()
+            for request in selected:
+                if request.job_id not in queued_ids or request.job_id in selected_ids:
+                    raise RuntimeError(
+                        f"scheduler {self.scheduler.name!r} selected job {request.job_id} "
+                        "which is not in the wait queue"
+                    )
+                selected_ids.add(request.job_id)
+        total_requested = 0
         for request in selected:
-            if request.job_id not in queued_ids or request.job_id in selected_ids:
-                raise RuntimeError(
-                    f"scheduler {self.scheduler.name!r} selected job {request.job_id} "
-                    "which is not in the wait queue"
-                )
-            selected_ids.add(request.job_id)
             total_requested += request.processors
         if total_requested > free:
             raise RuntimeError(
                 f"scheduler {self.scheduler.name!r} over-committed the machine: "
                 f"selected {total_requested} processors with {free} free"
             )
+        if prefix:
+            del queue[:count]
+        else:
+            self.queue = [r for r in queue if r.job_id not in selected_ids]
         running, started, tracker = self.running, [], self.tracker
         for request in selected:
             machine.allocate(request.job_id, request.processors)
@@ -149,14 +158,7 @@ class SpaceSharedMachine:
             running[request.job_id] = record = RunningJobInfo(request, now, end)
             tracker.start(request.processors, end)
             started.append(record)
-        self.jobs_started += len(started)
-        # FCFS-like picks are the queue's leading entries: drop them in place
-        # (ids are distinct when the id set is as long as the queue).
-        if len(queued_ids) == len(queue) and all(s is q for s, q in zip(selected, queue)):
-            del queue[: len(selected)]
-        else:
-            self.queue = [r for r in queue if r.job_id not in selected_ids]
-        queued_ids -= selected_ids
+        self.jobs_started += count
         return started
 
 
@@ -209,11 +211,7 @@ class MachineSimulation:
         arrivals = []
         for request in requests:
             job = request.job
-            if (
-                self.honor_dependencies
-                and job.has_dependency
-                and job.preceding_job in present
-            ):
+            if self.honor_dependencies and job.has_dependency and job.preceding_job in present:
                 think = job.think_time if job.think_time != MISSING else 0
                 self._waiting_on.setdefault(job.preceding_job, []).append((request, think))
             else:
@@ -222,13 +220,8 @@ class MachineSimulation:
         self.sim.stream(arrivals, self._on_arrival, priority=_PRIORITY_ARRIVAL)
         for record in self.outages:
             node_ids = self._outage_nodes(record)
-            self.sim.schedule_at(
-                record.start_time, self._on_outage_start, record, node_ids,
-                priority=_PRIORITY_OUTAGE,
-            )
-            self.sim.schedule_at(
-                record.end_time, self._on_outage_end, node_ids, priority=_PRIORITY_OUTAGE
-            )
+            self.sim.schedule_at(record.start_time, self._on_outage_start, record, node_ids, priority=_PRIORITY_OUTAGE)
+            self.sim.schedule_at(record.end_time, self._on_outage_end, node_ids, priority=_PRIORITY_OUTAGE)
 
     def _outage_nodes(self, record) -> List[int]:
         if record.components:
@@ -322,7 +315,7 @@ class MachineSimulation:
         result = SimulationResult(
             scheduler_name=self.scheduler.name,
             machine_size=self.machine.size,
-            jobs=sorted(self._results, key=lambda j: j.job_id),
+            jobs=sorted(self._results, key=attrgetter("job.job_number")),
             outage_kills=self._outage_kills,
             unfinished=sorted(
                 [r.job_id for r in self._space.queue]
@@ -368,11 +361,5 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`MachineSimulation` and run it."""
     return MachineSimulation(
-        workload=workload,
-        scheduler=scheduler,
-        machine_size=machine_size,
-        outages=outages,
-        honor_dependencies=honor_dependencies,
-        restart_failed_jobs=restart_failed_jobs,
-        max_restarts=max_restarts,
+        workload, scheduler, machine_size, outages, honor_dependencies, restart_failed_jobs, max_restarts
     ).run()

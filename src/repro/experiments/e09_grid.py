@@ -7,12 +7,12 @@ the same multi-site scenario (local workloads per site plus a meta-job
 stream) in four configurations — {least-loaded, earliest-start} x
 {no reservations, reservations} — and reports:
 
-* mean meta-job wait and bounded slowdown,
-* co-allocated jobs finished versus left hanging (the starvation risk of
-  reservation-less co-allocation),
+* mean wait of the meta jobs that finished,
+* co-allocated jobs finished versus left hanging, and the local jobs left
+  queued behind them (the starvation risk of reservation-less co-allocation),
 * node-seconds wasted by components idling while waiting for their partners,
-* local (site) utilization and slowdown, to expose the price local users pay
-  for reservations,
+* local (site) utilization over finished jobs, to expose the price local
+  users pay for reservations,
 * the accuracy of three queue-wait predictors (mean, category-template,
   profile-based), scored on the single-site meta jobs.
 
@@ -60,6 +60,7 @@ class GridExperimentResult:
                     "configuration": name,
                     "meta_jobs_done": len(result.meta_results),
                     "meta_unfinished": len(result.unfinished_meta_jobs),
+                    "local_unfinished": sum(len(r.unfinished) for r in result.site_results.values()),
                     "mean_meta_wait": round(result.mean_meta_wait(), 1),
                     "coallocations_done": len(coallocations),
                     "wasted_node_seconds": round(result.total_wasted_node_seconds(), 0),

@@ -70,7 +70,7 @@ class EasyBackfillScheduler(Scheduler):
         backfilled = 0
         for i in range(head_index + 1, len(queue)):
             candidate = queue[i]
-            if not self.job_fits_now(state, candidate, free):
+            if candidate.processors > free or (self.outage_aware and not self.job_fits_now(state, candidate, free)):
                 continue
             finishes_before_shadow = state.now + candidate.estimate <= shadow_time
             uses_only_extra = candidate.processors <= extra

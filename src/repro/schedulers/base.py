@@ -124,41 +124,44 @@ class RunningJobInfo(NamedTuple):
 class SchedulerState:
     """What a policy sees at one scheduling point.
 
-    ``queue`` is the driver's own wait queue in arrival order, and
-    ``running`` the driver's own :class:`RunningJobInfo` records (its
-    ``running.values()`` view; a hand-built state may pass a list).
-    Neither is a copy, so policies must treat both as read-only.
+    The driver keeps one state per machine and calls :meth:`refresh` before
+    each pass: ``now``, ``free_processors``, ``queue`` and ``min_capacity``
+    are set anew and the ``profile`` and :meth:`expected_completions` memos
+    dropped.  So anything a policy assigns to the state lasts one pass, and
+    a policy must not hold on to the state between passes.
 
-    ``calendar`` is the announced capacity as a read-only
-    :class:`~repro.schedulers.freespace.FreeSpace` starting at or before
-    ``now`` (the driver's announced-outage calendar, or a grid site's
-    reservation calendar, each kept across passes rather than rebuilt);
-    ``None`` means nothing is announced.  It is the
-    one source of announced capacity: ``min_capacity(start, end)``, the
-    minimum capacity over a future window, is the calendar's
-    :meth:`~repro.schedulers.freespace.FreeSpace.capacity` (the total
-    capacity without one).  ``min_capacity`` is assignable so a caller can
-    wrap it to observe the calls; conservative backfilling clamps its
-    profile with the calendar itself, so a wrapper must answer as the
-    calendar does.
+    ``queue`` (in arrival order) and ``running`` (the
+    :class:`RunningJobInfo` records, as the driver's live
+    ``running.values()`` view, or a list in a hand-built state) are the
+    driver's own, not copies: policies treat both as read-only.
 
-    ``profile`` is the running jobs' free processors over future time, a
-    read-only :class:`~repro.schedulers.freespace.FreeSpace` from ``now``:
-    the driver's tracked slot set, which a policy copies before reserving
-    into it.  The driver passes its
-    :class:`~repro.schedulers.freespace.FreeSpaceTracker` as ``tracker``,
-    synced on the first read of ``profile``, so policies that never read
-    it never pay for it; the tracker also holds what conservative
-    backfilling keeps between passes.  A hand-built state has no tracker
-    and builds the profile from ``running``.
+    ``calendar`` is the announced capacity, a read-only
+    :class:`~repro.schedulers.freespace.FreeSpace` from at or before
+    ``now`` that the driver or grid site keeps across passes (``None``:
+    nothing announced).  ``min_capacity(start, end)``, the least capacity
+    over a window, is its :meth:`~repro.schedulers.freespace.FreeSpace.capacity`
+    (the total without one).  A caller may wrap ``min_capacity`` for a pass
+    to observe the calls; conservative backfilling clamps with the calendar
+    itself, so a wrapper must answer as the calendar does.
 
-    ``counts`` is where a policy adds its deterministic work counters
-    (``shadow_scans``, ``jobs_backfilled``, ``slots_split``, ...): the
-    driver passes its own counts, which become the run's
-    ``SimulationResult.counters``, and a hand-built state gets a fresh
-    :class:`~collections.Counter`.  Add only nonzero amounts: a key is
-    present exactly when something was counted.
+    ``profile`` is the running jobs' free processors from ``now``, a
+    read-only :class:`~repro.schedulers.freespace.FreeSpace` a policy copies
+    before reserving into it.  The driver's
+    :class:`~repro.schedulers.freespace.FreeSpaceTracker` (``tracker``)
+    syncs it on a pass's first read, so policies that never read it never
+    pay for it, and holds what conservative backfilling keeps between
+    passes.  A hand-built state has no tracker and builds the profile from
+    ``running``.
+
+    ``counts`` takes a policy's deterministic work counters
+    (``shadow_scans``, ``jobs_backfilled``, ...): the driver's counts, which
+    become ``SimulationResult.counters``, or a fresh
+    :class:`~collections.Counter` in a hand-built state.  Add only nonzero
+    amounts, so a key is present exactly when something was counted.
     """
+
+    __slots__ = ("now", "total_processors", "free_processors", "queue", "running", "calendar",
+                 "tracker", "counts", "min_capacity", "_capacity", "_profile", "_completions")
 
     def __init__(
         self,
@@ -171,19 +174,22 @@ class SchedulerState:
         tracker: Optional[FreeSpaceTracker] = None,
         counts: Optional[Counter] = None,
     ) -> None:
-        self.now = now
         self.total_processors = total_processors
-        self.free_processors = free_processors
-        self.queue = queue
         self.running = running
-        self.min_capacity: Callable[[float, float], int] = (
-            calendar.capacity if calendar is not None else lambda start, end: total_processors
-        )
         self.calendar = calendar
         self.tracker = tracker
+        self.counts = counts if counts is not None else Counter()
+        self._capacity = calendar.capacity if calendar is not None else lambda start, end: total_processors
+        self.refresh(now, free_processors, queue)
+
+    def refresh(self, now: float, free_processors: int, queue: List[JobRequest]) -> None:
+        """Point the state at a new pass; what the last pass assigned or memoized is dropped."""
+        self.now = now
+        self.free_processors = free_processors
+        self.queue = queue
+        self.min_capacity: Callable[[float, float], int] = self._capacity
         self._profile: Optional[FreeSpace] = None
         self._completions: Optional[List[Tuple[float, int]]] = None
-        self.counts = counts if counts is not None else Counter()
 
     @property
     def profile(self) -> FreeSpace:
@@ -254,7 +260,7 @@ class Scheduler(ABC):
         started: List[JobRequest] = []
         free = state.free_processors
         for request in ordered:
-            if self.job_fits_now(state, request, free):
+            if request.processors <= free and (not self.outage_aware or self.job_fits_now(state, request, free)):
                 started.append(request)
                 free -= request.processors
             elif strict:

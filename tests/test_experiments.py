@@ -140,10 +140,12 @@ class TestE08Moldable:
 
 
 class TestE09Grid:
+    LOCAL_JOBS = 100
+
     @pytest.fixture(scope="class")
     def result(self):
         return e09_grid.run(
-            sites=3, local_jobs_per_site=100, meta_jobs=50, local_load=0.55, seed=9
+            sites=3, local_jobs_per_site=self.LOCAL_JOBS, meta_jobs=50, local_load=0.55, seed=9
         )
 
     def test_reservations_complete_coallocations(self, result):
@@ -153,6 +155,17 @@ class TestE09Grid:
             without = rows[f"{policy}/no-reservations"]
             assert with_res["meta_unfinished"] <= without["meta_unfinished"]
             assert with_res["coallocations_done"] >= without["coallocations_done"]
+
+    def test_every_local_job_is_done_skipped_or_unfinished(self, result):
+        rows = {row["configuration"]: row for row in result.rows()}
+        for name in result.configurations:
+            sites = result.grid_results[name].site_results.values()
+            for site in sites:
+                accounted = len(site.jobs) + site.metadata["skipped_too_large"] + len(site.unfinished)
+                assert accounted == self.LOCAL_JOBS, (name, site.metadata["site"])
+            assert rows[name]["local_unfinished"] == sum(len(site.unfinished) for site in sites)
+        # Least-loaded placement without reservations strands local jobs here.
+        assert rows["least-loaded/no-reservations"]["local_unfinished"] > 0
 
     def test_predictors_scored_on_single_site_jobs(self, result):
         predictor_rows = result.predictor_rows()
