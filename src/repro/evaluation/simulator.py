@@ -110,10 +110,10 @@ class SpaceSharedMachine:
         """Ask the policy for jobs to start now; start them and return their records.
 
         One ``select_jobs`` call on the refreshed ``state``.  A selection
-        that is the queue's prefix, request for request by identity, is
-        distinct queued jobs, removed with one ``del``; any other is checked
-        for unknown and duplicate ids against the queue's ids, then
-        filtered out.  Either way its processors must be free.
+        that is a prefix of the queue, request for request by identity,
+        holds distinct queued jobs and is removed with one ``del``; any
+        other is checked for unknown and duplicate ids against the queue's
+        ids and filtered out.  Either way its processors must be free.
         """
         queue = self.queue
         depth = len(queue)
@@ -211,7 +211,11 @@ class MachineSimulation:
         arrivals = []
         for request in requests:
             job = request.job
-            if self.honor_dependencies and job.has_dependency and job.preceding_job in present:
+            if (
+                self.honor_dependencies
+                and job.has_dependency
+                and job.preceding_job in present
+            ):
                 think = job.think_time if job.think_time != MISSING else 0
                 self._waiting_on.setdefault(job.preceding_job, []).append((request, think))
             else:
@@ -220,8 +224,13 @@ class MachineSimulation:
         self.sim.stream(arrivals, self._on_arrival, priority=_PRIORITY_ARRIVAL)
         for record in self.outages:
             node_ids = self._outage_nodes(record)
-            self.sim.schedule_at(record.start_time, self._on_outage_start, record, node_ids, priority=_PRIORITY_OUTAGE)
-            self.sim.schedule_at(record.end_time, self._on_outage_end, node_ids, priority=_PRIORITY_OUTAGE)
+            self.sim.schedule_at(
+                record.start_time, self._on_outage_start, record, node_ids,
+                priority=_PRIORITY_OUTAGE,
+            )
+            self.sim.schedule_at(
+                record.end_time, self._on_outage_end, node_ids, priority=_PRIORITY_OUTAGE
+            )
 
     def _outage_nodes(self, record) -> List[int]:
         if record.components:
@@ -361,5 +370,11 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`MachineSimulation` and run it."""
     return MachineSimulation(
-        workload, scheduler, machine_size, outages, honor_dependencies, restart_failed_jobs, max_restarts
+        workload=workload,
+        scheduler=scheduler,
+        machine_size=machine_size,
+        outages=outages,
+        honor_dependencies=honor_dependencies,
+        restart_failed_jobs=restart_failed_jobs,
+        max_restarts=max_restarts,
     ).run()

@@ -135,7 +135,9 @@ class _SiteState:
 
     def __init__(self, site: Site, sim: Simulator) -> None:
         self.site = site
-        self.space = SpaceSharedMachine(Machine(size=site.machine_size), site.scheduler, sim)
+        self.space = SpaceSharedMachine(
+            Machine(size=site.machine_size), site.scheduler, sim
+        )
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
         #: local jobs no processor count fits on this site
