@@ -192,11 +192,19 @@ def resolve_workload(scenario: Scenario, seed: Optional[int] = None) -> Workload
 
 
 def _at_load(scenario: Scenario, workload: Workload) -> Workload:
-    """``workload`` rescaled to the scenario's offered load, if it sets one."""
-    if scenario.load is None:
+    """``workload`` rescaled to the scenario's offered load, if it sets one.
+
+    The rescaled copy is derived once per (load, machine size) and kept on
+    ``workload`` (:meth:`Workload.derived`), so replications that differ
+    only in policy replay one copy.
+    """
+    load = scenario.load
+    if load is None:
         return workload
-    return workload.scale_to_load(
-        scenario.load, scenario.machine_size, name=f"{workload.name}@{scenario.load:.2f}"
+    machine_size = scenario.machine_size
+    return workload.derived(
+        ("at_load", load, machine_size),
+        lambda: workload.scale_to_load(load, machine_size, name=f"{workload.name}@{load:.2f}"),
     )
 
 
@@ -206,10 +214,14 @@ def _at_load(scenario: Scenario, workload: Workload) -> Workload:
 #: model specs by every input ``resolve_workload`` reads.  A worker process
 #: draining many units over one trace parses the canonical SWF once and
 #: shares the Workload object across runs (safe — ``run()`` only rescales
-#: through ``scale_load``, which copies).
+#: through ``scale_load``, which copies).  What runs derive from an entry
+#: (its rescaled copies and their request lists, see
+#: :meth:`Workload.derived`) is kept on the entry itself, so it lives and is
+#: evicted with it, and clearing this dict clears every derived value too.
 _SHARED_WORKLOADS: Dict[tuple, Workload] = {}
 
-#: Memo capacity, in jobs held across all entries (two 100k-job traces).  A
+#: Memo capacity, in job records held across all entries, their rescaled
+#: copies included (:meth:`Workload.held_jobs`; two 100k-job traces).  A
 #: long-lived process (the serve daemon, a worker draining a mixed queue)
 #: must not accumulate every workload it ever touched, but a count of
 #: entries would be cycled by a suite of many small workloads walked case
@@ -226,7 +238,8 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
     bit-identical to an unshared materialization.  Every unit executed
     through :func:`repro.bench.runner.execute_unit` draws from this memo, so
     replications differing only in policy (or in load) never re-parse their
-    workload.
+    workload, and replications differing only in policy also share the
+    rescaled copy and its request list that the first of them derived.
     """
     from repro.traces import trace_for_scenario
 
@@ -245,9 +258,9 @@ def resolve_workload_shared(scenario: Scenario) -> Workload:
         else:
             workload = resolve_workload(scenario.with_(load=None))
         _SHARED_WORKLOADS[key] = workload
-        held = sum(len(w) for w in _SHARED_WORKLOADS.values())
+        held = sum(w.held_jobs() for w in _SHARED_WORKLOADS.values())
         while held > _SHARED_WORKLOADS_MAX_JOBS and len(_SHARED_WORKLOADS) > 1:
-            held -= len(_SHARED_WORKLOADS.pop(next(iter(_SHARED_WORKLOADS))))
+            held -= _SHARED_WORKLOADS.pop(next(iter(_SHARED_WORKLOADS))).held_jobs()
     return workload
 
 
@@ -279,6 +292,13 @@ def run(
     carrying non-serializable state (e.g. a moldable-job table), or an
     in-memory :class:`OutageLog`.  Overridden runs execute identically but
     lose the scenario's from-spec reproducibility.
+
+    A ``workload`` override is read, never changed: the scenario's load
+    rescales a copy, and that copy and the request list the simulator
+    builds from it are kept on the override (:meth:`Workload.derived`), so
+    later runs of the same override at the same load and machine size
+    reuse them.  Such an override must not be mutated other than through
+    :meth:`Workload.append`/:meth:`Workload.extend`, which drop them.
     """
     with trace_span(
         "run.scenario", scenario=scenario.label, policy=scenario.policy

@@ -81,7 +81,7 @@ def mean_report(reports: Sequence[MetricsReport]) -> MetricsReport:
             values[f.name] = {
                 k: sum(c.get(k, 0) for c in column) / len(column) for k in keys
             }
-        elif f.name in ("jobs", "killed"):
+        elif f.name in ("jobs", "killed", "unfinished"):
             values[f.name] = int(round(sum(column) / len(column)))
         else:
             values[f.name] = sum(column) / len(column)

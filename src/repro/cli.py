@@ -555,8 +555,7 @@ def _print_reports(results, metrics: Optional[str]) -> None:
         rows = [sr.row() for sr in results]
     print(format_table(rows))
     for sr in results:
-        # A grid run counts its sites' unfinished jobs in its metadata.
-        stranded = sr.result.metadata.get("unfinished", len(sr.result.unfinished))
+        stranded = sr.report.unfinished
         if stranded:
             print(
                 f"{sr.scenario.label}: {stranded} jobs never finished; "

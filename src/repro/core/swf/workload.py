@@ -7,7 +7,7 @@ and writer convert it to and from the on-disk standard format.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,8 @@ _SUBMIT_IDX = FIELD_NAMES.index("submit_time")
 _NUMBER_IDX = FIELD_NAMES.index("job_number")
 _PRECEDING_IDX = FIELD_NAMES.index("preceding_job")
 _THINK_IDX = FIELD_NAMES.index("think_time")
+
+_T = TypeVar("_T")
 
 
 class Workload:
@@ -43,6 +45,7 @@ class Workload:
         self.header: SWFHeader = header if header is not None else SWFHeader()
         self.name = name
         self._columns: Optional[JobColumns] = None
+        self._derived: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------
     # container protocol
@@ -64,6 +67,12 @@ class Workload:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload(name={self.name!r}, jobs={len(self._jobs)})"
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Derived values are rebuilt where they are needed, never shipped.
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
+
     @property
     def jobs(self) -> List[SWFJob]:
         """The job list (a reference, not a copy; treat as read-only)."""
@@ -73,17 +82,42 @@ class Workload:
         """Append a job to the workload."""
         self._jobs.append(job)
         self._columns = None
+        self._derived.clear()
 
     def extend(self, jobs: Iterable[SWFJob]) -> None:
         """Append several jobs to the workload."""
         self._jobs.extend(jobs)
         self._columns = None
+        self._derived.clear()
 
     def columns(self) -> JobColumns:
         """Int64 column view of the hot job fields (cached until mutation)."""
         if self._columns is None or self._columns.n != len(self._jobs):
             self._columns = JobColumns(self._jobs)
         return self._columns
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, computed once per ``key`` and kept on this workload until mutation.
+
+        For values that are a pure function of the jobs and ``key``: the
+        rescaled copy a run at a given load replays, or the request list a
+        machine size admits.  Values are dropped by :meth:`append` and
+        :meth:`extend`, left out of pickles, and freed with the workload,
+        so no memo outlives the object it was derived from.  A derived
+        value is shared by every caller: it must be immutable, or treated
+        as such.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def held_jobs(self) -> int:
+        """Job records this workload holds: its own plus its derived copies'."""
+        return len(self._jobs) + sum(
+            value.held_jobs() for value in self._derived.values() if isinstance(value, Workload)
+        )
 
     def copy(self, name: Optional[str] = None) -> "Workload":
         """Shallow copy (jobs are immutable, so sharing them is safe)."""

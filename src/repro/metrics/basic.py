@@ -14,6 +14,7 @@ capacity, not by nominal capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -59,6 +60,11 @@ class MetricsReport:
     #: Derived from simulated facts only, so they are bit-identical between
     #: serial and parallel runs and safe to persist in the result store.
     counters: Dict[str, int] = field(default_factory=dict)
+    #: jobs the simulation never finished (stranded in its queue, or held
+    #: at its end); none of the means, medians or rates above covers them.
+    #: Left out of :meth:`to_json` when zero, so records of runs that
+    #: finish every job are unchanged.
+    unfinished: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         """Rounded *display* view used when printing experiment tables.
@@ -71,6 +77,7 @@ class MetricsReport:
             "scheduler": self.scheduler,
             "jobs": self.jobs,
             "killed": self.killed,
+            "unfinished": self.unfinished,
             "mean_wait": round(self.mean_wait, 1),
             "mean_response": round(self.mean_response, 1),
             "mean_slowdown": round(self.mean_slowdown, 2),
@@ -86,19 +93,26 @@ class MetricsReport:
 
         Inverse of :meth:`from_json`; this is what the benchmark result
         store persists, so cached metrics are bit-identical to fresh ones.
+        ``unfinished`` is written only when it is nonzero.
         """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not self.unfinished:
+            del data["unfinished"]
+        return data
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "MetricsReport":
-        """Rebuild from :meth:`to_json` output; unknown or missing keys raise."""
+        """Rebuild from :meth:`to_json` output; unknown or missing keys raise.
+
+        A missing ``unfinished`` reads as 0, as :meth:`to_json` writes it.
+        """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown MetricsReport field(s): {', '.join(sorted(unknown))}"
             )
-        missing = known - set(data)
+        missing = known - set(data) - {"unfinished"}
         if missing:
             raise ValueError(
                 f"missing MetricsReport field(s): {', '.join(sorted(missing))}"
@@ -120,8 +134,59 @@ class MetricsReport:
             raise KeyError(f"unknown metric {metric!r}") from exc
 
 
+# The three statistics below are numpy's own arithmetic on one sorted array,
+# so each equals np.mean, np.median or np.percentile(a, 90) bit for bit
+# (tests/test_metrics_kernel.py checks it) without their per-call overhead
+# or a second partition of the same array.  Each takes a finite float64
+# array (numpy's NaN propagation is not reproduced) and reads an empty one
+# as 0.0; the median and p90 take it sorted.
+def _mean(a: np.ndarray) -> float:
+    """``np.mean(a)``: numpy's pairwise ``a.sum()`` over the count."""
+    return float(a.sum() / a.size) if a.size else 0.0
+
+
+def _median(s: np.ndarray) -> float:
+    """``np.median`` of the sorted ``s``: the middle element or the mean of the middle two."""
+    n = s.size
+    if not n:
+        return 0.0
+    half = n // 2
+    return float(s[half]) if n % 2 else float((s[half - 1] + s[half]) / 2)
+
+
+def _p90(s: np.ndarray) -> float:
+    """``np.percentile(s, 90)`` of the sorted ``s``, numpy's linear method step for step.
+
+    The virtual index is (n - 1) * 0.9; at or past the last element numpy
+    reads the last element on both sides (index -1, weight index + 1).  The
+    value is ``a + d * t``, or ``b - d * (1 - t)`` when t >= 0.5, as in
+    numpy's ``_lerp``.
+    """
+    n = s.size
+    if not n:
+        return 0.0
+    virtual = (n - 1) * 0.9
+    below = math.floor(virtual)
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        above = below + 1
+    t = virtual - below
+    a, b = s[below], s[above]
+    d = b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
 def compute_metrics(result: SimulationResult, tau: float = DEFAULT_TAU) -> MetricsReport:
-    """Compute the full :class:`MetricsReport` for a simulation result."""
+    """Compute the full :class:`MetricsReport` for a simulation result.
+
+    Means are over completed jobs, as are the medians and the 90th
+    percentile, which come from one sort per column (``bounded`` is sorted
+    once for both).  Each value equals the plain ``np.mean``/``np.median``/
+    ``np.percentile`` result bit for bit.  ``unfinished`` counts the jobs
+    the simulation never finished: ``result.unfinished``, or a merged grid
+    result's ``metadata["unfinished"]``.
+    """
     cols = result.columns()
     completed_mask = ~cols.killed
     completed_count = int(completed_mask.sum())
@@ -151,33 +216,26 @@ def compute_metrics(result: SimulationResult, tau: float = DEFAULT_TAU) -> Metri
     utilization = (total_area / capacity) if capacity > 0 else 0.0
     throughput = (completed_count / (makespan / 3600.0)) if makespan > 0 else 0.0
 
-    def _mean(a: np.ndarray) -> float:
-        return float(np.mean(a)) if a.size else 0.0
-
-    def _median(a: np.ndarray) -> float:
-        return float(np.median(a)) if a.size else 0.0
-
-    def _p90(a: np.ndarray) -> float:
-        return float(np.percentile(a, 90)) if a.size else 0.0
-
+    sorted_bounded = np.sort(bounded)
     return MetricsReport(
         scheduler=result.scheduler_name,
         jobs=completed_count,
         killed=killed_count,
         mean_wait=_mean(waits),
-        median_wait=_median(waits),
+        median_wait=_median(np.sort(waits)),
         mean_response=_mean(responses),
-        median_response=_median(responses),
+        median_response=_median(np.sort(responses)),
         mean_slowdown=_mean(slowdowns),
         mean_bounded_slowdown=_mean(bounded),
-        median_bounded_slowdown=_median(bounded),
-        p90_bounded_slowdown=_p90(bounded),
+        median_bounded_slowdown=_median(sorted_bounded),
+        p90_bounded_slowdown=_p90(sorted_bounded),
         utilization=min(utilization, 1.0),
         throughput_per_hour=throughput,
         makespan=makespan,
         total_area=total_area,
         tau=tau,
         counters={k: int(v) for k, v in sorted(result.counters.items())},
+        unfinished=int(result.metadata.get("unfinished", len(result.unfinished))),
     )
 
 

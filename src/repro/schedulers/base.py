@@ -63,7 +63,7 @@ class JobRequest(NamedTuple):
     submit_time: int
 
 
-def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRequest], int]:
+def usable_requests(workload: "Workload", machine_size: int) -> Tuple[Tuple[JobRequest, ...], int]:
     """(requests, skipped): the workload's jobs a ``machine_size`` machine can run.
 
     Each request applies the standard fallbacks: processors are
@@ -74,10 +74,27 @@ def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRe
     the estimate is treated as a lower bound rather than modelling the kill.
     A record with no usable processor count, or one wider than the machine,
     is skipped.  Requests keep ``summary_jobs()`` order.
+
+    A workload whose summary lines repeat a job number raises
+    :class:`ValueError` naming the first repeated number: every simulator
+    keys its jobs by number.  The list is built once per machine size and
+    kept on the workload (:meth:`Workload.derived`), so it is a tuple that
+    every run shares; a caller that reorders it sorts a copy.
     """
+    return workload.derived(("requests", machine_size), lambda: _build_requests(workload, machine_size))
+
+
+def _build_requests(workload: "Workload", machine_size: int) -> Tuple[Tuple[JobRequest, ...], int]:
     requests, skipped = [], 0
     make = JobRequest._make
+    numbers = set()
     for job in workload.summary_jobs():
+        number = job.job_number
+        if number in numbers:
+            raise ValueError(
+                f"{workload.name!r}: job number {number} appears on more than one summary line"
+            )
+        numbers.add(number)
         processors = job.processors
         if processors < 1 or processors > machine_size:
             skipped += 1
@@ -91,13 +108,13 @@ def usable_requests(workload: "Workload", machine_size: int) -> Tuple[List[JobRe
         submit = job.submit_time
         requests.append(make((
             job,
-            job.job_number,
+            number,
             processors,
             runtime,
             estimate if estimate > 0 else 0,
             submit if submit != MISSING else 0,
         )))
-    return requests, skipped
+    return tuple(requests), skipped
 
 
 class RunningJobInfo(NamedTuple):

@@ -104,8 +104,8 @@ class GangSimulation:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run the fluid simulation and return per-job results."""
-        arrivals, skipped = usable_requests(self.workload, self.machine_size)
-        arrivals.sort(key=lambda r: (r.submit_time, r.job_id))
+        requests, skipped = usable_requests(self.workload, self.machine_size)
+        arrivals = sorted(requests, key=lambda r: (r.submit_time, r.job_id))
         arrival_index = 0
         queue: List[JobRequest] = []
         running: Dict[int, _GangJob] = {}

@@ -164,6 +164,9 @@ class TestStrandedJobs:
             f"lublin99:jobs=200,seed=3/{self.GRID}: 426 jobs never finished; "
             "the table counts finished jobs only"
         ]
+        # and the table's own column says so; the label cell has no spaces
+        header, _rule, row = captured.out.splitlines()[:3]
+        assert row.split()[header.split().index("unfinished")] == "426"
 
     def test_run_reports_each_stranding_scenario(self, tmp_path, capsys):
         # Jobs 1 and 2 each wait for the other, so with dependencies honoured
@@ -186,6 +189,31 @@ class TestStrandedJobs:
     def test_nothing_stranded_prints_nothing_to_stderr(self, trace_path, capsys):
         assert main(["simulate", str(trace_path), "--policy", "easy"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestRepeatedJobNumbers:
+    """A workload whose summary lines repeat a job number is refused, not simulated."""
+
+    @pytest.mark.parametrize("overlapping", [True, False], ids=["overlapping", "apart"])
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_exits_2_naming_the_number(self, tmp_path, capsys, command, overlapping):
+        # Both jobs numbered 5 run at once on 8 nodes, or one after the other.
+        second = 0 if overlapping else 1000
+        trace = tmp_path / "repeated.swf"
+        write_swf(make_workload([make_job(1, processors=2),
+                                 make_job(5, processors=2),
+                                 make_job(5, submit=second, processors=2)], machine_size=8), trace)
+        if command == "simulate":
+            argv = ["simulate", str(trace), "--policy", "fcfs"]
+        else:
+            path = tmp_path / "scenarios.json"
+            path.write_text(json.dumps([{"workload": str(trace), "policy": "fcfs"}]))
+            argv = ["run", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "job number 5 appears on more than one summary line" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestRunScenarios:

@@ -95,6 +95,18 @@ class TestFailures:
         with pytest.raises(AllocationError):
             Machine(size=2).restore_nodes([99])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: restore_nodes does not count overlapping outages; "
+        "the fix changes pinned schedules and lands on its own",
+    )
+    def test_overlapping_outages_keep_a_shared_node_down(self):
+        machine = Machine(size=4)
+        machine.fail_nodes([1, 2])
+        machine.fail_nodes([2, 3])
+        machine.restore_nodes([1, 2])
+        assert down_node_ids(machine) == [2, 3]
+
     def test_release_after_failure_keeps_node_down(self):
         machine = Machine(size=2)
         machine.allocate(1, 2)

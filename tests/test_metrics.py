@@ -129,6 +129,30 @@ class TestComputeMetrics:
             report.value("no_such_metric")
         assert "utilization" in report.as_dict()
 
+    def test_unfinished_counts_the_results_unfinished_list(self):
+        result = simulation(jobs=[job_result(1)])
+        assert compute_metrics(result).unfinished == 0
+        result.unfinished.extend([7, 9])
+        assert compute_metrics(result).unfinished == 2
+
+    def test_unfinished_of_a_merged_grid_result_comes_from_its_metadata(self):
+        # Local ids repeat across sites, so a merged result counts them there.
+        result = simulation(jobs=[job_result(1)])
+        result.metadata["unfinished"] = 5
+        assert compute_metrics(result).unfinished == 5
+
+    def test_unfinished_is_written_only_when_nonzero(self):
+        from repro.metrics.basic import MetricsReport
+
+        report = compute_metrics(simulation(jobs=[job_result(1)]))
+        data = report.to_json()
+        assert "unfinished" not in data
+        assert MetricsReport.from_json(data) == report
+        stranded = dataclasses.replace(report, unfinished=3)
+        assert stranded.to_json()["unfinished"] == 3
+        assert MetricsReport.from_json(stranded.to_json()) == stranded
+        assert stranded.as_dict()["unfinished"] == 3
+
     def test_counters_ride_along_and_are_addressable(self):
         result = simulation(jobs=[job_result(1)])
         result.counters.update({"sched_passes": 7, "jobs_backfilled": 3})
